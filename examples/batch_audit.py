@@ -13,8 +13,8 @@ Every session-level consumer can pick an execution engine:
 
 This example times the same workload on the cycle and batch engines,
 shows the audit engine catching an injected fast-path corruption, and
-runs the three-way differential checker from
-:mod:`repro.core.verification`.
+runs the equivalence checker from :mod:`repro.core.verification`
+(audit engine vs cycle-accurate shadow vs golden reference).
 
 Run:  python examples/batch_audit.py
 """
@@ -22,7 +22,7 @@ Run:  python examples/batch_audit.py
 import time
 
 import repro
-from repro.core import check_three_way, unit_for_entries
+from repro.core import check_equivalence, unit_for_entries
 from repro.errors import AuditError
 
 
@@ -69,9 +69,9 @@ def main() -> None:
     except AuditError as exc:
         print(f"  caught: {exc}\n")
 
-    # --- the three-way differential checker ----------------------------
-    print("three-way differential (cycle vs batch vs golden reference)")
-    report = check_three_way(config, operations=60, seed=7)
+    # --- the equivalence checker ---------------------------------------
+    print("equivalence check (batch vs cycle vs golden reference)")
+    report = check_equivalence(config, operations=60, seed=7)
     print(f"  {report.summary()}")
     assert report.passed
 

@@ -5,15 +5,13 @@ Subcommands:
 - ``info``                       -- library and configuration summary
 - ``exhibit {fig1,table1,...}``  -- regenerate a paper table/figure
 - ``generate-hdl``               -- emit the Verilog templates
-- ``demo``                       -- quick update/search round-trip
+- ``demo``                       -- the sample workload (update, search,
+  delete); ``--metrics`` dumps the metrics registry and ``--trace-out``
+  writes a Chrome trace-event JSON (open in Perfetto)
 - ``tc``                         -- run the triangle-counting case study
 - ``audit``                      -- differential equivalence check of the
   vectorized batch engine against the cycle-accurate simulator and the
   golden reference model
-- ``metrics``                    -- run an instrumented workload and dump
-  the metrics registry (Prometheus text + JSON)
-- ``trace``                      -- run a traced workload and write a
-  Chrome trace-event JSON (open in Perfetto)
 - ``serve-demo``                 -- drive the sharded async CAM service
   with synthetic concurrent traffic (see ``docs/service.md``)
 - ``serve``                      -- put the sharded CAM behind a TCP
@@ -27,8 +25,9 @@ Subcommands:
   optionally verify the content-hash round-trip
 - ``validate-manifest``          -- schema-check a ``BENCH_*.json`` file
 
-``demo``, ``tc`` and ``audit`` accept ``--trace-out PATH`` to capture
-their span tree, and ``demo`` additionally ``--manifest-out PATH``.
+``demo``, ``tc``, ``audit`` and ``serve-demo`` accept ``--trace-out
+PATH`` to capture their span tree; ``demo``, ``serve-demo`` and
+``loadgen`` accept ``--manifest-out PATH``.
 """
 
 from __future__ import annotations
@@ -37,11 +36,18 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro import __version__, obs
 from repro.bench.experiments import ALL_EXHIBITS
-from repro.core import CamSession, CamType, open_session, unit_for_entries
+from repro.core import (
+    ENGINES,
+    CamSession,
+    CamType,
+    open_session,
+    unit_for_entries,
+)
 from repro.errors import ReproError
 from repro.graph.datasets import dataset_names
 from repro.hdlgen import write_project
@@ -53,6 +59,23 @@ def _version_string() -> str:
     return f"repro {obs.package_version()}{suffix}"
 
 
+@contextmanager
+def _telemetry(args: argparse.Namespace):
+    """Fresh telemetry for a command asked to export some (``--metrics``,
+    ``--trace-out``, ``--manifest-out``), switched off again on every
+    exit path, errors included."""
+    if not any(getattr(args, flag, None)
+               for flag in ("metrics", "trace_out", "manifest_out")):
+        yield
+        return
+    obs.reset()
+    obs.enable(tracing=bool(getattr(args, "trace_out", None)))
+    try:
+        yield
+    finally:
+        obs.disable()
+
+
 def _write_trace(trace_out: Optional[str]) -> None:
     """Dump the global tracer to ``trace_out`` when requested."""
     if not trace_out:
@@ -60,6 +83,40 @@ def _write_trace(trace_out: Optional[str]) -> None:
     spans = obs.tracer().write_chrome(trace_out)
     print(f"wrote {spans} spans "
           f"({len(obs.tracer().events)} trace events) to {trace_out}")
+
+
+def _write_manifest(path: str, manifest: dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2)
+        handle.write("\n")
+    print(f"wrote manifest to {path}")
+
+
+def _add_engine(parser: argparse.ArgumentParser, default: Optional[str],
+                **kwargs) -> None:
+    parser.add_argument("--engine", choices=list(ENGINES), default=default,
+                        **kwargs)
+
+
+def _add_service_flags(parser: argparse.ArgumentParser,
+                       max_delay_ms: float) -> None:
+    """Flags ``serve`` and ``serve-demo`` share (the sharded service)."""
+    parser.add_argument("--shards", type=int, default=4)
+    parser.add_argument("--policy", choices=["hash", "range", "round_robin"],
+                        default="hash")
+    _add_engine(parser, "batch")
+    parser.add_argument("--entries-per-shard", type=int, default=512)
+    parser.add_argument("--replicas", type=int, default=1,
+                        help="replica sessions per shard (fan-out writes, "
+                             "failover reads, live recovery)")
+    parser.add_argument("--max-batch", type=int, default=64,
+                        help="micro-batch size cap per shard dispatcher")
+    parser.add_argument("--max-delay-ms", type=float, default=max_delay_ms,
+                        help="max wait to fill a micro-batch")
+    parser.add_argument("--queue-depth", type=int, default=1024,
+                        help="bounded admission queue size")
+    parser.add_argument("--timeout-ms", type=float, default=5000.0,
+                        help="per-request deadline from admission")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,14 +143,18 @@ def _build_parser() -> argparse.ArgumentParser:
     hdl.add_argument("--data-width", type=int, default=32)
     hdl.add_argument("--bus-width", type=int, default=512)
 
-    demo = sub.add_parser("demo", help="update/search round-trip demo")
+    demo = sub.add_parser(
+        "demo", help="run the sample workload (update, search, delete)"
+    )
     demo.add_argument("--entries", type=int, default=256)
     demo.add_argument("--groups", type=int, default=2)
-    demo.add_argument("--engine", choices=["cycle", "batch", "audit"],
-                      default="cycle",
-                      help="execution engine (see repro.core.batch)")
+    _add_engine(demo, "cycle", help="execution engine (see repro.core.batch)")
+    demo.add_argument("--metrics", choices=["prometheus", "json", "both"],
+                      default=None,
+                      help="print the metrics registry after the run")
     demo.add_argument("--trace-out", default=None, metavar="PATH",
-                      help="write a Chrome trace of the run (Perfetto)")
+                      help="write a Chrome trace of the run (Perfetto); "
+                           "the cycle engine adds its waveform track")
     demo.add_argument("--manifest-out", default=None, metavar="PATH",
                       help="write a BENCH-style run manifest (JSON)")
 
@@ -120,50 +181,14 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--trace-out", default=None, metavar="PATH",
                        help="write a Chrome trace of the audit run")
 
-    metrics = sub.add_parser(
-        "metrics",
-        help="run an instrumented workload and dump the metrics registry",
-    )
-    metrics.add_argument("--engine", choices=["cycle", "batch", "audit"],
-                         default="cycle")
-    metrics.add_argument("--format", dest="fmt",
-                         choices=["prometheus", "json", "both"],
-                         default="both")
-
-    trace = sub.add_parser(
-        "trace",
-        help="run a traced workload and write Chrome trace-event JSON",
-    )
-    trace.add_argument("--out", default="repro_trace.json")
-    trace.add_argument("--engine", choices=["cycle", "batch", "audit"],
-                       default="cycle")
-    trace.add_argument("--sample", type=float, default=1.0,
-                       help="fraction of root spans to keep (0..1)")
-
     serve = sub.add_parser(
         "serve-demo",
         help="drive the sharded async CAM service with synthetic traffic",
     )
-    serve.add_argument("--shards", type=int, default=4)
-    serve.add_argument("--policy", choices=["hash", "range", "round_robin"],
-                       default="hash")
-    serve.add_argument("--engine", choices=["cycle", "batch", "audit"],
-                       default="batch")
-    serve.add_argument("--entries-per-shard", type=int, default=512)
+    _add_service_flags(serve, max_delay_ms=2.0)
     serve.add_argument("--requests", type=int, default=2000)
     serve.add_argument("--clients", type=int, default=8)
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--max-batch", type=int, default=64,
-                       help="micro-batch size cap per shard dispatcher")
-    serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="max wait to fill a micro-batch")
-    serve.add_argument("--queue-depth", type=int, default=1024,
-                       help="bounded admission queue size")
-    serve.add_argument("--timeout-ms", type=float, default=5000.0,
-                       help="per-request deadline from admission")
-    serve.add_argument("--replicas", type=int, default=1,
-                       help="replica sessions per shard (fan-out writes, "
-                            "failover reads, live recovery)")
     serve.add_argument("--auto-repair", action="store_true",
                        help="run the background repair monitor that "
                             "rebuilds failed replicas with exponential "
@@ -189,19 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_net.add_argument("--port", type=int, default=0,
                            help="TCP port (0 binds an ephemeral port, "
                                 "printed at startup)")
-    serve_net.add_argument("--shards", type=int, default=4)
-    serve_net.add_argument("--policy",
-                           choices=["hash", "range", "round_robin"],
-                           default="hash")
-    serve_net.add_argument("--engine", choices=["cycle", "batch", "audit"],
-                           default="batch")
-    serve_net.add_argument("--entries-per-shard", type=int, default=512)
-    serve_net.add_argument("--replicas", type=int, default=1)
-    serve_net.add_argument("--max-batch", type=int, default=64)
-    serve_net.add_argument("--max-delay-ms", type=float, default=1.0)
-    serve_net.add_argument("--queue-depth", type=int, default=1024)
-    serve_net.add_argument("--timeout-ms", type=float, default=5000.0,
-                           help="per-request service deadline")
+    _add_service_flags(serve_net, max_delay_ms=1.0)
     serve_net.add_argument("--max-connections", type=int, default=64)
     serve_net.add_argument("--max-frame-size", type=int,
                            default=None, metavar="BYTES",
@@ -250,8 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument("--entries", type=int, default=256,
                           help="entries per shard")
     snapshot.add_argument("--shards", type=int, default=1)
-    snapshot.add_argument("--engine", choices=["cycle", "batch", "audit"],
-                          default="batch")
+    _add_engine(snapshot, "batch")
     snapshot.add_argument("--groups", type=int, default=1)
     snapshot.add_argument("--seed", type=int, default=0)
     snapshot.add_argument("--fill", type=float, default=0.5,
@@ -262,10 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="load a snapshot into a freshly built CAM and summarise it",
     )
     restore.add_argument("path")
-    restore.add_argument("--engine", choices=["cycle", "batch", "audit"],
-                         default=None,
-                         help="engine for the rebuilt CAM (default: the "
-                              "engine recorded in the snapshot)")
+    _add_engine(restore, None,
+                help="engine for the rebuilt CAM (default: the engine "
+                     "recorded in the snapshot)")
     restore.add_argument("--verify", action="store_true",
                          help="re-snapshot the restored CAM and check the "
                               "content hash round-trips")
@@ -338,48 +349,53 @@ def _cmd_generate_hdl(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_demo(entries: int, groups: int, engine: str = "cycle",
-              trace_out: Optional[str] = None,
-              manifest_out: Optional[str] = None) -> int:
-    if trace_out or manifest_out:
-        obs.reset()
-        obs.enable(tracing=bool(trace_out))
+def _cmd_demo(args: argparse.Namespace) -> int:
+    """The sample workload: update, search (hits and misses),
+    delete-by-content, then search the deleted and a live word."""
     start = time.perf_counter()
+    # The cycle engine records its waveform onto the trace's sim track.
+    waveform = bool(args.trace_out) and args.engine == "cycle"
     session = open_session(unit_for_entries(
-        entries, block_size=64, data_width=32, default_groups=groups,
-        cam_type=CamType.BINARY,
-    ), engine=engine)
+        args.entries, block_size=64, data_width=32,
+        default_groups=args.groups, cam_type=CamType.BINARY,
+    ), engine=args.engine, trace=waveform)
     print(f"engine: {session.engine_name}")
-    stored = list(range(100, 100 + min(entries // groups, 64)))
-    session.update(stored)
-    print(f"stored {len(stored)} words in {session.last_update_stats.cycles} cycles")
-    probes = [stored[0], stored[-1], 99999]
-    results = session.search(probes)
-    for probe, result in zip(probes, results):
-        print(f"  search {probe}: hit={result.hit} address={result.address}")
-    print(f"search of {len(probes)} keys took "
+    words = list(range(100, 100 + min(args.entries // args.groups, 96)))
+    session.update(words)
+    print(f"stored {len(words)} words in "
+          f"{session.last_update_stats.cycles} cycles")
+    probes = words[:48] + [10**6, 10**6 + 1]
+    hits = sum(result.hit for result in session.search(probes))
+    print(f"search of {len(probes)} keys ({hits} hits) took "
           f"{session.last_search_stats.cycles} cycles "
-          f"({groups} concurrent queries/cycle)")
+          f"({args.groups} concurrent queries/cycle)")
+    print(f"delete {words[0]}: hit={session.delete(words[0]).hit}")
+    for probe, result in zip(words[:2], session.search(words[:2])):
+        print(f"  search {probe}: hit={result.hit} "
+              f"address={result.address}")
     wall_s = time.perf_counter() - start
-    _write_trace(trace_out)
-    if manifest_out:
+    if session.trace is not None:
+        obs.tracer().add_sim_trace(session.trace)
+    _write_trace(args.trace_out)
+    if args.metrics or args.manifest_out:
         from repro.core.stats import collect_stats, publish_stats
 
-        unit = getattr(session, "unit", None)
-        if unit is not None:
-            publish_stats(collect_stats(unit))
-        manifest = obs.build_manifest(
+        if hasattr(session, "unit"):
+            publish_stats(collect_stats(session.unit))
+    if args.manifest_out:
+        _write_manifest(args.manifest_out, obs.build_manifest(
             name="cli_demo",
-            config={"entries": entries, "groups": groups, "engine": engine},
+            config={"entries": args.entries, "groups": args.groups,
+                    "engine": args.engine},
             timings={"wall_s": wall_s},
             metrics=obs.metrics().snapshot(),
-        )
-        with open(manifest_out, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote manifest to {manifest_out}")
-    if trace_out or manifest_out:
-        obs.disable()
+        ))
+    if args.metrics in ("prometheus", "both"):
+        print(obs.metrics().to_prometheus(), end="")
+    if args.metrics == "both":
+        print()
+    if args.metrics in ("json", "both"):
+        print(obs.metrics().to_json())
     return 0
 
 
@@ -393,9 +409,6 @@ def _cmd_tc(dataset: str, max_edges: int,
     )
     from repro.graph.datasets import get_dataset
 
-    if trace_out:
-        obs.reset()
-        obs.enable(tracing=True)
     if dataset == "all":
         rows = run_all(max_edges=max_edges)
     else:
@@ -418,9 +431,7 @@ def _cmd_tc(dataset: str, max_edges: int,
     if len(rows) > 1:
         print(f"average speedup: {arithmetic_mean_speedup(rows):.2f} "
               "(paper: 4.92)")
-    if trace_out:
-        _write_trace(trace_out)
-        obs.disable()
+    _write_trace(trace_out)
     return 0
 
 
@@ -451,11 +462,8 @@ def _cmd_sweep(level: str, sizes_csv: str, data_width: int) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from repro.core import check_equivalence, check_three_way
+    from repro.core import check_equivalence
 
-    if args.trace_out:
-        obs.reset()
-        obs.enable(tracing=True)
     config = unit_for_entries(
         args.entries,
         block_size=args.block_size,
@@ -467,81 +475,16 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     print(f"config: {config.num_blocks} blocks x {config.block.block_size} "
           f"cells, {config.data_width}-bit {args.cam_type} entries, "
           f"M={args.groups}")
-    three_way = check_three_way(config, operations=args.operations,
-                                seed=args.seed)
-    print(f"three-way (cycle vs batch vs golden): {three_way.summary()}")
-    audit = check_equivalence(config, operations=args.operations,
-                              seed=args.seed, engine="audit")
-    print(f"audit engine vs golden:               {audit.summary()}")
-    if args.trace_out:
-        _write_trace(args.trace_out)
-        obs.disable()
-    return 0 if (three_way.passed and audit.passed) else 1
-
-
-def _run_sample_workload(engine: str) -> CamSession:
-    """The built-in workload ``metrics`` / ``trace`` instrument.
-
-    Exercises update, search (hits and misses), delete-by-content and a
-    regroup so every instrumented counter family fires.
-    """
-    session = open_session(unit_for_entries(
-        256, block_size=64, data_width=32, default_groups=2,
-        cam_type=CamType.BINARY,
-    ), engine=engine)
-    words = list(range(100, 196))
-    session.update(words)
-    session.search(words[:48] + [10**6, 10**6 + 1])
-    session.delete(words[0])
-    session.search([words[0], words[1]])
-    return session
-
-
-def _cmd_metrics(engine: str, fmt: str) -> int:
-    from repro.core.stats import collect_stats, publish_stats
-
-    obs.reset()
-    obs.enable(tracing=False)
-    session = _run_sample_workload(engine)
-    unit = getattr(session, "unit", None)
-    if unit is not None:
-        publish_stats(collect_stats(unit))
-    obs.disable()
-    if fmt in ("prometheus", "both"):
-        print(obs.metrics().to_prometheus(), end="")
-    if fmt == "both":
-        print()
-    if fmt in ("json", "both"):
-        print(obs.metrics().to_json())
-    return 0
-
-
-def _cmd_trace(out_path: str, engine: str, sample: float) -> int:
-    obs.reset()
-    obs.enable(tracing=True, sample=sample)
-    session = _run_sample_workload(engine)
-    obs.disable()
-    # Unify the cycle-accurate waveform with the span timeline: rerun a
-    # tiny scenario with signal tracing on and project it onto the
-    # simulator track of the same Chrome trace.
-    sim_session = CamSession(
-        unit_for_entries(64, block_size=16, data_width=32, bus_width=128,
-                         default_groups=2),
-        trace=True,
-    )
-    sim_session.update([0xAA, 0xBB])
-    sim_session.search([0xBB])
-    obs.tracer().add_sim_trace(sim_session.trace)
-    _write_trace(out_path)
-    return 0
+    report = check_equivalence(config, operations=args.operations,
+                               seed=args.seed)
+    print(f"batch vs cycle vs golden: {report.summary()}")
+    _write_trace(args.trace_out)
+    return 0 if report.passed else 1
 
 
 def _cmd_serve_demo(args: argparse.Namespace) -> int:
     from repro.service import WorkloadSpec, demo_cam, run_demo_workload
 
-    if args.trace_out or args.manifest_out:
-        obs.reset()
-        obs.enable(tracing=bool(args.trace_out))
     cam = demo_cam(
         entries_per_shard=args.entries_per_shard,
         shards=args.shards,
@@ -604,12 +547,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
                 "failed_replicas": report.failed_replicas,
             },
         )
-        with open(args.manifest_out, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote manifest to {args.manifest_out}")
-    if args.trace_out or args.manifest_out:
-        obs.disable()
+        _write_manifest(args.manifest_out, manifest)
     degraded = report.timeouts + report.shard_failures + report.client_errors
     if args.poison_shard is None and degraded:
         return 1
@@ -686,9 +624,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.net import LoadgenSpec, run_loadgen_blocking
 
-    if args.manifest_out:
-        obs.reset()
-        obs.enable()
     spec = LoadgenSpec(
         mode=args.mode,
         requests=args.requests,
@@ -708,12 +643,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                                   request_timeout_s=args.timeout_s)
     print(report.render())
     if args.manifest_out:
-        manifest = report.manifest(spec)
-        with open(args.manifest_out, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote manifest to {args.manifest_out}")
-        obs.disable()
+        _write_manifest(args.manifest_out, report.manifest(spec))
     return 1 if report.errors else 0
 
 
@@ -889,44 +819,41 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "info":
-            return _cmd_info()
-        if args.command == "exhibit":
-            return _cmd_exhibit(args.name, args.max_edges)
-        if args.command == "generate-hdl":
-            return _cmd_generate_hdl(args)
-        if args.command == "demo":
-            return _cmd_demo(args.entries, args.groups, args.engine,
-                             args.trace_out, args.manifest_out)
-        if args.command == "tc":
-            return _cmd_tc(args.dataset, args.max_edges, args.trace_out)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args.engine, args.fmt)
-        if args.command == "trace":
-            return _cmd_trace(args.out, args.engine, args.sample)
-        if args.command == "serve-demo":
-            return _cmd_serve_demo(args)
-        if args.command == "serve":
-            return _cmd_serve_net(args)
-        if args.command == "loadgen":
-            return _cmd_loadgen(args)
-        if args.command == "snapshot":
-            return _cmd_snapshot(args)
-        if args.command == "restore":
-            return _cmd_restore(args)
-        if args.command == "validate-manifest":
-            return _cmd_validate_manifest(args.path)
-        if args.command == "sweep":
-            return _cmd_sweep(args.level, args.sizes, args.data_width)
-        if args.command == "vcd":
-            return _cmd_vcd(args.out)
-        parser.error(f"unknown command {args.command!r}")
+        with _telemetry(args):
+            return _dispatch(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    return 0
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "info":
+        return _cmd_info()
+    if args.command == "exhibit":
+        return _cmd_exhibit(args.name, args.max_edges)
+    if args.command == "generate-hdl":
+        return _cmd_generate_hdl(args)
+    if args.command == "demo":
+        return _cmd_demo(args)
+    if args.command == "tc":
+        return _cmd_tc(args.dataset, args.max_edges, args.trace_out)
+    if args.command == "audit":
+        return _cmd_audit(args)
+    if args.command == "serve-demo":
+        return _cmd_serve_demo(args)
+    if args.command == "serve":
+        return _cmd_serve_net(args)
+    if args.command == "loadgen":
+        return _cmd_loadgen(args)
+    if args.command == "snapshot":
+        return _cmd_snapshot(args)
+    if args.command == "restore":
+        return _cmd_restore(args)
+    if args.command == "validate-manifest":
+        return _cmd_validate_manifest(args.path)
+    if args.command == "sweep":
+        return _cmd_sweep(args.level, args.sizes, args.data_width)
+    return _cmd_vcd(args.out)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,7 +8,8 @@ Public surface:
   :func:`ternary_entry_from_pattern`, :func:`range_entry` (Table II),
 - hardware models: :class:`CamCell`, :class:`CamBlock`,
   :class:`CamUnit` (figures 2-4),
-- the transaction API: :class:`CamSession`,
+- the transaction API: :func:`open_session` over the cycle
+  (:class:`CamSession`), batch and audit engines,
 - the golden model: :class:`ReferenceCam`,
 - measurement: :func:`measure_cell`, :func:`measure_block`,
   :func:`unit_scaling`, :func:`measure_unit_performance` (section IV).
@@ -21,7 +22,6 @@ from repro.core.batch import (
     AuditSession,
     BatchSession,
     open_session,
-    session_class_for,
 )
 from repro.core.analysis import (
     BlockReport,
@@ -72,9 +72,7 @@ from repro.core.unit import CamUnit
 from repro.core.verification import (
     CheckReport,
     Divergence,
-    ThreeWayReport,
     check_equivalence,
-    check_three_way,
 )
 from repro.core.wide import WideCamSession, WideEntry, wide_binary, wide_ternary
 
@@ -86,7 +84,6 @@ __all__ = [
     "BatchSession",
     "ENGINES",
     "open_session",
-    "session_class_for",
     "BUFFER_BLOCK_THRESHOLD",
     "BUFFER_UNIT_THRESHOLD",
     "BlockAddressController",
@@ -115,8 +112,6 @@ __all__ = [
     "RoutingTable",
     "SearchResult",
     "SearchStats",
-    "ThreeWayReport",
-    "check_three_way",
     "UnitConfig",
     "UnitPerfReport",
     "UnitStats",

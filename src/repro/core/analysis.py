@@ -10,7 +10,7 @@ fabric models (see DESIGN.md for the substitution rationale).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.block import CamBlock
 from repro.core.cell import CamCell
@@ -210,22 +210,18 @@ def measure_unit_performance(
     block_size: int = 128,
     data_width: int = 32,
     bus_width: int = 512,
-    session: Optional[CamSession] = None,
 ) -> UnitPerfReport:
     """Table VIII column: measured unit latencies plus model throughput.
 
     The paper's methodology: randomly update and search a single value
-    in the unit and count cycles end-to-end. ``session`` may be passed
-    to reuse an already-built unit (they are large).
+    in the unit and count cycles end-to-end on the cycle engine.
     """
-    if session is None:
-        config = unit_for_entries(
-            total_entries,
-            block_size=block_size,
-            data_width=data_width,
-            bus_width=bus_width,
-        )
-        session = CamSession(config)
+    session = CamSession(unit_for_entries(
+        total_entries,
+        block_size=block_size,
+        data_width=data_width,
+        bus_width=bus_width,
+    ))
     unit = session.unit
 
     probe = (0x5A5A5A5A >> max(0, 32 - data_width)) | 1

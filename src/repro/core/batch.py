@@ -27,8 +27,7 @@ against the simulator by the differential test suite
 - ``reset`` and ``set_groups`` cost ``update_latency + 2`` cycles
   (the fixed flush window :class:`CamSession` waits out).
 
-Three engines are exposed through :func:`open_session` (the legacy
-``CamSession(config, engine=...)`` spelling is deprecated):
+Three engines are exposed through :func:`open_session`:
 
 - ``"cycle"``  -- the register-accurate simulator (default),
 - ``"batch"``  -- this module's vectorized fast path,
@@ -42,9 +41,8 @@ Three engines are exposed through :func:`open_session` (the legacy
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Type, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,12 +54,10 @@ from repro.core.session import (
     RawWord,
     SearchStats,
     UpdateStats,
-    publish_search_metrics,
-    publish_update_metrics,
+    _SessionBase,
 )
 from repro.core.types import CamType, SearchResult
 from repro.dsp.primitives import DSP_WIDTH, mask_for
-from repro.fabric.area import unit_resources
 from repro.errors import (
     AuditError,
     CapacityError,
@@ -113,8 +109,9 @@ class _GroupStore:
         diff = (keys[:, None] ^ self.values[None, :n]) & self.cares[None, :n]
         return (diff == 0) & self.live[None, :n]
 
-    def entries(self) -> List[Optional[CamEntry]]:
-        """Golden view (holes as ``None``), same order as the hardware."""
+    def entries(self, width: int) -> List[Optional[CamEntry]]:
+        """Golden view (holes as ``None``), same order as the hardware,
+        as ``width``-bit entries like the cycle engine's cells hold."""
         out: List[Optional[CamEntry]] = []
         for index in range(self.fill):
             if not self.live[index]:
@@ -122,7 +119,7 @@ class _GroupStore:
                 continue
             care = int(self.cares[index])
             out.append(CamEntry(value=int(self.values[index]),
-                                mask=_FULL ^ care, width=DSP_WIDTH))
+                                mask=_FULL ^ care, width=width))
         return out
 
 
@@ -134,8 +131,8 @@ def _vector_from_row(row: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-class BatchSession(CamSession):
-    """Vectorized drop-in replacement for :class:`CamSession`.
+class BatchSession(_SessionBase):
+    """Vectorized sibling of the cycle-accurate :class:`CamSession`.
 
     Exposes the identical transaction API (both engines conform to the
     :class:`repro.core.CamBackend` protocol) and produces bit-identical
@@ -151,20 +148,16 @@ class BatchSession(CamSession):
         config: UnitConfig,
         trace: bool = False,
         name: str = "cam_unit",
-        engine: Optional[str] = None,
     ) -> None:
         if trace:
             raise ConfigError(
                 "waveform tracing needs the cycle-accurate engine; "
-                "construct CamSession(config, trace=True) instead"
+                "open it with open_session(config, 'cycle', trace=True)"
             )
-        self.config = config
-        self.name = name
+        super().__init__(config, name)
         self._cycle = 0
         self._num_groups = config.default_groups
         self._init_stores()
-        self.last_update_stats: Optional[UpdateStats] = None
-        self.last_search_stats: Optional[SearchStats] = None
 
     # ------------------------------------------------------------------
     # structure
@@ -183,50 +176,12 @@ class BatchSession(CamSession):
         return self._cycle
 
     @property
-    def trace(self):
-        return None
-
-    @property
     def num_groups(self) -> int:
         return self._num_groups
 
     @property
-    def capacity(self) -> int:
-        return self.config.group_capacity(self._num_groups)
-
-    @property
     def occupancy(self) -> int:
         return self._stores[0].fill
-
-    @property
-    def search_latency(self) -> int:
-        return self.config.search_latency
-
-    @property
-    def update_latency(self) -> int:
-        return self.config.update_latency
-
-    @property
-    def words_per_beat(self) -> int:
-        return self.config.words_per_beat
-
-    def resources(self):
-        """Resource vector of the unit this engine models (same
-        calibrated estimate the cycle engine reports)."""
-        return unit_resources(
-            self.config.total_entries,
-            block_size=self.config.block.block_size,
-            bus_width=self.config.unit_bus_width,
-        )
-
-    def stored_entries(self, group: int = 0) -> List[Optional[CamEntry]]:
-        """Golden-model view of one group's content, in write order."""
-        if not 0 <= group < self._num_groups:
-            raise RoutingError(
-                f"{self.name}: group {group} out of range "
-                f"(0..{self._num_groups - 1})"
-            )
-        return self._stores[group].entries()
 
     # ------------------------------------------------------------------
     # word coercion (vectorized fast path for raw binary integers)
@@ -271,30 +226,10 @@ class BatchSession(CamSession):
             raise RoutingError(
                 f"{self.name}: independent mode requires a target group"
             )
-        if not 0 <= group < self._num_groups:
-            raise RoutingError(
-                f"{self.name}: group {group} out of range "
-                f"(0..{self._num_groups - 1})"
-            )
+        self._check_group(group)
         return [group]
 
-    def update(
-        self, words: Sequence[RawWord], group: Optional[int] = None
-    ) -> UpdateStats:
-        words = list(words)
-        if not words:
-            raise ConfigError("update needs at least one word")
-        t0 = time.perf_counter() if obs.enabled() else 0.0
-        with obs.span("session.update", engine=self.engine_name,
-                      words=len(words)):
-            stats = self._update_inner(words, group)
-        self.last_update_stats = stats
-        if obs.enabled():
-            publish_update_metrics(self, stats,
-                                   wall_s=time.perf_counter() - t0)
-        return stats
-
-    def _update_inner(
+    def _update(
         self, words: List[RawWord], group: Optional[int]
     ) -> UpdateStats:
         targets = self._update_targets(group)
@@ -337,103 +272,65 @@ class BatchSession(CamSession):
         if len(set(group_ids)) != len(group_ids):
             raise RoutingError(f"{self.name}: each query needs a distinct group")
         for g in group_ids:
-            if not 0 <= g < self._num_groups:
-                raise RoutingError(
-                    f"{self.name}: group {g} out of range "
-                    f"(0..{self._num_groups - 1})"
-                )
+            self._check_group(g)
         return group_ids
 
-    def search(
-        self,
-        keys: Sequence[int],
-        groups: Optional[Sequence[int]] = None,
-    ) -> List[SearchResult]:
-        keys = list(keys)
-        if not keys:
-            raise ConfigError("search needs at least one key")
-        t0 = time.perf_counter() if obs.enabled() else 0.0
-        with obs.span("session.search", engine=self.engine_name,
-                      keys=len(keys)):
-            if groups is None:
-                per_beat = self._num_groups
-                group_ids = list(range(per_beat))
-            else:
-                group_ids = self._validate_groups(groups)
-                per_beat = len(group_ids)
-            raw_keys = [int(key) for key in keys]
-            masked = np.asarray(raw_keys, dtype=np.int64) & _FULL
-            encoding = self.config.block.encoding
+    def _search(
+        self, keys: List[int], groups: Optional[Sequence[int]]
+    ) -> Tuple[List[SearchResult], SearchStats]:
+        if groups is None:
+            per_beat = self._num_groups
+            group_ids = list(range(per_beat))
+        else:
+            group_ids = self._validate_groups(groups)
+            per_beat = len(group_ids)
+        raw_keys = [int(key) for key in keys]
+        masked = np.asarray(raw_keys, dtype=np.int64) & _FULL
+        encoding = self.config.block.encoding
 
-            results: List[Optional[SearchResult]] = [None] * len(keys)
-            with obs.span("unit.search", keys=len(keys)):
-                if self.config.replicate_updates:
-                    # Every group answers from the same content: one matrix.
-                    matrix = self._stores[0].match_matrix(masked)
-                    for index, key in enumerate(raw_keys):
-                        results[index] = SearchResult.from_vector(
-                            key, _vector_from_row(matrix[index]), encoding
-                        )
-                else:
-                    key_groups = np.asarray(
-                        [group_ids[index % per_beat]
-                         for index in range(len(keys))]
+        results: List[Optional[SearchResult]] = [None] * len(keys)
+        with obs.span("unit.search", keys=len(keys)):
+            if self.config.replicate_updates:
+                # Every group answers from the same content: one matrix.
+                matrix = self._stores[0].match_matrix(masked)
+                for index, key in enumerate(raw_keys):
+                    results[index] = SearchResult.from_vector(
+                        key, _vector_from_row(matrix[index]), encoding
                     )
-                    for g in set(key_groups.tolist()):
-                        picks = np.flatnonzero(key_groups == g)
-                        matrix = self._stores[g].match_matrix(masked[picks])
-                        for row, index in enumerate(picks):
-                            results[index] = SearchResult.from_vector(
-                                raw_keys[index], _vector_from_row(matrix[row]),
-                                encoding,
-                            )
+            else:
+                key_groups = np.asarray(
+                    [group_ids[index % per_beat]
+                     for index in range(len(keys))]
+                )
+                for g in set(key_groups.tolist()):
+                    picks = np.flatnonzero(key_groups == g)
+                    matrix = self._stores[g].match_matrix(masked[picks])
+                    for row, index in enumerate(picks):
+                        results[index] = SearchResult.from_vector(
+                            raw_keys[index], _vector_from_row(matrix[row]),
+                            encoding,
+                        )
 
-            beats = -(-len(keys) // per_beat)
-            cycles = beats + self.config.search_latency - 1
-            self._cycle += cycles
-            stats = SearchStats(keys=len(keys), beats=beats, cycles=cycles)
-        self.last_search_stats = stats
-        if obs.enabled():
-            publish_search_metrics(
-                self, stats,
-                hits=sum(1 for r in results if r is not None and r.hit),
-                wall_s=time.perf_counter() - t0,
-            )
-        return results  # type: ignore[return-value]
+        beats = -(-len(keys) // per_beat)
+        cycles = beats + self.config.search_latency - 1
+        self._cycle += cycles
+        stats = SearchStats(keys=len(keys), beats=beats, cycles=cycles)
+        return results, stats  # type: ignore[return-value]
 
-    def search_one(self, key: int, group: Optional[int] = None) -> SearchResult:
-        """Search a single key (optionally in a specific group)."""
-        groups = None if group is None else [group]
-        return self.search([key], groups=groups)[0]
-
-    def contains(self, key: int) -> bool:
-        """Convenience membership test."""
-        return self.search_one(key).hit
-
-    def delete(self, key: int) -> SearchResult:
-        """Delete-by-content: invalidate matches in every group."""
-        with obs.span("session.delete", engine=self.engine_name):
-            raw = int(key)
-            masked = np.asarray([raw], dtype=np.int64) & _FULL
-            encoding = self.config.block.encoding
-            first = self._stores[0].match_matrix(masked)[0]
-            result = SearchResult.from_vector(
-                raw, _vector_from_row(first), encoding
-            )
-            seen = set()
-            for store in self._stores:
-                if id(store) in seen:
-                    continue
-                seen.add(id(store))
-                row = store.match_matrix(masked)[0]
-                store.live[: row.size][row] = False
-            self._cycle += self.config.search_latency
-        obs.inc("cam_deletes_total", help="delete-by-content transactions",
-                engine=self.engine_name)
+    def _delete(self, key: int) -> SearchResult:
+        masked = np.asarray([key], dtype=np.int64) & _FULL
+        first = self._stores[0].match_matrix(masked)[0]
+        result = SearchResult.from_vector(
+            key, _vector_from_row(first), self.config.block.encoding
+        )
+        for store in self._distinct_stores():
+            row = store.match_matrix(masked)[0]
+            store.live[: row.size][row] = False
+        self._cycle += self.config.search_latency
         return result
 
     # ------------------------------------------------------------------
-    def set_groups(self, num_groups: int) -> None:
+    def _set_groups(self, num_groups: int) -> None:
         if num_groups < 1 or self.config.num_blocks % num_groups:
             raise RoutingError(
                 f"{self.name}: group count {num_groups} must divide "
@@ -442,19 +339,11 @@ class BatchSession(CamSession):
         self._num_groups = num_groups
         self._init_stores()
         self._cycle += self.config.update_latency + 2
-        obs.inc("cam_regroups_total", help="runtime group reconfigurations",
-                engine=self.engine_name)
 
-    def reset(self) -> None:
-        seen = set()
-        for store in self._stores:
-            if id(store) not in seen:
-                seen.add(id(store))
-                store.clear()
+    def _reset(self) -> None:
+        for store in self._distinct_stores():
+            store.clear()
         self._cycle += self.config.update_latency + 2
-        obs.inc("cam_episodes_total",
-                help="reset-bounded content episodes completed",
-                engine=self.engine_name)
 
     def idle(self, cycles: int = 1) -> None:
         self._cycle += cycles
@@ -471,38 +360,15 @@ class BatchSession(CamSession):
                 out.append(store)
         return out
 
-    def snapshot(self):
-        """Capture stored content (holes included) as a
-        :class:`~repro.service.snapshot.CamSnapshot`."""
-        from repro.service.snapshot import (
-            CamSnapshot,
-            SnapshotEntry,
-            unit_meta,
-        )
+    def _group_slots(self, group: int) -> List[Optional[CamEntry]]:
+        return self._stores[group].entries(self.config.data_width)
 
-        groups = [
-            [SnapshotEntry.from_entry(entry) for entry in store.entries()]
-            for store in self._distinct_stores()
-        ]
-        return CamSnapshot(
-            kind="unit",
-            meta=unit_meta(self.config, self.engine_name, self._num_groups),
-            groups=groups,
-        )
-
-    def restore(self, snapshot) -> None:
-        """Replace this session's content with a compatible snapshot.
-
-        Costs exactly what the cycle engine's replay costs (one flush
-        plus one bulk update per non-empty group), so audit-mode
-        differential checks stay bit-exact across a restore.
+    def _restore(self, snapshot) -> None:
+        """Load a snapshot at exactly what the cycle engine's replay
+        costs (one flush plus one bulk update per non-empty group), so
+        audit-mode differential checks stay bit-exact across a restore.
         """
-        from repro.service.snapshot import check_unit_compatible
-
-        check_unit_compatible(snapshot, self.config, self.name)
-        self._num_groups = int(snapshot.meta.get("num_groups", 1))
-        self._init_stores()
-        self._cycle += self.config.update_latency + 2
+        self._set_groups(int(snapshot.meta.get("num_groups", 1)))
         per_beat = self.config.words_per_beat
         for store, slots in zip(self._distinct_stores(), snapshot.groups):
             if not slots:
@@ -515,8 +381,6 @@ class BatchSession(CamSession):
                 store.live[np.asarray(dead)] = False
             beats = -(-len(slots) // per_beat)
             self._cycle += beats + self.config.update_latency - 1
-        obs.inc("cam_restores_total", help="snapshot restores applied",
-                engine=self.engine_name)
 
 
 # ----------------------------------------------------------------------
@@ -560,14 +424,15 @@ class AuditSession(BatchSession):
     """The batch fast path with continuous differential verification.
 
     A seeded coin decides, at every content flush (construction,
-    :meth:`reset`, :meth:`set_groups`), whether the upcoming *episode*
-    is audited. Audited episodes replay every operation through a
-    shadow cycle-accurate :class:`CamSession` and assert bit-exact
-    result agreement plus identical per-operation cycle counts;
-    unaudited episodes run at full batch speed. ``audit_sample=1.0``
-    verifies everything (and is exactly as slow as the cycle engine);
-    the default samples a fraction while keeping the workload itself
-    on the fast path.
+    :meth:`reset`, :meth:`set_groups`, :meth:`restore`), whether the
+    upcoming *episode* is audited. Audited episodes replay every
+    operation through a shadow cycle-accurate :class:`CamSession` and
+    assert bit-exact result agreement plus identical per-operation
+    cycle counts; unaudited episodes run at full batch speed. Flushes
+    always run on both halves and their cycle costs are always
+    compared. ``audit_sample=1.0`` verifies everything (and is exactly
+    as slow as the cycle engine); the default samples a fraction while
+    keeping the workload itself on the fast path.
     """
 
     engine_name = "audit"
@@ -577,7 +442,6 @@ class AuditSession(BatchSession):
         config: UnitConfig,
         trace: bool = False,
         name: str = "cam_unit",
-        engine: Optional[str] = None,
         audit_sample: float = 0.1,
         audit_seed: int = 0,
         strict: bool = True,
@@ -601,6 +465,18 @@ class AuditSession(BatchSession):
         if self._auditing:
             self.audit_report.episodes_audited += 1
 
+    def _tally(self) -> bool:
+        """Count one operation; True when the shadow must replay it."""
+        if self._auditing:
+            self.audit_report.ops_audited += 1
+            obs.inc("cam_audit_ops_total",
+                    help="operations seen by the audit engine",
+                    mode="audited")
+        else:
+            self.audit_report.ops_fast_only += 1
+            obs.inc("cam_audit_ops_total", mode="fast_only")
+        return self._auditing
+
     def _diverge(self, operation: str, detail: str) -> None:
         self.audit_report.divergences.append(AuditDivergence(operation, detail))
         obs.inc("cam_audit_divergences_total",
@@ -611,10 +487,9 @@ class AuditSession(BatchSession):
                 f"{self.name}: batch/cycle divergence in {operation}: {detail}"
             )
 
-    @staticmethod
-    def _result_fields(result: SearchResult):
-        return (result.key, result.hit, result.address,
-                result.match_vector, result.match_count, result.encoding)
+    def _compare_costs(self, operation: str, fast, slow) -> None:
+        if fast != slow:
+            self._diverge(operation, f"batch {fast} / cycle {slow}")
 
     def _compare_results(
         self,
@@ -626,13 +501,24 @@ class AuditSession(BatchSession):
             self._diverge(operation, f"{len(fast)} vs {len(slow)} results")
             return
         for index, (f, s) in enumerate(zip(fast, slow)):
-            if self._result_fields(f) != self._result_fields(s):
+            if f != s:
                 self._diverge(
                     operation,
                     f"result {index}: batch hit={f.hit} addr={f.address} "
                     f"vec={f.match_vector:#x} / cycle hit={s.hit} "
                     f"addr={s.address} vec={s.match_vector:#x}",
                 )
+
+    def _flush(self, operation: str, *args) -> None:
+        """Run one content flush on both halves, compare its cycle
+        cost, and start a new episode. The shadow always tracks flushes
+        so a later audited episode starts from the same state."""
+        before, shadow_before = self._cycle, self.shadow.cycle
+        getattr(super(), operation)(*args)
+        getattr(self.shadow, operation)(*args)
+        self._compare_costs(operation, f"{self._cycle - before} cycles",
+                            f"{self.shadow.cycle - shadow_before} cycles")
+        self._begin_episode()
 
     # ------------------------------------------------------------------
     def update(
@@ -646,22 +532,9 @@ class AuditSession(BatchSession):
             # episode rather than reporting a false divergence later.
             self._auditing = False
             raise
-        if self._auditing:
-            shadow_stats = self.shadow.update(words, group=group)
-            self.audit_report.ops_audited += 1
-            obs.inc("cam_audit_ops_total",
-                    help="operations seen by the audit engine",
-                    mode="audited")
-            if (stats.words, stats.beats, stats.cycles) != (
-                shadow_stats.words, shadow_stats.beats, shadow_stats.cycles
-            ):
-                self._diverge(
-                    "update",
-                    f"batch {stats} / cycle {shadow_stats}",
-                )
-        else:
-            self.audit_report.ops_fast_only += 1
-            obs.inc("cam_audit_ops_total", mode="fast_only")
+        if self._tally():
+            self._compare_costs("update", stats,
+                                self.shadow.update(words, group=group))
         return stats
 
     def search(
@@ -671,71 +544,39 @@ class AuditSession(BatchSession):
     ) -> List[SearchResult]:
         keys = list(keys)
         results = super().search(keys, groups=groups)
-        if self._auditing:
-            shadow_results = self.shadow.search(keys, groups=groups)
-            self.audit_report.ops_audited += 1
-            obs.inc("cam_audit_ops_total",
-                    help="operations seen by the audit engine",
-                    mode="audited")
-            self._compare_results("search", results, shadow_results)
-            fast_stats = self.last_search_stats
-            slow_stats = self.shadow.last_search_stats
-            if (fast_stats.keys, fast_stats.beats, fast_stats.cycles) != (
-                slow_stats.keys, slow_stats.beats, slow_stats.cycles
-            ):
-                self._diverge(
-                    "search", f"batch {fast_stats} / cycle {slow_stats}"
-                )
-        else:
-            self.audit_report.ops_fast_only += 1
-            obs.inc("cam_audit_ops_total", mode="fast_only")
+        if self._tally():
+            self._compare_results("search", results,
+                                  self.shadow.search(keys, groups=groups))
+            self._compare_costs("search", self.last_search_stats,
+                                self.shadow.last_search_stats)
         return results
 
     def delete(self, key: int) -> SearchResult:
         before = self._cycle
         result = super().delete(key)
-        if self._auditing:
+        if self._tally():
             shadow_before = self.shadow.cycle
-            shadow_result = self.shadow.delete(key)
-            self.audit_report.ops_audited += 1
-            obs.inc("cam_audit_ops_total",
-                    help="operations seen by the audit engine",
-                    mode="audited")
-            self._compare_results("delete", [result], [shadow_result])
-            if self._cycle - before != self.shadow.cycle - shadow_before:
-                self._diverge(
-                    "delete",
-                    f"batch {self._cycle - before} cycles / cycle "
-                    f"{self.shadow.cycle - shadow_before} cycles",
-                )
-        else:
-            self.audit_report.ops_fast_only += 1
-            obs.inc("cam_audit_ops_total", mode="fast_only")
+            self._compare_results("delete", [result],
+                                  [self.shadow.delete(key)])
+            self._compare_costs(
+                "delete", f"{self._cycle - before} cycles",
+                f"{self.shadow.cycle - shadow_before} cycles",
+            )
         return result
 
     def set_groups(self, num_groups: int) -> None:
-        super().set_groups(num_groups)
-        # The shadow always tracks flushes so a later audited episode
-        # starts from the same (empty, regrouped) state.
-        self.shadow.set_groups(num_groups)
-        self._begin_episode()
+        self._flush("set_groups", num_groups)
 
     def reset(self) -> None:
-        super().reset()
-        self.shadow.reset()
-        self._begin_episode()
+        self._flush("reset")
+
+    def restore(self, snapshot) -> None:
+        self._flush("restore", snapshot)
 
     def idle(self, cycles: int = 1) -> None:
         super().idle(cycles)
         if self._auditing:
             self.shadow.idle(cycles)
-
-    def restore(self, snapshot) -> None:
-        # Both halves replay the same snapshot at the same analytic
-        # cost, so a following audited episode compares cleanly.
-        super().restore(snapshot)
-        self.shadow.restore(snapshot)
-        self._begin_episode()
 
 
 # ----------------------------------------------------------------------
@@ -746,17 +587,6 @@ ENGINES = {
     "batch": BatchSession,
     "audit": AuditSession,
 }
-
-
-def session_class_for(engine: str) -> Type[CamSession]:
-    """Resolve an engine name to its session class."""
-    try:
-        return ENGINES[engine]
-    except KeyError:
-        raise ConfigError(
-            f"unknown execution engine {engine!r}; pick one of "
-            f"{sorted(ENGINES)}"
-        ) from None
 
 
 def open_session(
@@ -804,4 +634,9 @@ def open_session(
 
         return ShardedCam(config, shards=shards, policy=policy,
                           engine=engine, replicas=replicas, **kwargs)
-    return session_class_for(engine)(config, **kwargs)
+    if engine not in ENGINES:
+        raise ConfigError(
+            f"unknown execution engine {engine!r}; pick one of "
+            f"{sorted(ENGINES)}"
+        )
+    return ENGINES[engine](config, **kwargs)

@@ -9,19 +9,26 @@ argument) and what the examples and most tests drive.
 The session keeps issuing one beat per cycle, so a batch of keys is
 searched at the full pipelined rate; the cycle counter is exposed so
 callers can derive latency and throughput from real simulated cycles.
+
+Every execution engine (this cycle engine and the vectorized
+:class:`~repro.core.batch.BatchSession`) shares one private base,
+``_SessionBase``, that holds the transaction wrappers: spans, timing
+and metric publication around each engine's ``_update``/``_search``
+primitives, plus word coercion and the single-key conveniences.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core.config import UnitConfig
 from repro.core.mask import CamEntry, binary_entry
 from repro.core.types import CamType, SearchResult
 from repro.core.unit import CamUnit
+from repro.fabric.area import unit_resources
 from repro.errors import ConfigError, RoutingError, SimulationError
 from repro.sim import Simulator, Trace
 
@@ -49,7 +56,7 @@ class SearchStats:
 # ----------------------------------------------------------------------
 # telemetry publication (shared by every execution engine)
 # ----------------------------------------------------------------------
-def publish_update_metrics(session: "CamSession", stats: UpdateStats,
+def publish_update_metrics(session, stats: UpdateStats,
                            wall_s: Optional[float] = None) -> None:
     """Record one update transaction into the global metrics registry."""
     if not obs.enabled():
@@ -71,7 +78,7 @@ def publish_update_metrics(session: "CamSession", stats: UpdateStats,
                     buckets=obs.SECONDS_BUCKETS, op="update", engine=engine)
 
 
-def publish_search_metrics(session: "CamSession", stats: SearchStats,
+def publish_search_metrics(session, stats: SearchStats,
                            hits: int,
                            wall_s: Optional[float] = None) -> None:
     """Record one search transaction into the global metrics registry."""
@@ -93,105 +100,64 @@ def publish_search_metrics(session: "CamSession", stats: SearchStats,
                     buckets=obs.SECONDS_BUCKETS, op="search", engine=engine)
 
 
-class CamSession:
-    """Blocking transaction API over a cycle-accurate CAM unit.
+class _SessionBase:
+    """What every execution engine shares (private; construct sessions
+    with :func:`repro.open_session`).
 
-    ``CamSession(config)`` drives the register-accurate simulator. Two
-    alternative execution engines share this exact API (see
-    :mod:`repro.core.batch`): ``CamSession(config, engine="batch")``
-    returns a vectorized :class:`~repro.core.batch.BatchSession` and
-    ``engine="audit"`` an :class:`~repro.core.batch.AuditSession` that
-    differentially verifies the fast path against a cycle-accurate
-    shadow. Both are subclasses, so ``isinstance(session, CamSession)``
-    holds for every engine, and every engine conforms to the
-    :class:`repro.core.CamBackend` protocol.
+    Subclasses provide the engine primitives ``_update``, ``_search``,
+    ``_delete``, ``_set_groups``, ``_reset``, ``_restore`` and
+    ``_group_slots`` plus the ``cycle``, ``num_groups`` and
+    ``occupancy`` views; this base wraps them in the public
+    transaction API, so the span/timing/metrics contract is defined
+    once for every engine.
     """
 
-    engine_name = "cycle"
+    engine_name: str
+    #: Recorded waveform; only the cycle engine can record one.
+    trace: Optional[Trace] = None
 
-    def __new__(cls, config=None, *args, **kwargs):
-        # Deprecated dispatch shim: `engine` is the 4th parameter of
-        # __init__ (config, trace, name, engine), so it can arrive
-        # positionally as args[2] -- historically only the keyword
-        # spelling dispatched and a positional engine was silently
-        # dropped, returning a cycle session.
-        engine = kwargs.get("engine")
-        if engine is None and len(args) >= 3:
-            engine = args[2]
-        if cls is CamSession and engine not in (None, "cycle"):
-            import warnings
-
-            warnings.warn(
-                "engine dispatch through CamSession(config, engine=...) is "
-                "deprecated and will be removed in repro 0.6; construct "
-                "sessions with repro.open_session(config, engine=...) "
-                "instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            from repro.core.batch import session_class_for
-
-            return super().__new__(session_class_for(engine))
-        return super().__new__(cls)
-
-    def __init__(
-        self,
-        config: UnitConfig,
-        trace: bool = False,
-        name: str = "cam_unit",
-        engine: Optional[str] = None,
-    ) -> None:
+    def __init__(self, config: UnitConfig, name: str) -> None:
         self.config = config
-        self.unit = CamUnit(config, name=name)
-        self._trace = Trace() if trace else None
-        self.sim = Simulator(self.unit, trace=self._trace)
+        self.name = name
         self.last_update_stats: Optional[UpdateStats] = None
         self.last_search_stats: Optional[SearchStats] = None
 
     # ------------------------------------------------------------------
     @property
-    def cycle(self) -> int:
-        """Total simulated cycles since construction/reset."""
-        return self.sim.cycle
-
-    @property
-    def trace(self) -> Optional[Trace]:
-        return self._trace
-
-    @property
     def capacity(self) -> int:
         """Entries available per logical group."""
-        return self.unit.group_capacity
-
-    @property
-    def occupancy(self) -> int:
-        return self.unit.stored_words(0)
-
-    @property
-    def num_groups(self) -> int:
-        """Current runtime group count M."""
-        return self.unit.num_groups
+        return self.config.group_capacity(self.num_groups)
 
     @property
     def search_latency(self) -> int:
-        """End-to-end unit search latency in cycles (engine-agnostic)."""
-        return self.unit.search_latency
+        """End-to-end unit search latency in cycles."""
+        return self.config.search_latency
 
     @property
     def update_latency(self) -> int:
-        """End-to-end unit update latency in cycles (engine-agnostic)."""
-        return self.unit.update_latency
+        """End-to-end unit update latency in cycles."""
+        return self.config.update_latency
 
     @property
     def words_per_beat(self) -> int:
-        """Stored words carried per update beat (engine-agnostic)."""
-        return self.unit.words_per_beat
+        """Stored words carried per update beat."""
+        return self.config.words_per_beat
 
     def resources(self):
         """Estimated resource vector of the modelled unit."""
-        return self.unit.resources()
+        return unit_resources(
+            self.config.total_entries,
+            block_size=self.config.block.block_size,
+            bus_width=self.config.unit_bus_width,
+        )
 
-    # ------------------------------------------------------------------
+    def _check_group(self, group: int) -> None:
+        if not 0 <= group < self.num_groups:
+            raise RoutingError(
+                f"{self.name}: group {group} out of range "
+                f"(0..{self.num_groups - 1})"
+            )
+
     def _coerce(self, word: RawWord) -> CamEntry:
         if isinstance(word, CamEntry):
             return word
@@ -212,45 +178,16 @@ class CamSession:
     ) -> UpdateStats:
         """Store ``words``, splitting them into full-bus beats.
 
-        Blocks until the final beat has landed (its ``update_done``
-        pulse), so content is searchable when this returns.
+        Returns once the final beat has landed, so content is
+        searchable when this returns.
         """
-        entries = [self._coerce(word) for word in words]
-        if not entries:
+        words = list(words)
+        if not words:
             raise ConfigError("update needs at least one word")
         t0 = time.perf_counter() if obs.enabled() else 0.0
         with obs.span("session.update", engine=self.engine_name,
-                      words=len(entries)):
-            start = self.cycle
-            per_beat = self.unit.words_per_beat
-            beats = 0
-            landed = 0
-            with obs.span("unit.update") as unit_span:
-                for offset in range(0, len(entries), per_beat):
-                    self.unit.issue_update(
-                        entries[offset:offset + per_beat], group=group
-                    )
-                    self.sim.step()
-                    beats += 1
-                    if self.unit.update_done:
-                        landed += 1
-                # Drain every beat through the 6-cycle update pipeline.
-                budget = self.unit.update_latency + 4
-                for _ in range(budget):
-                    if landed >= beats:
-                        break
-                    self.sim.step()
-                    if self.unit.update_done:
-                        landed += 1
-                unit_span.set(beats=beats, cycles=self.cycle - start)
-            if landed < beats:
-                raise SimulationError(
-                    f"update pipeline failed to drain ({beats - landed} beats "
-                    "pending)"
-                )
-            stats = UpdateStats(
-                words=len(entries), beats=beats, cycles=self.cycle - start
-            )
+                      words=len(words)):
+            stats = self._update(words, group)
         self.last_update_stats = stats
         if obs.enabled():
             publish_update_metrics(self, stats,
@@ -274,38 +211,7 @@ class CamSession:
         t0 = time.perf_counter() if obs.enabled() else 0.0
         with obs.span("session.search", engine=self.engine_name,
                       keys=len(keys)):
-            start = self.cycle
-            per_beat = self.unit.num_groups if groups is None else len(groups)
-            pending = 0
-            results: List[SearchResult] = []
-            offset = 0
-            budget = len(keys) + self.unit.search_latency + 16
-            with obs.span("unit.search") as unit_span:
-                for _ in range(budget):
-                    if offset < len(keys):
-                        chunk = keys[offset:offset + per_beat]
-                        chunk_groups = (None if groups is None
-                                        else groups[: len(chunk)])
-                        self.unit.issue_search(chunk, groups=chunk_groups)
-                        offset += len(chunk)
-                        pending += 1
-                    elif pending == 0:
-                        break
-                    self.sim.step()
-                    out = self.unit.search_output
-                    if out is not None:
-                        results.extend(out)
-                        pending -= 1
-                unit_span.set(cycles=self.cycle - start)
-            if pending:
-                raise SimulationError(
-                    f"search pipeline failed to drain ({pending} beats pending)"
-                )
-            stats = SearchStats(
-                keys=len(keys),
-                beats=(len(keys) + per_beat - 1) // per_beat,
-                cycles=self.cycle - start,
-            )
+            results, stats = self._search(keys, groups)
         self.last_search_stats = stats
         if obs.enabled():
             publish_search_metrics(
@@ -325,71 +231,38 @@ class CamSession:
 
     def delete(self, key: int) -> SearchResult:
         """Delete-by-content (extension): invalidate entries matching
-        ``key`` in every replica; returns what was invalidated."""
+        ``key`` in every group; returns what was invalidated."""
         with obs.span("session.delete", engine=self.engine_name):
-            self.unit.issue_delete(key)
-            cycles = self.unit.search_latency + 4
-            for _ in range(cycles):
-                self.sim.step()
-                out = self.unit.search_output
-                if out is not None:
-                    obs.inc("cam_deletes_total",
-                            help="delete-by-content transactions",
-                            engine=self.engine_name)
-                    return out[0]
-        raise SimulationError("delete beat produced no result")
+            result = self._delete(int(key))
+        obs.inc("cam_deletes_total", help="delete-by-content transactions",
+                engine=self.engine_name)
+        return result
 
-    # ------------------------------------------------------------------
     def set_groups(self, num_groups: int) -> None:
         """Reconfigure the runtime group count (flushes content)."""
         with obs.span("session.set_groups", engine=self.engine_name,
                       groups=num_groups):
-            self.unit.issue_regroup(num_groups)
-            self.sim.step(self.unit.update_latency + 2)
+            self._set_groups(num_groups)
         obs.inc("cam_regroups_total", help="runtime group reconfigurations",
                 engine=self.engine_name)
 
     def reset(self) -> None:
         """Clear all stored content."""
         with obs.span("session.reset", engine=self.engine_name):
-            self.unit.issue_reset()
-            self.sim.step(self.unit.update_latency + 2)
+            self._reset()
         obs.inc("cam_episodes_total",
                 help="reset-bounded content episodes completed",
                 engine=self.engine_name)
 
-    def idle(self, cycles: int = 1) -> None:
-        """Let the clock run without issuing operations."""
-        self.sim.step(cycles)
-
-    def stored_entries(self, group: int = 0):
+    def stored_entries(self, group: int = 0) -> List[Optional[CamEntry]]:
         """Golden-model view of one group's content, in write order
         (deleted holes preserved as ``None``)."""
-        if not 0 <= group < self.num_groups:
-            raise RoutingError(
-                f"group {group} out of range (0..{self.num_groups - 1})"
-            )
+        self._check_group(group)
         return self._group_slots(group)
 
     # ------------------------------------------------------------------
     # snapshot / restore
     # ------------------------------------------------------------------
-    def _group_slots(self, group: int):
-        """Stored slots of one group in address order, holes as None.
-
-        Reads the cell registers directly rather than
-        ``unit.stored_entries`` (which drops deleted holes): the slot
-        *positions* are part of the architectural state -- the fill
-        pointer never rewinds, so hole placement decides which address
-        a future insert lands on.
-        """
-        slots = []
-        for block_id in self.unit.table.blocks_in_group(group):
-            block = self.unit.blocks[block_id]
-            for cell in block.cells[: block.occupancy]:
-                slots.append(cell.stored_entry)
-        return slots
-
     def snapshot(self):
         """Capture stored content (holes included) as a
         :class:`~repro.service.snapshot.CamSnapshot`."""
@@ -412,24 +285,180 @@ class CamSession:
         )
 
     def restore(self, snapshot) -> None:
-        """Replace this session's content with a compatible snapshot.
+        """Replace this session's content with a compatible snapshot."""
+        from repro.service.snapshot import check_unit_compatible
 
-        Implemented as real transactions: a regroup flush, then one
-        bulk update per group with zero-valued placeholders standing in
-        for dead slots. The placeholders are then invalidated directly
-        at the cell registers (a delete-by-content replay could not
-        target a single slot: for ternary content the dead entry's
-        value may still match *live* final entries). The replay leaves
-        the fill pointers, hole positions and priority order
-        bit-identical to the snapshotted unit.
-        """
-        from repro.service.snapshot import (
-            check_unit_compatible,
-            restore_payload,
+        check_unit_compatible(snapshot, self.config, self.name)
+        self._restore(snapshot)
+        obs.inc("cam_restores_total", help="snapshot restores applied",
+                engine=self.engine_name)
+
+
+class CamSession(_SessionBase):
+    """Blocking transaction API over a cycle-accurate CAM unit.
+
+    The register-accurate engine (``engine="cycle"`` in
+    :func:`repro.open_session`). The vectorized
+    :class:`~repro.core.batch.BatchSession` is its sibling: both
+    conform to the :class:`repro.core.CamBackend` protocol and give
+    bit-identical results and cycle counts.
+    """
+
+    engine_name = "cycle"
+
+    def __init__(
+        self,
+        config: UnitConfig,
+        trace: bool = False,
+        name: str = "cam_unit",
+    ) -> None:
+        super().__init__(config, name)
+        self.unit = CamUnit(config, name=name)
+        self.trace = Trace() if trace else None
+        self.sim = Simulator(self.unit, trace=self.trace)
+
+    # ------------------------------------------------------------------
+    @property
+    def cycle(self) -> int:
+        """Total simulated cycles since construction/reset."""
+        return self.sim.cycle
+
+    @property
+    def occupancy(self) -> int:
+        return self.unit.stored_words(0)
+
+    @property
+    def num_groups(self) -> int:
+        """Current runtime group count M."""
+        return self.unit.num_groups
+
+    # ------------------------------------------------------------------
+    def _update(
+        self, words: List[RawWord], group: Optional[int]
+    ) -> UpdateStats:
+        # Blocks until every beat's ``update_done`` pulse has landed.
+        entries = [self._coerce(word) for word in words]
+        start = self.cycle
+        per_beat = self.unit.words_per_beat
+        beats = 0
+        landed = 0
+        with obs.span("unit.update") as unit_span:
+            for offset in range(0, len(entries), per_beat):
+                self.unit.issue_update(
+                    entries[offset:offset + per_beat], group=group
+                )
+                self.sim.step()
+                beats += 1
+                if self.unit.update_done:
+                    landed += 1
+            # Drain every beat through the 6-cycle update pipeline.
+            budget = self.unit.update_latency + 4
+            for _ in range(budget):
+                if landed >= beats:
+                    break
+                self.sim.step()
+                if self.unit.update_done:
+                    landed += 1
+            unit_span.set(beats=beats, cycles=self.cycle - start)
+        if landed < beats:
+            raise SimulationError(
+                f"update pipeline failed to drain ({beats - landed} beats "
+                "pending)"
+            )
+        return UpdateStats(
+            words=len(entries), beats=beats, cycles=self.cycle - start
         )
 
-        check_unit_compatible(snapshot, self.config,
-                              getattr(self.unit, "name", "cam_unit"))
+    def _search(
+        self, keys: List[int], groups: Optional[Sequence[int]]
+    ) -> Tuple[List[SearchResult], SearchStats]:
+        start = self.cycle
+        per_beat = self.unit.num_groups if groups is None else len(groups)
+        pending = 0
+        results: List[SearchResult] = []
+        offset = 0
+        budget = len(keys) + self.unit.search_latency + 16
+        with obs.span("unit.search") as unit_span:
+            for _ in range(budget):
+                if offset < len(keys):
+                    chunk = keys[offset:offset + per_beat]
+                    chunk_groups = (None if groups is None
+                                    else groups[: len(chunk)])
+                    self.unit.issue_search(chunk, groups=chunk_groups)
+                    offset += len(chunk)
+                    pending += 1
+                elif pending == 0:
+                    break
+                self.sim.step()
+                out = self.unit.search_output
+                if out is not None:
+                    results.extend(out)
+                    pending -= 1
+            unit_span.set(cycles=self.cycle - start)
+        if pending:
+            raise SimulationError(
+                f"search pipeline failed to drain ({pending} beats pending)"
+            )
+        return results, SearchStats(
+            keys=len(keys),
+            beats=(len(keys) + per_beat - 1) // per_beat,
+            cycles=self.cycle - start,
+        )
+
+    def _delete(self, key: int) -> SearchResult:
+        self.unit.issue_delete(key)
+        for _ in range(self.unit.search_latency + 4):
+            self.sim.step()
+            out = self.unit.search_output
+            if out is not None:
+                return out[0]
+        raise SimulationError("delete beat produced no result")
+
+    def _set_groups(self, num_groups: int) -> None:
+        self.unit.issue_regroup(num_groups)
+        self.sim.step(self.unit.update_latency + 2)
+
+    def _reset(self) -> None:
+        self.unit.issue_reset()
+        self.sim.step(self.unit.update_latency + 2)
+
+    def idle(self, cycles: int = 1) -> None:
+        """Let the clock run without issuing operations."""
+        self.sim.step(cycles)
+
+    # ------------------------------------------------------------------
+    # snapshot / restore
+    # ------------------------------------------------------------------
+    def _group_slots(self, group: int):
+        """Stored slots of one group in address order, holes as None.
+
+        Reads the cell registers directly rather than
+        ``unit.stored_entries`` (which drops deleted holes): the slot
+        *positions* are part of the architectural state -- the fill
+        pointer never rewinds, so hole placement decides which address
+        a future insert lands on.
+        """
+        slots = []
+        for block_id in self.unit.table.blocks_in_group(group):
+            block = self.unit.blocks[block_id]
+            for cell in block.cells[: block.occupancy]:
+                slots.append(cell.stored_entry)
+        return slots
+
+    def _restore(self, snapshot) -> None:
+        """Replay a snapshot as real transactions.
+
+        A regroup flush, then one bulk update per group with zero-valued
+        placeholders standing in for dead slots. The placeholders are
+        then invalidated directly at the cell registers (a
+        delete-by-content replay could not target a single slot: for
+        ternary content the dead entry's value may still match *live*
+        final entries). The replay leaves the fill pointers, hole
+        positions and priority order bit-identical to the snapshotted
+        unit.
+        """
+        from repro.service.snapshot import restore_payload
+
         num_groups = int(snapshot.meta.get("num_groups", 1))
         self.set_groups(num_groups)
         replicated = self.config.replicate_updates
@@ -448,5 +477,3 @@ class CamSession:
                     block = self.unit.blocks[block_ids[address // block_size]]
                     block.cells[address % block_size].occupied = False
                     block._deleted += 1
-        obs.inc("cam_restores_total", help="snapshot restores applied",
-                engine=self.engine_name)

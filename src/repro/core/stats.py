@@ -107,8 +107,8 @@ def publish_stats(
     Writes into ``registry`` (default: the global :func:`repro.obs.metrics`
     registry) unconditionally -- publishing a snapshot is an explicit
     request, not a hot path, so it works even while telemetry is
-    disabled. This is the single code path ``repro metrics`` and the
-    manifests use to report occupancy/holes/utilisation.
+    disabled. This is the single code path ``repro demo --metrics`` and
+    the manifests use to report occupancy/holes/utilisation.
     """
     reg = registry if registry is not None else obs.metrics()
     reg.gauge("cam_unit_cells_total",

@@ -156,7 +156,7 @@ class CamBackend(CamStore, Protocol):
 
     Everything constructed through :func:`repro.open_session` conforms:
     the cycle-accurate :class:`~repro.core.CamSession`, the vectorized
-    :class:`~repro.core.BatchCamSession`, the differential audit
+    :class:`~repro.core.BatchSession`, the differential audit
     session, the sharded facade itself, and replica sets -- which is
     what lets shards, replicas and single units substitute for each
     other behind the service layer.

@@ -7,22 +7,25 @@ widths, encodings, group counts) can prove theirs the same way:
     report = check_equivalence(my_config, operations=400, seed=7)
     assert report.passed, report.summary()
 
-The checker drives a random-but-reproducible interleaving of updates,
-searches, deletes and resets against both the cycle-accurate
-:class:`CamSession` and the :class:`ReferenceCam`, comparing every
-result bit for bit. :func:`check_three_way` extends the same workload
-to the vectorized batch engine (:mod:`repro.core.batch`), proving the
-fast path equivalent to *both* the register-accurate model (results
-and cycle counts) and the golden reference (results) in one run.
+The checker drives one random-but-reproducible stream of updates,
+multi-key searches, deletes, regroups and resets through an engine and
+the golden :class:`ReferenceCam`, comparing every result bit for bit.
+On the default ``engine="audit"`` the session is an
+:class:`~repro.core.batch.AuditSession` that replays every operation
+on a cycle-accurate shadow, so the same run also proves the vectorized
+batch engine equal to the register-accurate model in results and
+cycle counts: the audit report's divergences are folded into this
+report, attributed to the operation that caused them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
+from repro.core.batch import AuditSession, open_session
 from repro.core.config import UnitConfig
 from repro.core.mask import (
     binary_entry,
@@ -30,21 +33,18 @@ from repro.core.mask import (
     ternary_entry,
 )
 from repro.core.reference import ReferenceCam
-from repro.core.session import CamSession
-from repro.core.types import CamType
+from repro.core.types import CamType, SearchResult
 from repro.dsp.primitives import mask_for
 from repro.errors import ConfigError
 
 
 @dataclass
 class Divergence:
-    """One observed mismatch between hardware and reference."""
+    """One observed mismatch, raised by operation ``operation``."""
 
     operation: int
     kind: str
-    key: int
-    hardware: str
-    reference: str
+    detail: str
 
 
 @dataclass
@@ -52,129 +52,12 @@ class CheckReport:
     """Outcome of one equivalence run."""
 
     operations: int
-    searches: int
-    updates: int
-    deletes: int
-    resets: int
-    simulated_cycles: int
-    divergences: List[Divergence] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.divergences
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.passed else (
-            f"FAIL ({len(self.divergences)} divergences, first: "
-            f"{self.divergences[0]}"
-        )
-        return (
-            f"{verdict}: {self.operations} ops "
-            f"({self.updates} updates, {self.searches} searches, "
-            f"{self.deletes} deletes, {self.resets} resets) in "
-            f"{self.simulated_cycles} cycles"
-        )
-
-
-def _random_entry(rng: np.random.Generator, cam_type: CamType, width: int):
-    value = int(rng.integers(0, 1 << width))
-    if cam_type is CamType.BINARY:
-        return binary_entry(value, width)
-    if cam_type is CamType.TERNARY:
-        dont_care = int(rng.integers(0, 1 << width))
-        return ternary_entry(value & ~dont_care & mask_for(width),
-                             dont_care, width)
-    low_bits = int(rng.integers(0, width))
-    extent = 1 << low_bits
-    start = (value // extent) * extent
-    return range_entry(start, start + extent - 1, width)
-
-
-def check_equivalence(
-    config: UnitConfig,
-    operations: int = 200,
-    seed: int = 0,
-    session: Optional[CamSession] = None,
-    engine: str = "cycle",
-) -> CheckReport:
-    """Drive a random workload against hardware and golden models.
-
-    ``engine`` selects the execution engine under test ("cycle",
-    "batch" or "audit"); the audit engine additionally self-checks
-    against its cycle-accurate shadow while this checker compares it
-    to the golden reference.
-    """
-    if operations < 1:
-        raise ConfigError(f"operations must be >= 1, got {operations}")
-    rng = np.random.default_rng(seed)
-    if session is None:
-        from repro.core.batch import open_session
-
-        session = open_session(config, engine=engine)
-    session.reset()
-    capacity = session.capacity
-    reference = ReferenceCam(capacity)
-    cam_type = config.block.cell.cam_type
-    width = config.data_width
-
-    start_cycle = session.cycle
-    report = CheckReport(operations=operations, searches=0, updates=0,
-                         deletes=0, resets=0, simulated_cycles=0)
-
-    def compare(index: int, kind: str, key: int, hardware, golden) -> None:
-        if (hardware.hit, hardware.address, hardware.match_vector) != (
-            golden.hit, golden.address, golden.match_vector
-        ):
-            report.divergences.append(Divergence(
-                operation=index,
-                kind=kind,
-                key=key,
-                hardware=f"hit={hardware.hit} addr={hardware.address} "
-                         f"vec={hardware.match_vector:#x}",
-                reference=f"hit={golden.hit} addr={golden.address} "
-                          f"vec={golden.match_vector:#x}",
-            ))
-
-    for index in range(operations):
-        free = capacity - reference.occupancy
-        roll = rng.random()
-        if roll < 0.35 and free > 0:
-            batch = min(free, int(rng.integers(1, 5)))
-            entries = [_random_entry(rng, cam_type, width)
-                       for _ in range(batch)]
-            session.update(entries)
-            reference.update(entries)
-            report.updates += 1
-        elif roll < 0.85:
-            key = int(rng.integers(0, 1 << width))
-            compare(index, "search", key,
-                    session.search_one(key), reference.search(key))
-            report.searches += 1
-        elif roll < 0.95 and reference.occupancy:
-            key = int(rng.integers(0, 1 << width))
-            compare(index, "delete", key,
-                    session.delete(key), reference.delete(key))
-            report.deletes += 1
-        else:
-            session.reset()
-            reference.reset()
-            report.resets += 1
-
-    report.simulated_cycles = session.cycle - start_cycle
-    return report
-
-
-@dataclass
-class ThreeWayReport:
-    """Outcome of one batch/cycle/reference differential run."""
-
-    operations: int
-    searches: int
-    updates: int
-    deletes: int
-    resets: int
-    regroups: int
-    simulated_cycles: int
+    searches: int = 0
+    updates: int = 0
+    deletes: int = 0
+    resets: int = 0
+    regroups: int = 0
+    simulated_cycles: int = 0
     divergences: List[Divergence] = field(default_factory=list)
 
     @property
@@ -194,126 +77,107 @@ class ThreeWayReport:
         )
 
 
-def check_three_way(
+def _random_entry(rng: np.random.Generator, cam_type: CamType, width: int):
+    value = int(rng.integers(0, 1 << width))
+    if cam_type is CamType.BINARY:
+        return binary_entry(value, width)
+    if cam_type is CamType.TERNARY:
+        dont_care = int(rng.integers(0, 1 << width))
+        return ternary_entry(value & ~dont_care & mask_for(width),
+                             dont_care, width)
+    low_bits = int(rng.integers(0, width))
+    extent = 1 << low_bits
+    start = (value // extent) * extent
+    return range_entry(start, start + extent - 1, width)
+
+
+def _describe(result: SearchResult) -> str:
+    return (f"hit={result.hit} addr={result.address} "
+            f"vec={result.match_vector:#x}")
+
+
+def check_equivalence(
     config: UnitConfig,
-    operations: int = 120,
+    operations: int = 200,
     seed: int = 0,
-    regroup: bool = True,
-) -> ThreeWayReport:
-    """Drive one random workload through all three models at once.
+    engine: str = "audit",
+) -> CheckReport:
+    """Drive one random workload through an engine and the golden model.
 
-    The cycle-accurate :class:`CamSession`, the vectorized
-    :class:`~repro.core.batch.BatchSession` and the golden
-    :class:`ReferenceCam` process the identical operation stream; every
-    search/delete result is compared bit for bit across all three, and
-    the two sessions' cycle counters must agree after every operation.
-    This is the equivalence guarantee behind ``engine="batch"``.
+    ``engine`` selects the execution engine under test ("cycle",
+    "batch" or "audit"). The audit engine runs with every episode
+    shadowed (``audit_sample=1.0``) and non-strict, so each batch/cycle
+    disagreement becomes a divergence in the report instead of an
+    exception.
     """
-    from repro.core.batch import BatchSession
-
     if operations < 1:
         raise ConfigError(f"operations must be >= 1, got {operations}")
     rng = np.random.default_rng(seed)
-    cycle_session = CamSession(config)
-    batch_session = BatchSession(config)
-    reference = ReferenceCam(cycle_session.capacity)
+    if engine == "audit":
+        session = AuditSession(config, audit_sample=1.0, strict=False)
+    else:
+        session = open_session(config, engine=engine)
+    audit = getattr(session, "audit_report", None)
+    reference = ReferenceCam(session.capacity)
     cam_type = config.block.cell.cam_type
     width = config.data_width
-
-    report = ThreeWayReport(operations=operations, searches=0, updates=0,
-                            deletes=0, resets=0, regroups=0,
-                            simulated_cycles=0)
-
-    def fields(result):
-        return (result.hit, result.address, result.match_vector,
-                result.match_count)
-
-    def compare(index: int, kind: str, key: int, cycle_r, batch_r,
-                golden_r=None) -> None:
-        if fields(cycle_r) != fields(batch_r):
-            report.divergences.append(Divergence(
-                operation=index, kind=f"{kind} (batch)", key=key,
-                hardware=f"hit={cycle_r.hit} addr={cycle_r.address} "
-                         f"vec={cycle_r.match_vector:#x}",
-                reference=f"hit={batch_r.hit} addr={batch_r.address} "
-                          f"vec={batch_r.match_vector:#x}",
-            ))
-        if golden_r is not None and fields(cycle_r) != fields(golden_r):
-            report.divergences.append(Divergence(
-                operation=index, kind=f"{kind} (golden)", key=key,
-                hardware=f"hit={cycle_r.hit} addr={cycle_r.address} "
-                         f"vec={cycle_r.match_vector:#x}",
-                reference=f"hit={golden_r.hit} addr={golden_r.address} "
-                          f"vec={golden_r.match_vector:#x}",
-            ))
-
-    def check_cycles(index: int, kind: str) -> None:
-        if cycle_session.cycle != batch_session.cycle:
-            report.divergences.append(Divergence(
-                operation=index, kind=f"{kind} (cycles)", key=-1,
-                hardware=f"cycle-engine at {cycle_session.cycle}",
-                reference=f"batch-engine at {batch_session.cycle}",
-            ))
-
     divisors = [d for d in range(1, config.num_blocks + 1)
                 if config.num_blocks % d == 0]
+    report = CheckReport(operations=operations)
+    folded = 0
+
+    def compare(index: int, kind: str, key: int, got, golden) -> None:
+        if (got.hit, got.address, got.match_vector, got.match_count) != (
+            golden.hit, golden.address, golden.match_vector,
+            golden.match_count,
+        ):
+            report.divergences.append(Divergence(
+                index, f"{kind} (golden)",
+                f"key {key:#x}: engine {_describe(got)} / "
+                f"golden {_describe(golden)}",
+            ))
 
     for index in range(operations):
         free = reference.capacity - reference.occupancy
         roll = rng.random()
         if roll < 0.35 and free > 0:
-            batch = min(free, int(rng.integers(1, 5)))
             entries = [_random_entry(rng, cam_type, width)
-                       for _ in range(batch)]
-            cycle_stats = cycle_session.update(entries)
-            batch_stats = batch_session.update(entries)
+                       for _ in range(min(free, int(rng.integers(1, 5))))]
+            session.update(entries)
             reference.update(entries)
-            if cycle_stats != batch_stats:
-                report.divergences.append(Divergence(
-                    operation=index, kind="update (stats)", key=-1,
-                    hardware=str(cycle_stats), reference=str(batch_stats),
-                ))
             report.updates += 1
         elif roll < 0.80:
-            count = int(rng.integers(1, 2 * cycle_session.num_groups + 2))
+            count = int(rng.integers(1, 2 * session.num_groups + 2))
             keys = [int(k) for k in rng.integers(0, 1 << width, count)]
-            cycle_results = cycle_session.search(keys)
-            batch_results = batch_session.search(keys)
-            golden_results = reference.search_many(keys)
-            for key, c_r, b_r, g_r in zip(keys, cycle_results,
-                                          batch_results, golden_results):
-                compare(index, "search", key, c_r, b_r, g_r)
-            if cycle_session.last_search_stats != batch_session.last_search_stats:
-                report.divergences.append(Divergence(
-                    operation=index, kind="search (stats)", key=-1,
-                    hardware=str(cycle_session.last_search_stats),
-                    reference=str(batch_session.last_search_stats),
-                ))
+            for key, got, golden in zip(keys, session.search(keys),
+                                        reference.search_many(keys)):
+                compare(index, "search", key, got, golden)
             report.searches += 1
         elif roll < 0.90 and reference.occupancy:
             key = int(rng.integers(0, 1 << width))
             compare(index, "delete", key,
-                    cycle_session.delete(key), batch_session.delete(key),
-                    reference.delete(key))
+                    session.delete(key), reference.delete(key))
             report.deletes += 1
-        elif roll < 0.95 and regroup and len(divisors) > 1:
-            target = int(divisors[rng.integers(0, len(divisors))])
-            cycle_session.set_groups(target)
-            batch_session.set_groups(target)
-            reference = ReferenceCam(cycle_session.capacity)
+        elif roll < 0.95 and len(divisors) > 1:
+            session.set_groups(int(divisors[rng.integers(0, len(divisors))]))
+            # Regrouping flushes content; the reference starts over at
+            # the new per-group capacity.
+            reference = ReferenceCam(session.capacity)
             report.regroups += 1
         else:
-            cycle_session.reset()
-            batch_session.reset()
+            session.reset()
             reference.reset()
             report.resets += 1
-        check_cycles(index, "op")
-        if cycle_session.occupancy != batch_session.occupancy:
+        if session.occupancy != reference.occupancy:
             report.divergences.append(Divergence(
-                operation=index, kind="occupancy", key=-1,
-                hardware=str(cycle_session.occupancy),
-                reference=str(batch_session.occupancy),
+                index, "occupancy",
+                f"engine {session.occupancy} / golden {reference.occupancy}",
             ))
+        if audit is not None:
+            for found in audit.divergences[folded:]:
+                report.divergences.append(Divergence(
+                    index, f"{found.operation} (cycle)", found.detail))
+            folded = len(audit.divergences)
 
-    report.simulated_cycles = cycle_session.cycle
+    report.simulated_cycles = session.cycle
     return report

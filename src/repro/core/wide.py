@@ -11,8 +11,9 @@ cost is ``k`` times one lane, and every lane reuses the verified
 cell/block/unit machinery.
 
 This module is an extension beyond the paper (DESIGN.md section 5);
-its lanes are real cycle-accurate :class:`repro.core.CamSession`
-instances, so wide searches still cost genuine simulated cycles.
+its lanes are ordinary unit sessions from :func:`repro.open_session`
+(cycle-accurate by default), so wide searches still cost genuine
+simulated cycles.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.core.batch import open_session
 from repro.core.config import unit_for_entries
 from repro.core.mask import CamEntry
-from repro.core.session import CamSession
-from repro.core.types import CamType, Encoding, SearchResult
+from repro.core.types import CamBackend, CamType, Encoding, SearchResult
 from repro.dsp.primitives import DSP_WIDTH, check_fits, mask_for
 from repro.errors import ConfigError
 from repro.fabric.resources import ResourceVector, total
@@ -75,12 +75,12 @@ class WideCamSession:
     ) -> None:
         if key_width <= LANE_WIDTH:
             raise ConfigError(
-                f"key width {key_width} fits one DSP slice; use CamSession"
+                f"key width {key_width} fits one DSP slice; use open_session"
             )
         self.key_width = key_width
         self.num_lanes = -(-key_width // LANE_WIDTH)
         self._lane_widths = self._fragment_widths(key_width)
-        self.lanes: List[CamSession] = [
+        self.lanes: List[CamBackend] = [
             open_session(
                 unit_for_entries(
                     capacity,

@@ -36,14 +36,13 @@ from repro import obs
 from repro.core.config import UnitConfig
 from repro.core.mask import CamEntry
 from repro.core.session import (
-    CamSession,
     RawWord,
     SearchStats,
     UpdateStats,
     publish_search_metrics,
     publish_update_metrics,
 )
-from repro.core.types import CamType, SearchResult
+from repro.core.types import CamBackend, CamType, SearchResult
 from repro.errors import (
     CapacityError,
     ConfigError,
@@ -139,7 +138,7 @@ class ShardedCam:
                 from repro.core.batch import open_session
 
                 def replica_factory(shard: int, replica: int,
-                                    cfg: UnitConfig) -> CamSession:
+                                    cfg: UnitConfig) -> CamBackend:
                     return open_session(
                         cfg, engine=engine,
                         name=f"{name}.shard{shard}.r{replica}",
@@ -156,12 +155,12 @@ class ShardedCam:
         elif session_factory is None:
             from repro.core.batch import open_session
 
-            def session_factory(index: int, cfg: UnitConfig) -> CamSession:
+            def session_factory(index: int, cfg: UnitConfig) -> CamBackend:
                 return open_session(cfg, engine=engine,
                                     name=f"{name}.shard{index}",
                                     **session_kwargs)
 
-        self.sessions: Tuple[CamSession, ...] = tuple(
+        self.sessions: Tuple[CamBackend, ...] = tuple(
             session_factory(index, config) for index in range(shards)
         )
         #: shard -> (local address -> global address), in local fill order.

@@ -15,11 +15,16 @@ import pytest
 
 import repro
 from repro.core import (
+    ENGINES,
     CamBackend,
     CamSession,
     CamStore,
+    CamType,
     ReferenceCam,
     SearchResult,
+    binary_entry,
+    range_entry,
+    ternary_entry,
     unit_for_entries,
 )
 from repro.core.batch import AuditSession, BatchSession
@@ -115,3 +120,22 @@ def test_shared_surface_behaves(backend):
 
     backend.reset()
     assert backend.occupancy == 0
+
+
+
+@pytest.mark.parametrize("cam_type,entry", [
+    (CamType.BINARY, lambda value: binary_entry(value, 12)),
+    (CamType.TERNARY, lambda value: ternary_entry(value, 0x3, 12)),
+    (CamType.RANGE, lambda value: range_entry(value, value + 3, 12)),
+], ids=["binary", "ternary", "range"])
+def test_stored_entries_identical_across_engines(cam_type, entry):
+    """The same content has one golden view on every engine: same
+    entries, same width, same deleted hole."""
+    config = unit_for_entries(64, block_size=16, data_width=12,
+                              bus_width=128, cam_type=cam_type)
+    entries = [entry(value) for value in (0x110, 0x220, 0x330)]
+    for engine in ENGINES:
+        session = repro.open_session(config, engine)
+        session.update(entries)
+        session.delete(0x110)
+        assert session.stored_entries(0) == [None] + entries[1:], engine

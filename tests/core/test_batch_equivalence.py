@@ -8,7 +8,7 @@ varying block sizes, group counts, key widths, bus widths) and random
 operation interleavings are driven through the cycle engine, the batch
 engine and the golden :class:`ReferenceCam` at once, comparing every
 result field, every stats tuple and the cycle counters after every
-operation (:func:`repro.core.check_three_way`).
+operation (:func:`repro.core.check_equivalence` on the audit engine).
 
 Run the deep profile (``HYPOTHESIS_PROFILE=deep``) for many more
 examples; the default profile keeps the suite inside the tier-1 time
@@ -32,9 +32,8 @@ from repro.core import (
     CamType,
     ReferenceCam,
     binary_entry,
-    check_three_way,
+    check_equivalence,
     open_session,
-    session_class_for,
     ternary_entry,
     unit_for_entries,
 )
@@ -69,7 +68,7 @@ class TestThreeWayDifferential:
     @settings(max_examples=80 if _DEEP else 10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_random_configs_and_interleavings(self, config, seed):
-        report = check_three_way(config, operations=25, seed=seed)
+        report = check_equivalence(config, operations=25, seed=seed)
         assert report.passed, report.summary()
 
     def test_buffered_configuration(self):
@@ -78,14 +77,7 @@ class TestThreeWayDifferential:
         config = unit_for_entries(512, block_size=256, data_width=16,
                                   bus_width=128, default_groups=2)
         assert config.search_latency == 8
-        report = check_three_way(config, operations=30, seed=3)
-        assert report.passed, report.summary()
-
-    def test_range_configuration(self):
-        config = unit_for_entries(32, block_size=16, data_width=16,
-                                  bus_width=64, cam_type=CamType.RANGE,
-                                  default_groups=2)
-        report = check_three_way(config, operations=40, seed=5)
+        report = check_equivalence(config, operations=30, seed=3)
         assert report.passed, report.summary()
 
 
@@ -108,8 +100,7 @@ def test_batch_matches_golden_reference(words, probes):
     for probe in probes + words:
         fast = session.search_one(probe)
         gold = reference.search(probe)
-        assert (fast.hit, fast.address, fast.match_vector, fast.match_count) \
-            == (gold.hit, gold.address, gold.match_vector, gold.match_count)
+        assert fast == gold
 
 
 @given(
@@ -185,10 +176,8 @@ def test_independent_mode_lockstep(data):
         label="probes",
     )
     groups = [0, 1, 2, 3]
-    for c_r, b_r in zip(cycle.search(probes, groups=groups),
-                        batch.search(probes, groups=groups)):
-        assert (c_r.hit, c_r.address, c_r.match_vector) \
-            == (b_r.hit, b_r.address, b_r.match_vector)
+    assert cycle.search(probes, groups=groups) \
+        == batch.search(probes, groups=groups)
     assert cycle.cycle == batch.cycle
 
 
@@ -212,7 +201,6 @@ def test_engine_dispatch_through_open_session(small_unit_config):
     assert type(open_session(small_unit_config)) is CamSession
     batch = open_session(small_unit_config, engine="batch")
     assert isinstance(batch, BatchSession)
-    assert isinstance(batch, CamSession)
     audit = open_session(small_unit_config, engine="audit")
     assert isinstance(audit, AuditSession)
     assert (CamSession.engine_name, batch.engine_name, audit.engine_name) \
@@ -222,8 +210,6 @@ def test_engine_dispatch_through_open_session(small_unit_config):
 def test_engine_dispatch_rejects_unknown(small_unit_config):
     with pytest.raises(ConfigError):
         open_session(small_unit_config, engine="warp")
-    with pytest.raises(ConfigError):
-        session_class_for("warp")
 
 
 def test_open_session_forwards_kwargs(small_unit_config):
@@ -301,6 +287,25 @@ def test_audit_engine_nonstrict_records_divergence(small_unit_config):
     report = session.audit_report
     assert not report.passed
     assert report.divergences
+
+
+@pytest.mark.parametrize("flush", ["reset", "set_groups", "restore"])
+def test_audit_engine_checks_flush_costs(small_unit_config, monkeypatch,
+                                         flush):
+    session = open_session(small_unit_config, engine="audit",
+                           audit_sample=1.0)
+    session.update([10, 20])
+    args = {"reset": (), "set_groups": (1,),
+            "restore": (session.snapshot(),)}[flush]
+    fast_flush = getattr(BatchSession, flush)
+
+    def one_cycle_slow(self, *args):
+        fast_flush(self, *args)
+        self._cycle += 1
+
+    monkeypatch.setattr(BatchSession, flush, one_cycle_slow)
+    with pytest.raises(AuditError, match=flush):
+        getattr(session, flush)(*args)
 
 
 def test_audit_sampling_skips_unaudited_episodes(small_unit_config):

@@ -1,7 +1,5 @@
-"""The unified constructor (`repro.open_session`) and the deprecation
-shim left behind on ``CamSession`` engine dispatch."""
-
-import warnings
+"""The unified constructor (`repro.open_session`), the only way to
+pick an execution engine."""
 
 import pytest
 
@@ -33,6 +31,13 @@ def test_top_level_reexport_is_the_same_function():
 def test_engine_selects_session_class(config, engine, cls):
     session = open_session(config, engine=engine)
     assert type(session) is cls
+
+
+def test_cam_session_has_no_engine_dispatch(config):
+    with pytest.raises(TypeError):
+        CamSession(config, engine="batch")
+    assert not issubclass(BatchSession, CamSession)
+    assert issubclass(AuditSession, BatchSession)
 
 
 def test_unknown_engine_rejected(config):
@@ -67,44 +72,3 @@ def test_shards_one_stays_unsharded(config):
 def test_invalid_shard_count_rejected(config):
     with pytest.raises(ConfigError):
         open_session(config, shards=0)
-
-
-# ----------------------------------------------------------------------
-# CamSession engine-dispatch deprecation shim
-# ----------------------------------------------------------------------
-def test_keyword_engine_dispatch_warns_and_still_works(config):
-    with pytest.warns(DeprecationWarning, match="open_session"):
-        session = CamSession(config, engine="batch")
-    assert type(session) is BatchSession
-
-
-def test_positional_engine_dispatch_warns_and_still_works(config):
-    # the latent bug: engine passed positionally used to be silently
-    # ignored and a cycle session returned
-    with pytest.warns(DeprecationWarning, match="open_session"):
-        session = CamSession(config, False, "legacy", "batch")
-    assert type(session) is BatchSession
-    assert session.name == "legacy"
-
-
-def test_dispatch_warns_exactly_once_per_construction(config):
-    """One construction, one warning -- the shim must not stack
-    warnings through ``__new__``/``__init__`` double dispatch, and
-    every construction must warn anew (no once-per-process
-    suppression baked into the shim itself)."""
-    for _ in range(2):  # repeatable: not warning-once-per-process
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            CamSession(config, engine="batch")
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-
-
-def test_plain_construction_does_not_warn(config):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        session = CamSession(config)
-        assert type(session) is CamSession
-        explicit = CamSession(config, engine="cycle")
-        assert type(explicit) is CamSession

@@ -34,7 +34,6 @@ from repro.core import (
     collect_stats,
     unit_for_entries,
 )
-from repro.dsp.primitives import mask_for
 
 WIDTH = 12
 CAPACITY = 32  # per group: 2 blocks of 16
@@ -160,8 +159,7 @@ class TriEngineMachine(RuleBasedStateMachine):
         hw = self.cycle.search_one(key)
         fast = self.batch.search_one(key)
         gold = self.reference.search(key)
-        assert (hw.hit, hw.address, hw.match_vector, hw.match_count) \
-            == (fast.hit, fast.address, fast.match_vector, fast.match_count)
+        assert hw == fast
         assert hw.match_vector == gold.match_vector
 
     @precondition(lambda self: self.reference.occupancy > 0)
@@ -193,9 +191,7 @@ class TriEngineMachine(RuleBasedStateMachine):
 
     @rule(keys=st.lists(values, min_size=2, max_size=2))
     def multi_query(self, keys):
-        for hw, fast in zip(self.cycle.search(keys), self.batch.search(keys)):
-            assert hw.match_vector == fast.match_vector
-            assert hw.address == fast.address
+        assert self.cycle.search(keys) == self.batch.search(keys)
 
     # ------------------------------------------------------------------
     @invariant()
@@ -211,20 +207,12 @@ class TriEngineMachine(RuleBasedStateMachine):
 
     @invariant()
     def holes_stay_dead(self):
-        # The batch store's content (holes as None, in address order)
-        # must mirror the reference exactly, and the cycle engine must
-        # hold one live replica per group of every live entry.
-        data_mask = mask_for(WIDTH)
+        # Both engines' content (holes as None, in address order) must
+        # mirror the reference exactly, and the cycle engine must hold
+        # one live replica per group of every live entry.
         ref_entries = self.reference.entries()
-        fast_entries = self.batch.stored_entries(0)
-        assert len(fast_entries) == len(ref_entries)
-        for ref, fast in zip(ref_entries, fast_entries):
-            if ref is None:
-                assert fast is None
-                continue
-            assert fast is not None
-            assert fast.value == ref.value
-            assert (~fast.mask & data_mask) == (~ref.mask & data_mask)
+        assert self.batch.stored_entries(0) == ref_entries
+        assert self.cycle.stored_entries(0) == ref_entries
         live_reference = sum(1 for e in ref_entries if e is not None)
         stats = collect_stats(self.cycle.unit)
         assert stats.live_cells == self.cycle.num_groups * live_reference

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    AuditSession,
     CamType,
     check_equivalence,
     unit_for_entries,
@@ -23,13 +24,14 @@ def test_every_cam_type_passes(cam_type):
     assert report.passed, report.summary()
     assert report.searches > 0
     assert report.updates > 0
+    assert report.regroups > 0
     assert report.simulated_cycles > 0
 
 
 def test_report_counts_sum_to_operations():
     report = check_equivalence(config(), operations=80, seed=4)
     assert (report.searches + report.updates + report.deletes +
-            report.resets) == report.operations
+            report.resets + report.regroups) == report.operations
 
 
 def test_summary_renders():
@@ -61,12 +63,19 @@ def test_unusual_configuration_passes():
     assert report.passed, report.summary()
 
 
-def test_session_reuse():
-    from repro.core import CamSession
+def test_catches_a_corrupted_batch_store(monkeypatch):
+    """One flipped stored bit in the fast path shows up both against
+    the cycle-accurate shadow and against the golden model."""
+    update = AuditSession.update
 
-    session = CamSession(config())
-    first = check_equivalence(config(), operations=40, seed=8,
-                              session=session)
-    second = check_equivalence(config(), operations=40, seed=9,
-                               session=session)
-    assert first.passed and second.passed
+    def corrupt_first_update(self, words, group=None):
+        stats = update(self, words, group=group)
+        monkeypatch.setattr(AuditSession, "update", update)
+        self._stores[0].values[0] ^= 1
+        return stats
+
+    monkeypatch.setattr(AuditSession, "update", corrupt_first_update)
+    narrow = unit_for_entries(64, block_size=16, data_width=4, bus_width=64)
+    report = check_equivalence(narrow, operations=40, seed=3)
+    kinds = {divergence.kind for divergence in report.divergences}
+    assert {"search (cycle)", "search (golden)"} <= kinds

@@ -24,7 +24,7 @@ def test_version_reports_package_and_git(capsys):
 
 
 def test_metrics_command_emits_both_formats(capsys):
-    code, out, _ = run(capsys, "metrics")
+    code, out, _ = run(capsys, "demo", "--metrics", "both")
     assert code == 0
     # Prometheus side: counters with engine labels and a histogram.
     assert "# TYPE cam_searches_total counter" in out
@@ -40,10 +40,10 @@ def test_metrics_command_emits_both_formats(capsys):
 
 
 def test_metrics_command_json_only(capsys):
-    code, out, _ = run(capsys, "metrics", "--format", "json",
+    code, out, _ = run(capsys, "demo", "--metrics", "json",
                        "--engine", "batch")
     assert code == 0
-    snapshot = json.loads(out)
+    snapshot = json.loads(out[out.index('{\n  "meta"'):])
     families = {m["name"]: m for m in snapshot["metrics"]}
     assert families["cam_searches_total"]["samples"][0]["labels"] == {
         "engine": "batch"
@@ -52,7 +52,7 @@ def test_metrics_command_json_only(capsys):
 
 def test_trace_command_writes_loadable_chrome_json(tmp_path, capsys):
     out_path = tmp_path / "trace.json"
-    code, out, _ = run(capsys, "trace", "--out", str(out_path))
+    code, out, _ = run(capsys, "demo", "--trace-out", str(out_path))
     assert code == 0
     trace = json.loads(out_path.read_text())
     events = trace["traceEvents"]
@@ -81,6 +81,16 @@ def test_demo_trace_and_manifest(tmp_path, capsys):
     assert "cam_updates_total" in names
     trace = json.loads(trace_path.read_text())
     assert any(e.get("ph") == "X" for e in trace["traceEvents"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "--groups", "3", "--manifest-out"],
+    ["audit", "--operations", "0", "--trace-out"],
+])
+def test_failed_command_switches_telemetry_off(tmp_path, capsys, argv):
+    code, _out, err = run(capsys, *argv, str(tmp_path / "out.json"))
+    assert code == 1 and "error" in err
+    assert not obs.enabled()
 
 
 def test_validate_manifest_command(tmp_path, capsys):
