@@ -110,7 +110,7 @@ def _add_service_flags(parser: argparse.ArgumentParser,
                         help="replica sessions per shard (fan-out writes, "
                              "failover reads, live recovery)")
     parser.add_argument("--max-batch", type=int, default=64,
-                        help="micro-batch size cap per shard dispatcher")
+                        help="micro-batch size cap per shard")
     parser.add_argument("--max-delay-ms", type=float, default=max_delay_ms,
                         help="max wait to fill a micro-batch")
     parser.add_argument("--queue-depth", type=int, default=1024,
@@ -484,6 +484,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_serve_demo(args: argparse.Namespace) -> int:
     from repro.service import WorkloadSpec, demo_cam, run_demo_workload
+    from repro.service.workload import latency_percentile
 
     cam = demo_cam(
         entries_per_shard=args.entries_per_shard,
@@ -538,7 +539,8 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
                 "shard_failures": report.shard_failures,
                 "rejected": report.rejected,
                 "throughput_rps": report.throughput_rps,
-                "latency_p99_ms": report.latency_percentile(0.99) * 1e3,
+                "latency_p99_ms": latency_percentile(report.latencies_s,
+                                                     0.99) * 1e3,
                 "mean_batch_occupancy": report.mean_batch_occupancy,
                 "poisoned_shards": report.poisoned_shards,
                 "simulated_cycles": report.simulated_cycles,

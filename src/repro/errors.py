@@ -52,6 +52,11 @@ class RoutingError(ReproError):
     """
 
 
+#: Caller mistakes: deterministic and identical on every shard and
+#: replica, so they propagate unchanged and never fence a backend off.
+CLIENT_ERRORS = (ConfigError, CapacityError, RoutingError, MaskError)
+
+
 class AuditError(ReproError):
     """The differential audit engine observed a batch/cycle divergence.
 

@@ -31,7 +31,7 @@ from typing import List, Optional
 from repro import obs
 from repro.errors import ConfigError, NetError
 from repro.net.client import CamClient
-from repro.service.workload import table09_probe_stream
+from repro.service.workload import latency_percentile, table09_probe_stream
 
 #: Words per INSERT frame during the store phase.
 SEED_BATCH = 64
@@ -97,13 +97,6 @@ class LoadReport:
     def achieved_rps(self) -> float:
         return self.requests / self.wall_s if self.wall_s > 0 else 0.0
 
-    def latency_percentile(self, q: float) -> float:
-        if not self.latencies_s:
-            return 0.0
-        ordered = sorted(self.latencies_s)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
-
     def render(self) -> str:
         lines = [
             f"mode              : {self.mode}"
@@ -121,15 +114,15 @@ class LoadReport:
             f"retries / kills   : {self.retries} / {self.kills}",
             f"wall time         : {self.wall_s:.3f} s "
             f"({self.achieved_rps:,.0f} req/s achieved)",
-            f"latency p50/p95/p99: "
-            f"{self.latency_percentile(0.50) * 1e3:.2f} / "
-            f"{self.latency_percentile(0.95) * 1e3:.2f} / "
-            f"{self.latency_percentile(0.99) * 1e3:.2f} ms",
+            "latency p50/p95/p99: " + " / ".join(
+                f"{latency_percentile(self.latencies_s, q) * 1e3:.2f}"
+                for q in (0.50, 0.95, 0.99)) + " ms",
         ]
         return "\n".join(lines)
 
     def manifest(self, spec: LoadgenSpec, name: str = "net_loadgen") -> dict:
         """A schema-valid ``repro.bench.manifest`` for this run."""
+        latencies = self.latencies_s
         return obs.build_manifest(
             name=name,
             config={
@@ -156,9 +149,9 @@ class LoadReport:
                 "hits": self.hits,
                 "keys_probed": self.keys_probed,
                 "stored_words": self.stored_words,
-                "latency_p50_ms": self.latency_percentile(0.50) * 1e3,
-                "latency_p95_ms": self.latency_percentile(0.95) * 1e3,
-                "latency_p99_ms": self.latency_percentile(0.99) * 1e3,
+                "latency_p50_ms": latency_percentile(latencies, 0.50) * 1e3,
+                "latency_p95_ms": latency_percentile(latencies, 0.95) * 1e3,
+                "latency_p99_ms": latency_percentile(latencies, 0.99) * 1e3,
             },
         )
 

@@ -38,18 +38,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import (
-    CapacityError,
+    CLIENT_ERRORS,
     ConfigError,
-    MaskError,
     ReplicaExhaustedError,
-    RoutingError,
     ServiceError,
 )
 from repro.fabric.resources import total as total_resources
-
-#: Caller mistakes: deterministic, identical on every replica, never a
-#: replica fault. (Mirrors ``repro.service.sharded._CLIENT_ERRORS``.)
-_CLIENT_ERRORS = (ConfigError, CapacityError, RoutingError, MaskError)
 
 
 @dataclass
@@ -175,7 +169,7 @@ class ReplicaSet:
             session = self.replicas[index]
             try:
                 result = fn(session)
-            except _CLIENT_ERRORS:
+            except CLIENT_ERRORS:
                 raise
             except Exception as exc:  # replica fault: fail over
                 self._mark_failed(index, f"{type(exc).__name__}: {exc}")
@@ -226,7 +220,7 @@ class ReplicaSet:
             session = self.replicas[index]
             try:
                 result = fn(session)
-            except _CLIENT_ERRORS as exc:
+            except CLIENT_ERRORS as exc:
                 # Deterministic partial landing: every replica takes the
                 # same beats before raising, so content stays identical.
                 client_error = exc
@@ -439,7 +433,7 @@ class ReplicaSet:
                         session.delete(args[0])
                     elif op == "set_groups":
                         session.set_groups(args[0])
-                except _CLIENT_ERRORS:
+                except CLIENT_ERRORS:
                     # The live replicas landed the same deterministic
                     # partial result when this write was admitted.
                     pass

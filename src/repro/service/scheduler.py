@@ -9,15 +9,17 @@ mirrors:
   backpressure (``overflow="block"``, the default: ``await`` until a
   slot frees) or fails fast (``overflow="reject"`` raises
   :class:`~repro.errors.ServiceOverloadError`);
-- **per-shard micro-batching** -- a router fans each admitted request
-  out to per-shard dispatch queues; one dispatcher per shard coalesces
-  up to ``max_batch`` requests (waiting at most ``max_delay_s`` after
-  the first) and executes them as a few vectorized calls on the shard
-  backend, preserving per-shard FIFO order;
+- **one dispatcher** -- a single task reads the admission queue,
+  routes each request to the shards it touches (binding an insert's
+  global addresses in admission order) and gathers a micro-batch until
+  ``max_delay_s`` has passed since its first request or one shard
+  holds ``max_batch`` requests; the flush runs each shard's FIFO
+  sub-sequence as a few vectorized calls on that shard's backend, then
+  merges and resolves every request;
 - **per-request timeout** -- a request that has not dispatched by its
   deadline resolves with ``status="timeout"`` instead of occupying the
-  pipeline (sub-operations already executed on other shards are not
-  rolled back; the response says which shards ran);
+  pipeline. Deadlines are checked once per flush, so a request runs on
+  all of its shards or on none;
 - **per-shard failure isolation** -- a backend that raises
   unexpectedly is poisoned by the :class:`ShardedCam`; requests
   touching it resolve as miss-with-error (``status="shard_failed"``)
@@ -27,7 +29,7 @@ Every stage is threaded through :mod:`repro.obs`: admission queue
 depth, queue wait, batch occupancy, per-shard dispatch latency,
 request latency and outcome counters (see ``docs/service.md``).
 
-The dispatchers execute shard calls inline on the event loop -- the
+The dispatcher executes shard calls inline on the event loop -- the
 backends are NumPy-vectorized and release the loop between batches,
 which is the same trade a single-threaded arbiter makes in hardware.
 """
@@ -36,17 +38,16 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core.session import RawWord, UpdateStats
 from repro.core.types import SearchResult
 from repro.errors import (
-    CapacityError,
+    CLIENT_ERRORS,
     ConfigError,
-    MaskError,
-    RoutingError,
     ServiceDrainingError,
     ServiceError,
     ServiceOverloadError,
@@ -54,9 +55,7 @@ from repro.errors import (
 )
 from repro.service.sharded import ShardedCam, merge_results
 
-_CLIENT_ERRORS = (ConfigError, CapacityError, RoutingError, MaskError)
-
-#: Sentinel that flows through the queues to shut the pipeline down.
+#: Sentinel that flows through the admission queue to stop the dispatcher.
 _STOP = object()
 
 
@@ -114,11 +113,10 @@ class ServiceStats:
 
 
 class _Request:
-    """One admitted operation and its fan-out bookkeeping."""
+    """One admitted operation and its per-shard answers."""
 
     __slots__ = ("kind", "key", "words", "parts", "future", "deadline",
-                 "admitted_t", "pending", "partials", "stats", "shards",
-                 "degraded", "finished")
+                 "admitted_t", "targets", "answers", "degraded", "error")
 
     def __init__(self, kind: str, *, key: int = 0,
                  words: Optional[List[RawWord]] = None,
@@ -133,20 +131,15 @@ class _Request:
         )
         self.deadline = 0.0
         self.admitted_t = 0.0
-        #: shards still expected to answer.
-        self.pending: set = set()
-        #: shard -> partial SearchResult (broadcast lookups/deletes).
-        self.partials: Dict[int, SearchResult] = {}
-        #: per-shard UpdateStats (inserts).
-        self.stats: Dict[int, UpdateStats] = {}
-        #: shards that actually executed work for this request.
-        self.shards: List[int] = []
-        #: detail of the first poisoned-shard degradation, if any.
+        #: shards the request touches, bound at routing.
+        self.targets: List[int] = []
+        #: shard -> SearchResult (lookups, deletes) or UpdateStats
+        #: (inserts), for the shards that executed the request.
+        self.answers: Dict[int, Union[SearchResult, UpdateStats]] = {}
+        #: detail of a poisoned-shard degradation, if any.
         self.degraded: Optional[str] = None
-        #: set by the first _finish; the future's own done() cannot be
-        #: used (a caller cancelling its await marks the future done
-        #: while the request is still in flight here).
-        self.finished = False
+        #: detail of a client error a shard raised, if any.
+        self.error: Optional[str] = None
 
 
 class CamService:
@@ -158,10 +151,14 @@ class CamService:
         async with CamService(cam, max_batch=64, max_delay_s=0.002) as svc:
             response = await svc.lookup(42)
 
-    ``max_batch`` and ``max_delay_s`` trade latency for batch-engine
-    occupancy exactly like the hardware bus packs words per beat;
-    ``queue_depth`` bounds admission; ``request_timeout_s`` is the
-    per-request deadline measured from admission.
+    One dispatcher task feeds every shard from the admission queue, as
+    the paper's CAM unit feeds every group from one input port.
+    ``max_batch`` caps the requests one shard takes per micro-batch and
+    ``max_delay_s`` bounds how long a micro-batch waits after its first
+    request; together they trade latency for batch-engine occupancy
+    exactly like the hardware bus packs words per beat. ``queue_depth``
+    bounds admission; ``request_timeout_s`` is the per-request deadline
+    measured from admission.
     """
 
     def __init__(
@@ -208,7 +205,6 @@ class CamService:
         self.repair_backoff_max_s = repair_backoff_max_s
         self.stats = ServiceStats()
         self._queue: Optional[asyncio.Queue] = None
-        self._shard_queues: List[asyncio.Queue] = []
         self._tasks: List[asyncio.Task] = []
         self._running = False
         self._draining = False
@@ -224,13 +220,7 @@ class CamService:
         if self._running:
             raise ServiceError("service already started")
         self._queue = asyncio.Queue(maxsize=self.queue_depth)
-        self._shard_queues = [asyncio.Queue()
-                              for _ in range(self.cam.num_shards)]
-        self._tasks = [asyncio.ensure_future(self._router())]
-        self._tasks += [
-            asyncio.ensure_future(self._dispatcher(shard))
-            for shard in range(self.cam.num_shards)
-        ]
+        self._tasks = [asyncio.ensure_future(self._dispatcher())]
         self._running = True
         self._draining = False
         self._inflight = 0
@@ -371,7 +361,7 @@ class CamService:
         return await self._admit(_Request("lookup", key=int(key)))
 
     async def insert(self, words: Sequence[RawWord]) -> ServiceResponse:
-        """Store a batch of words (routed per shard at admission)."""
+        """Store a batch of words (routed per shard by the dispatcher)."""
         words = list(words)
         if not words:
             raise ConfigError("insert needs at least one word")
@@ -415,217 +405,173 @@ class CamService:
         return await request.future
 
     # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-    def _route(self, request: _Request) -> None:
-        """Fan a request out to the shard queues it must touch."""
-        if request.kind == "insert":
-            # Global addresses bind at routing time, in admission order
-            # -- the same numbering the reference model uses -- so the
-            # merged priority order never depends on which shard
-            # dispatcher happens to flush first.
-            try:
-                request.parts = self.cam.partition_update(request.words)
-            except _CLIENT_ERRORS as exc:
-                self._finish(request, "error", error=str(exc))
-                return
-            request.pending = set(request.parts)
-        else:
-            request.pending = set(self.cam.shards_for_key(request.key))
-        for shard in sorted(request.pending):
-            self._shard_queues[shard].put_nowait(request)
-
-    async def _router(self) -> None:
-        while True:
-            item = await self._queue.get()
-            if item is _STOP:
-                for queue in self._shard_queues:
-                    queue.put_nowait(_STOP)
-                return
-            obs.set_gauge("svc_queue_depth", self._queue.qsize())
-            loop = asyncio.get_running_loop()
-            obs.observe("svc_queue_wait_seconds",
-                        loop.time() - item.admitted_t,
-                        help="admission-to-routing wait",
-                        buckets=obs.SECONDS_BUCKETS)
-            if loop.time() >= item.deadline:
-                self._finish(item, "timeout")
-                continue
-            self._route(item)
-
-    # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    async def _dispatcher(self, shard: int) -> None:
-        queue = self._shard_queues[shard]
+    async def _dispatcher(self) -> None:
+        """Route admitted requests into micro-batches and flush them.
+
+        A micro-batch opens with the first request that routes to a
+        shard and closes when ``max_delay_s`` has passed since then or
+        when one shard holds ``max_batch`` of its requests.
+        """
         loop = asyncio.get_running_loop()
-        stopping = False
-        while not stopping:
-            first = await queue.get()
+        while True:
+            first = await self._queue.get()
             if first is _STOP:
                 return
+            if not self._route(first):
+                continue
             batch = [first]
+            load = Counter(first.targets)
             flush_at = loop.time() + self.max_delay_s
-            while len(batch) < self.max_batch and not stopping:
+            stopping = False
+            while max(load.values()) < self.max_batch:
                 remaining = flush_at - loop.time()
-                if remaining <= 0:
-                    try:
-                        item = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                else:
-                    try:
-                        item = await asyncio.wait_for(queue.get(), remaining)
-                    except asyncio.TimeoutError:
-                        break
+                try:
+                    if remaining <= 0:
+                        item = self._queue.get_nowait()
+                    else:
+                        item = await asyncio.wait_for(self._queue.get(),
+                                                      remaining)
+                except (asyncio.QueueEmpty, asyncio.TimeoutError):
+                    break
                 if item is _STOP:
                     stopping = True
-                else:
+                    break
+                if self._route(item):
                     batch.append(item)
-            self._flush(shard, batch)
-        # Drain anything routed after the flush that raced with STOP.
-        leftovers = []
-        while True:
-            try:
-                item = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is not _STOP:
-                leftovers.append(item)
-        if leftovers:
-            self._flush(shard, leftovers)
+                    load.update(item.targets)
+            self._flush(batch)
+            if stopping:
+                return
 
-    def _flush(self, shard: int, batch: List[_Request]) -> None:
-        """Execute one micro-batch on a shard backend, in FIFO order,
-        coalescing runs of lookups into single vectorized searches."""
+    def _route(self, request: _Request) -> bool:
+        """Bind the shards a request touches; False if it resolved here."""
+        obs.set_gauge("svc_queue_depth", self._queue.qsize())
+        now = asyncio.get_running_loop().time()
+        obs.observe("svc_queue_wait_seconds", now - request.admitted_t,
+                    help="admission-to-routing wait",
+                    buckets=obs.SECONDS_BUCKETS)
+        if now >= request.deadline:
+            self._finish(request, "timeout")
+            return False
+        if request.kind != "insert":
+            request.targets = self.cam.shards_for_key(request.key)
+            return True
+        # Global addresses bind here, in admission order -- the same
+        # numbering the reference model uses -- so the merged priority
+        # order never depends on the order shards execute in.
+        try:
+            request.parts = self.cam.partition_update(request.words)
+        except CLIENT_ERRORS as exc:
+            self._finish(request, "error", error=str(exc))
+            return False
+        request.targets = sorted(request.parts)
+        return True
+
+    def _flush(self, batch: List[_Request]) -> None:
+        """Run one micro-batch: every live request on all of its shards.
+
+        Deadlines are checked once, up front, so a request runs on
+        every shard it touches or -- if it expired first -- on none.
+        """
+        now = asyncio.get_running_loop().time()
         live: List[_Request] = []
-        loop = asyncio.get_running_loop()
-        now = loop.time()
+        plan: Dict[int, List[_Request]] = {}
         for request in batch:
-            if request.future.done():
-                self._shard_done(request, shard)
-                continue
             if now >= request.deadline:
-                obs.inc("svc_timeouts_total",
-                        help="requests expired before dispatch",
-                        kind=request.kind)
                 self._finish(request, "timeout")
                 continue
             live.append(request)
-        if not live:
-            return
+            for shard in request.targets:
+                plan.setdefault(shard, []).append(request)
+        for shard in sorted(plan):
+            self._flush_shard(shard, plan[shard])
+        for request in live:
+            self._resolve(request)
+
+    def _flush_shard(self, shard: int, requests: List[_Request]) -> None:
+        """Execute one shard's FIFO sub-sequence of a micro-batch,
+        coalescing runs of lookups into single vectorized searches."""
         self.stats.dispatches += 1
-        self.stats.dispatched_requests += len(live)
-        obs.observe("svc_batch_occupancy", len(live),
+        self.stats.dispatched_requests += len(requests)
+        obs.observe("svc_batch_occupancy", len(requests),
                     help="requests coalesced per shard micro-batch",
                     buckets=obs.BATCH_BUCKETS, shard=shard)
+        runs: List[List[_Request]] = []
+        for request in requests:
+            if (request.kind == "lookup" and runs
+                    and runs[-1][0].kind == "lookup"):
+                runs[-1].append(request)
+            else:
+                runs.append([request])
         started = time.perf_counter()
-        with obs.span("svc.flush", shard=shard, occupancy=len(live)):
-            index = 0
-            while index < len(live):
-                request = live[index]
-                if request.kind == "lookup":
-                    run = [request]
-                    while (index + len(run) < len(live)
-                           and live[index + len(run)].kind == "lookup"):
-                        run.append(live[index + len(run)])
-                    self._execute_lookups(shard, run)
-                    index += len(run)
-                else:
-                    self._execute_one(shard, request)
-                    index += 1
+        with obs.span("svc.flush", shard=shard, occupancy=len(requests)):
+            for run in runs:
+                self._execute(shard, run)
         obs.observe("svc_shard_latency_seconds",
                     time.perf_counter() - started,
                     help="wall time per shard micro-batch flush",
                     buckets=obs.SECONDS_BUCKETS, shard=shard)
 
-    def _execute_lookups(self, shard: int, run: List[_Request]) -> None:
-        keys = [request.key for request in run]
+    def _execute(self, shard: int, run: List[_Request]) -> None:
+        """One shard call: a run of lookups, or one insert or delete."""
+        request = run[0]
         try:
-            answers = self.cam.search_shard(shard, keys)
+            if request.kind == "lookup":
+                answers = self.cam.search_shard(shard,
+                                                [r.key for r in run])
+            elif request.kind == "insert":
+                words, addresses = request.parts[shard]
+                answers = [self.cam.update_shard(shard, words,
+                                                 addresses=addresses)]
+            else:
+                answers = [self.cam.delete_shard(shard, request.key)]
         except ShardFailedError as exc:
             for request in run:
-                self._shard_answer(request, shard, _miss(request.key),
-                                   failed=str(exc))
+                request.degraded = str(exc)
             return
-        except _CLIENT_ERRORS as exc:
+        except CLIENT_ERRORS as exc:
             for request in run:
-                self._finish(request, "error", error=str(exc))
+                request.error = str(exc)
             return
         for request, answer in zip(run, answers):
-            self._shard_answer(request, shard, answer)
-
-    def _execute_one(self, shard: int, request: _Request) -> None:
-        try:
-            if request.kind == "insert":
-                shard_words, shard_addresses = request.parts[shard]
-                stats = self.cam.update_shard(shard, shard_words,
-                                              addresses=shard_addresses)
-                request.stats[shard] = stats
-                request.shards.append(shard)
-                self._shard_done(request, shard)
-            else:  # delete
-                answer = self.cam.delete_shard(shard, request.key)
-                self._shard_answer(request, shard, answer)
-        except ShardFailedError as exc:
-            request.degraded = str(exc)
-            request.pending.discard(shard)
-            self._maybe_finish(request)
-        except _CLIENT_ERRORS as exc:
-            self._finish(request, "error", error=str(exc))
+            request.answers[shard] = answer
 
     # ------------------------------------------------------------------
     # completion
     # ------------------------------------------------------------------
-    def _shard_answer(self, request: _Request, shard: int,
-                      answer: SearchResult,
-                      failed: Optional[str] = None) -> None:
-        if failed is None:
-            request.partials[shard] = answer
-            request.shards.append(shard)
-        else:
-            request.degraded = failed
-        request.pending.discard(shard)
-        self._maybe_finish(request)
-
-    def _shard_done(self, request: _Request, shard: int) -> None:
-        request.pending.discard(shard)
-        self._maybe_finish(request)
-
-    def _maybe_finish(self, request: _Request) -> None:
-        if request.finished or request.pending:
+    def _resolve(self, request: _Request) -> None:
+        """Merge a flushed request's per-shard answers and finish it."""
+        if request.error is not None:
+            self._finish(request, "error", error=request.error)
             return
-        status = "shard_failed" if request.degraded else "ok"
+        answers = list(request.answers.values())
+        result = stats = None
         if request.kind == "insert":
-            per_shard = list(request.stats.values())
             stats = UpdateStats(
-                words=sum(s.words for s in per_shard),
-                beats=max((s.beats for s in per_shard), default=0),
-                cycles=max((s.cycles for s in per_shard), default=0),
+                words=sum(s.words for s in answers),
+                beats=max((s.beats for s in answers), default=0),
+                cycles=max((s.cycles for s in answers), default=0),
             )
-            self._finish(request, status, stats=stats,
-                         error=request.degraded)
-        else:
-            partials = list(request.partials.values())
-            merged = (merge_results(request.key, partials)
-                      if partials else _miss(request.key))
-            self._finish(request, status, result=merged,
-                         error=request.degraded)
+        elif answers:  # else every shard failed: _finish answers a miss
+            result = merge_results(request.key, answers)
+        self._finish(request, "shard_failed" if request.degraded else "ok",
+                     result=result, stats=stats, error=request.degraded)
 
     def _finish(self, request: _Request, status: str,
                 result: Optional[SearchResult] = None,
                 stats: Optional[UpdateStats] = None,
                 error: Optional[str] = None) -> None:
-        if request.finished:
-            return
-        request.finished = True
-        loop = asyncio.get_running_loop()
-        latency = loop.time() - request.admitted_t
+        latency = asyncio.get_running_loop().time() - request.admitted_t
         self.stats.completed += 1
         if status == "ok":
             self.stats.ok += 1
         elif status == "timeout":
             self.stats.timeouts += 1
+            obs.inc("svc_timeouts_total",
+                    help="requests expired before dispatch",
+                    kind=request.kind)
         elif status == "shard_failed":
             self.stats.shard_failures += 1
         else:
@@ -644,7 +590,7 @@ class CamService:
                 status=status,
                 result=result,
                 stats=stats,
-                shards=tuple(sorted(request.shards)),
+                shards=tuple(sorted(request.answers)),
                 latency_s=latency,
                 error=error,
             ))

@@ -44,18 +44,15 @@ from repro.core.session import (
 )
 from repro.core.types import CamBackend, CamType, SearchResult
 from repro.errors import (
+    CLIENT_ERRORS,
     CapacityError,
     ConfigError,
-    MaskError,
     RoutingError,
     ShardFailedError,
+    SnapshotError,
 )
 from repro.fabric.resources import total as total_resources
 from repro.service.sharding import ShardPolicy, policy_for
-
-#: Exceptions that indicate a caller mistake, not a shard fault: they
-#: propagate unchanged and do not poison the shard.
-_CLIENT_ERRORS = (ConfigError, CapacityError, RoutingError, MaskError)
 
 
 def merge_results(
@@ -289,6 +286,16 @@ class ShardedCam:
         error.__cause__ = exc
         return error
 
+    def _fenced(self, shard: int, call, *args, passthrough=CLIENT_ERRORS):
+        """Run one backend call; any error outside ``passthrough``
+        poisons the shard and surfaces as :class:`ShardFailedError`."""
+        try:
+            return call(*args)
+        except passthrough:
+            raise
+        except Exception as exc:
+            raise self._poison(shard, exc) from exc
+
     # ------------------------------------------------------------------
     # routing helpers
     # ------------------------------------------------------------------
@@ -339,16 +346,14 @@ class ShardedCam:
         before = session.occupancy
         with obs.span("svc.shard.update", shard=shard, words=len(words)):
             try:
-                stats = session.update(words)
-            except _CLIENT_ERRORS:
+                stats = self._fenced(shard, session.update, words)
+            except CLIENT_ERRORS:
                 # The batch engine lands the beats that fit before the
                 # overflowing beat raises; keep the address map in sync
                 # with what actually landed.
                 landed = session.occupancy - before
                 self._assign_addresses(shard, list(addresses)[:landed])
                 raise
-            except Exception as exc:
-                raise self._poison(shard, exc) from exc
         self._assign_addresses(shard, addresses)
         obs.inc("svc_shard_ops_total", help="operations executed per shard",
                 shard=shard, op="update")
@@ -360,14 +365,8 @@ class ShardedCam:
         """Search ``keys`` on one shard; vectors come back globally
         mapped (for pinned policies this is already the final answer)."""
         self._check_shard(shard)
-        session = self.sessions[shard]
         with obs.span("svc.shard.search", shard=shard, keys=len(keys)):
-            try:
-                results = session.search(keys)
-            except _CLIENT_ERRORS:
-                raise
-            except Exception as exc:
-                raise self._poison(shard, exc) from exc
+            results = self._fenced(shard, self.sessions[shard].search, keys)
         obs.inc("svc_shard_ops_total", shard=shard, op="search")
         return [self._globalize(shard, result) for result in results]
 
@@ -375,14 +374,8 @@ class ShardedCam:
         """Delete-by-content on one shard; returns the globally-mapped
         view of what was invalidated."""
         self._check_shard(shard)
-        session = self.sessions[shard]
         with obs.span("svc.shard.delete", shard=shard):
-            try:
-                result = session.delete(key)
-            except _CLIENT_ERRORS:
-                raise
-            except Exception as exc:
-                raise self._poison(shard, exc) from exc
+            result = self._fenced(shard, self.sessions[shard].delete, key)
         obs.inc("svc_shard_ops_total", shard=shard, op="delete")
         return self._globalize(shard, result)
 
@@ -559,7 +552,7 @@ class ShardedCam:
             for shard, session in enumerate(self.sessions):
                 try:
                     session.reset()
-                except _CLIENT_ERRORS:
+                except CLIENT_ERRORS:
                     raise
                 except Exception as exc:
                     if shard not in self._poisoned:
@@ -596,12 +589,7 @@ class ShardedCam:
         children = []
         for shard, session in enumerate(self.sessions):
             self._check_shard(shard)
-            try:
-                children.append(session.snapshot())
-            except _CLIENT_ERRORS:
-                raise
-            except Exception as exc:
-                raise self._poison(shard, exc) from exc
+            children.append(self._fenced(shard, session.snapshot))
         return CamSnapshot(
             kind="sharded",
             meta={
@@ -622,8 +610,6 @@ class ShardedCam:
         now verifiably holds the snapshotted content, which is exactly
         the consistency the fence protects.
         """
-        from repro.errors import SnapshotError
-
         if snapshot.kind != "sharded":
             raise SnapshotError(
                 f"{self.name}: cannot restore a {snapshot.kind!r} snapshot "
@@ -653,14 +639,8 @@ class ShardedCam:
         for shard, (session, child) in enumerate(
             zip(self.sessions, snapshot.children)
         ):
-            try:
-                session.restore(child)
-            except _CLIENT_ERRORS:
-                raise
-            except SnapshotError:
-                raise
-            except Exception as exc:
-                raise self._poison(shard, exc) from exc
+            self._fenced(shard, session.restore, child,
+                         passthrough=CLIENT_ERRORS + (SnapshotError,))
             self._poisoned.pop(shard, None)
         self._global_addrs = [[int(a) for a in table] for table in tables]
         self._global_count = int(snapshot.meta.get("global_count", 0))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -136,6 +136,14 @@ class WorkloadSpec:
             raise ConfigError("lookup+delete fractions must be within [0, 1]")
 
 
+def latency_percentile(latencies_s: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q`` quantile of ``latencies_s`` (0.0 when empty)."""
+    if not latencies_s:
+        return 0.0
+    ordered = sorted(latencies_s)
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
 @dataclass
 class WorkloadReport:
     """Outcome summary of one synthetic service run."""
@@ -167,13 +175,6 @@ class WorkloadReport:
     def throughput_rps(self) -> float:
         return self.requests / self.wall_s if self.wall_s > 0 else 0.0
 
-    def latency_percentile(self, q: float) -> float:
-        if not self.latencies_s:
-            return 0.0
-        ordered = sorted(self.latencies_s)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
-
     def render(self) -> str:
         lines = [
             f"requests          : {self.requests} "
@@ -188,9 +189,9 @@ class WorkloadReport:
             f"stored words      : {self.words_stored}",
             f"wall time         : {self.wall_s:.3f} s "
             f"({self.throughput_rps:,.0f} req/s)",
-            f"latency p50/p95/p99: {self.latency_percentile(0.50) * 1e3:.2f} / "
-            f"{self.latency_percentile(0.95) * 1e3:.2f} / "
-            f"{self.latency_percentile(0.99) * 1e3:.2f} ms",
+            "latency p50/p95/p99: " + " / ".join(
+                f"{latency_percentile(self.latencies_s, q) * 1e3:.2f}"
+                for q in (0.50, 0.95, 0.99)) + " ms",
             f"batching          : mean occupancy "
             f"{self.mean_batch_occupancy:.1f} req/flush, "
             f"max queue depth {self.max_queue_depth}",

@@ -118,6 +118,58 @@ def test_concurrent_lookups_are_batched():
     run(scenario())
 
 
+class CountingBackend:
+    """Session proxy that records how many keys each search carries."""
+
+    def __init__(self, session, calls):
+        self._session = session
+        self._calls = calls
+
+    def search(self, keys, groups=None):
+        self._calls.append(len(keys))
+        return self._session.search(keys, groups=groups)
+
+    def __getattr__(self, name):
+        return getattr(self._session, name)
+
+
+def test_max_batch_caps_every_shard_call():
+    calls = []
+    config = unit_for_entries(32, block_size=16, data_width=WIDTH,
+                              bus_width=128)
+
+    def factory(index, cfg):
+        session = open_session(cfg, engine="batch",
+                               name=f"counted.shard{index}")
+        return CountingBackend(session, calls)
+
+    async def scenario():
+        cam = ShardedCam(config, shards=2, session_factory=factory)
+        async with CamService(cam, max_batch=4, max_delay_s=0.2,
+                              request_timeout_s=5.0) as svc:
+            await svc.insert(list(range(32)))
+            responses = await asyncio.gather(
+                *[svc.lookup(k) for k in range(32)]
+            )
+        assert all(r.ok and r.result.hit for r in responses)
+
+    run(scenario())
+    assert sum(calls) == 32
+    assert max(calls) == 4  # coalesced up to, never past, the cap
+
+
+def test_service_runs_one_dispatcher_task():
+    async def scenario():
+        before = len(asyncio.all_tasks())
+        async with CamService(make_cam(shards=4)):
+            plain = len(asyncio.all_tasks()) - before
+        async with CamService(make_cam(shards=4), auto_repair=True):
+            repairing = len(asyncio.all_tasks()) - before
+        return plain, repairing
+
+    assert run(scenario()) == (1, 2)
+
+
 def test_insert_is_split_and_merged_across_shards():
     async def scenario():
         cam = make_cam(shards=4)
@@ -230,6 +282,49 @@ def test_request_timeout_resolves_as_miss():
         assert service.stats.timeouts >= 1
 
     run(scenario())
+
+
+class SlowUpdateBackend:
+    """Session proxy whose update blocks the loop past a deadline."""
+
+    def __init__(self, session, stall_s):
+        self._session = session
+        self._stall_s = stall_s
+
+    def update(self, words, group=None):
+        import time as _time
+
+        _time.sleep(self._stall_s)
+        return self._session.update(words, group=group)
+
+    def __getattr__(self, name):
+        return getattr(self._session, name)
+
+
+def test_insert_runs_on_all_of_its_shards_or_none():
+    config = unit_for_entries(32, block_size=16, data_width=WIDTH,
+                              bus_width=128)
+
+    def factory(index, cfg):
+        session = open_session(cfg, engine="batch", name=f"shard{index}")
+        return SlowUpdateBackend(session, 0.08) if index == 0 else session
+
+    cam = ShardedCam(config, shards=2, policy="hash",
+                     session_factory=factory)
+    words = list(range(8))
+    assert {cam.shards_for_key(w)[0] for w in words} == {0, 1}
+
+    async def scenario():
+        service = CamService(cam, request_timeout_s=0.05, max_delay_s=0.0,
+                             max_batch=1)
+        async with service:
+            return await service.insert(words)
+
+    response = run(scenario())
+    # shard 0 stalls past the deadline; shard 1 must not then drop its
+    # half of an insert that already ran on shard 0
+    assert cam.occupancy in (0, len(words))
+    assert (response.status == "ok") == (cam.occupancy == len(words))
 
 
 # ----------------------------------------------------------------------
