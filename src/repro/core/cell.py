@@ -18,17 +18,19 @@ from typing import Optional
 from repro.core.mask import CamEntry, width_mask
 from repro.core.types import CamType
 from repro.dsp import (
+    ALL_ONES,
     CAM_ALUMODE,
     CAM_OPMODE,
     DSP48E2,
     cam_cell_attributes,
-    mask_for,
     split_ab,
 )
 from repro.dsp.primitives import DSP_WIDTH
 from repro.errors import ConfigError
 from repro.fabric.resources import ResourceVector
 from repro.sim.component import Component
+
+_ALUMODE = int(CAM_ALUMODE)
 
 
 class CamCell(Component):
@@ -80,8 +82,8 @@ class CamCell(Component):
     def compute(self) -> None:
         dsp = self.dsp
         dsp.opmode = CAM_OPMODE
-        dsp.alumode = int(CAM_ALUMODE)
-        dsp.c = self.search_key & mask_for(DSP_WIDTH)
+        dsp.alumode = _ALUMODE
+        dsp.c = self.search_key & ALL_ONES
         dsp.ce_c = True
         dsp.ce_p = True
         if self.clear:
@@ -119,7 +121,7 @@ class CamCell(Component):
         """
         if not self.occupied:
             return False
-        residue = self.dsp.p & ~self._entry_mask & mask_for(DSP_WIDTH)
+        residue = self.dsp.p & ~self._entry_mask & ALL_ONES
         return residue == 0
 
     @property

@@ -20,7 +20,7 @@ so a stored word is held until explicitly rewritten.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.dsp.attributes import Dsp48Attributes
@@ -36,19 +36,56 @@ from repro.dsp.opmode import (
     logic_function,
     unpack_opmode,
 )
-from repro.dsp.primitives import (
-    A_WIDTH,
-    B_WIDTH,
-    DSP_WIDTH,
-    concat_ab,
-    mask_for,
-    masked_equal,
-    truncate,
-)
+from repro.dsp.primitives import A_WIDTH, B_WIDTH, DSP_WIDTH, mask_for
 from repro.sim.component import Component
 
 #: The multiplier consumes A[26:0] (27 bits) and B[17:0] (18 bits).
 MULT_A_WIDTH = 27
+
+_A_MASK = mask_for(A_WIDTH)
+_B_MASK = mask_for(B_WIDTH)
+_MULT_A_MASK = mask_for(MULT_A_WIDTH)
+
+
+class _Decoded(NamedTuple):
+    """One (OPMODE, ALUMODE) pair, decoded and validated."""
+
+    x: XMux
+    y: YMux
+    z: ZMux
+    w: WMux
+    alumode: AluMode
+    #: Two-input logic function of X and Z; ``None`` in arithmetic mode.
+    logic: Optional[str]
+    #: The CAM cell's mode, ``P = (A:B) XOR C``, which compute() inlines.
+    ab_xor_c: bool
+
+
+#: Decodes shared by every slice. Only valid pairs are cached, so an
+#: invalid mode raises in every cycle it is presented.
+_DECODE_CACHE: Dict[Tuple[int, int], _Decoded] = {}
+
+
+def _decode(opmode: int, alumode: int) -> _Decoded:
+    """Decode OPMODE/ALUMODE, raising :class:`ConfigError` when invalid."""
+    x_sel, y_sel, z_sel, w_sel = unpack_opmode(opmode)
+    try:
+        mode = AluMode(alumode)
+    except ValueError:
+        raise ConfigError(f"unsupported ALUMODE {alumode:#06b}")
+    logic = None
+    if is_logic_mode(mode):
+        if (x_sel, y_sel) == (XMux.M, YMux.M):
+            raise ConfigError(
+                "logic-unit mode cannot select the multiplier on X and Y"
+            )
+        logic = logic_function(mode, y_sel)
+    decoded = _Decoded(
+        x_sel, y_sel, z_sel, w_sel, mode, logic,
+        ab_xor_c=(logic == "xor" and x_sel is XMux.AB and z_sel is ZMux.C),
+    )
+    _DECODE_CACHE[(opmode, alumode)] = decoded
+    return decoded
 
 
 class DSP48E2(Component):
@@ -71,6 +108,21 @@ class DSP48E2(Component):
         super().__init__(name)
         self.attributes = attributes if attributes is not None else Dsp48Attributes()
         self.reset_state()
+
+    @property
+    def attributes(self) -> Dsp48Attributes:
+        """Synthesis-time attributes of this slice."""
+        return self._attributes
+
+    @attributes.setter
+    def attributes(self, attributes: Dsp48Attributes) -> None:
+        self._attributes = attributes
+        # Pattern detector as (PATTERN, ~PATTERN, compared bits).
+        self._detector = (
+            (attributes.pattern, ~attributes.pattern & ALL_ONES,
+             ~attributes.mask & ALL_ONES)
+            if attributes.use_pattern_detect else None
+        )
 
     # ------------------------------------------------------------------
     def reset_state(self) -> None:
@@ -103,153 +155,127 @@ class DSP48E2(Component):
         self.carryout = 0
         self.patterndetect = False
         self.patternbdetect = False
-        # ALU memo (see compute()).
-        self._alu_key = None
-        self._alu_result = (0, 0, False, False)
-
-    # ------------------------------------------------------------------
-    # register-chain helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _chain_output(pipe: List[int], port_value: int) -> int:
-        """Value presented to downstream logic by a register chain."""
-        return pipe[-1] if pipe else port_value
-
-    @staticmethod
-    def _shifted(pipe: List[int], port_value: int, enable: bool) -> List[int]:
-        """Next state of a register chain after one clock edge."""
-        if not pipe:
-            return pipe
-        if not enable:
-            return list(pipe)
-        return [port_value] + pipe[:-1]
 
     # ------------------------------------------------------------------
     def compute(self) -> None:
-        attrs = self.attributes
-        a_port = truncate(self.a, A_WIDTH)
-        b_port = truncate(self.b, B_WIDTH)
-        c_port = truncate(self.c, DSP_WIDTH)
+        """One cycle of the slice.
 
-        a_reg = self._chain_output(self._a_pipe, a_port)
-        b_reg = self._chain_output(self._b_pipe, b_port)
-        c_reg = self._chain_output(self._c_pipe, c_port)
+        A register chain (depth 0..2) is scheduled only when its clock
+        enable is high and the shift would change it, and the P
+        register group only when one of its values changes: scheduling
+        a value a register already holds is a no-op at the edge.
+        """
+        attrs = self._attributes
+        a_pipe = self._a_pipe
+        b_pipe = self._b_pipe
+        c_pipe = self._c_pipe
+        d_pipe = self._d_pipe
+        ad_pipe = self._ad_pipe
+        a_port = self.a & _A_MASK
+        b_port = self.b & _B_MASK
+        c_port = self.c & ALL_ONES
+        a_reg = a_pipe[-1] if a_pipe else a_port
+        b_reg = b_pipe[-1] if b_pipe else b_port
+        c_reg = c_pipe[-1] if c_pipe else c_port
 
         # Pre-adder path (D + A, 27-bit wrap) feeding the multiplier
         # when AMULTSEL = "AD".
-        d_port = truncate(self.d, MULT_A_WIDTH)
-        d_reg = self._chain_output(self._d_pipe, d_port)
-        ad_sum = truncate(d_reg + truncate(a_reg, MULT_A_WIDTH), MULT_A_WIDTH)
-        ad_reg = self._chain_output(self._ad_pipe, ad_sum)
+        d_port = self.d & _MULT_A_MASK
+        d_reg = d_pipe[-1] if d_pipe else d_port
+        ad_sum = (d_reg + (a_reg & _MULT_A_MASK)) & _MULT_A_MASK
 
+        opmode = self.opmode
+        alumode = self.alumode
+        decoded = (_DECODE_CACHE.get((opmode, alumode))
+                   or _decode(opmode, alumode))
+
+        updates = {}
         # Multiplier path (27x18, unsigned model).
         if attrs.use_mult:
-            mult_a = ad_reg if attrs.use_preadder else truncate(a_reg, MULT_A_WIDTH)
-            product = mult_a * b_reg
-            m_value = self._chain_output(self._m_pipe, truncate(product, DSP_WIDTH))
+            if attrs.use_preadder:
+                mult_a = ad_pipe[-1] if ad_pipe else ad_sum
+            else:
+                mult_a = a_reg & _MULT_A_MASK
+            product = (mult_a * b_reg) & ALL_ONES
+            m_pipe = self._m_pipe
+            m_value = m_pipe[-1] if m_pipe else product
+            if (m_pipe and self.ce_m
+                    and (m_pipe[0] != product or m_pipe[-1] != product)):
+                updates["_m_pipe"] = [product] + m_pipe[:-1]
         else:
-            product = 0
             m_value = 0
 
-        # The ALU is a pure function of its sampled inputs; memoise the
-        # last evaluation so quiescent cycles (no port changes) skip the
-        # mux decode entirely -- a large win for big CAM simulations.
-        alu_key = (
-            a_reg, b_reg, c_reg, m_value, self.p,
-            self.opmode, self.alumode, self.carry_in, self.pcin,
-        )
-        if alu_key == self._alu_key:
-            alu_out, carry, pd, pbd = self._alu_result
+        if decoded.ab_xor_c:
+            alu_out = ((a_reg << B_WIDTH) | b_reg) ^ c_reg
+            carry = 0
         else:
-            alu_out, carry, pd, pbd = self._evaluate_alu(
-                a_reg=a_reg, b_reg=b_reg, c_reg=c_reg, m_value=m_value
-            )
-            self._alu_key = alu_key
-            self._alu_result = (alu_out, carry, pd, pbd)
+            alu_out, carry = self._alu(decoded, a_reg, b_reg, c_reg, m_value)
+        detector = self._detector
+        if detector is None:
+            pd = pbd = False
+        else:
+            pattern, anti_pattern, care = detector
+            pd = not ((alu_out ^ pattern) & care)
+            pbd = not ((alu_out ^ anti_pattern) & care)
 
-        updates = {
-            "_a_pipe": self._shifted(self._a_pipe, a_port, self.ce_a),
-            "_b_pipe": self._shifted(self._b_pipe, b_port, self.ce_b),
-            "_c_pipe": self._shifted(self._c_pipe, c_port, self.ce_c),
-            "_d_pipe": self._shifted(self._d_pipe, d_port, self.ce_d),
-            "_ad_pipe": self._shifted(self._ad_pipe, ad_sum, True),
-        }
-        if attrs.use_mult:
-            updates["_m_pipe"] = self._shifted(
-                self._m_pipe, truncate(product, DSP_WIDTH), self.ce_m
-            )
-        if attrs.preg:
-            if self.ce_p:
-                updates.update(
-                    p=alu_out,
-                    pcout=alu_out,
-                    carryout=carry,
-                    patterndetect=pd,
-                    patternbdetect=pbd,
-                )
-            self.schedule(**updates)
-        else:
+        if (a_pipe and self.ce_a
+                and (a_pipe[0] != a_port or a_pipe[-1] != a_port)):
+            updates["_a_pipe"] = [a_port] + a_pipe[:-1]
+        if (b_pipe and self.ce_b
+                and (b_pipe[0] != b_port or b_pipe[-1] != b_port)):
+            updates["_b_pipe"] = [b_port] + b_pipe[:-1]
+        if c_pipe and self.ce_c and c_pipe[0] != c_port:
+            updates["_c_pipe"] = [c_port]
+        if d_pipe and self.ce_d and d_pipe[0] != d_port:
+            updates["_d_pipe"] = [d_port]
+        if ad_pipe and ad_pipe[0] != ad_sum:
+            updates["_ad_pipe"] = [ad_sum]
+        if not attrs.preg:
             # Combinational P output: visible within the same cycle.
-            self.schedule(**updates)
             self.p = alu_out
             self.pcout = alu_out
             self.carryout = carry
             self.patterndetect = pd
             self.patternbdetect = pbd
-        self.emit(p=alu_out, patterndetect=pd)
+        elif self.ce_p and (
+            alu_out != self.p or alu_out != self.pcout
+            or carry != self.carryout or pd != self.patterndetect
+            or pbd != self.patternbdetect
+        ):
+            updates["p"] = alu_out
+            updates["pcout"] = alu_out
+            updates["carryout"] = carry
+            updates["patterndetect"] = pd
+            updates["patternbdetect"] = pbd
+        if updates:
+            if self._pending:
+                self.schedule(**updates)
+            else:
+                self._pending = updates
+        if self._tracer is not None:
+            self._tracer.record(self._name, {"p": alu_out, "patterndetect": pd})
 
     # ------------------------------------------------------------------
-    def _evaluate_alu(self, a_reg: int, b_reg: int, c_reg: int, m_value: int):
-        """Decode OPMODE/ALUMODE and produce (P, carry, PD, PBD)."""
-        attrs = self.attributes
-        x_sel, y_sel, z_sel, w_sel = unpack_opmode(self.opmode)
-        try:
-            alumode = AluMode(self.alumode)
-        except ValueError:
-            raise ConfigError(f"unsupported ALUMODE {self.alumode:#06b}")
-
-        ab = concat_ab(a_reg, b_reg)
-        x = {
-            XMux.ZERO: 0,
-            XMux.M: m_value,
-            XMux.P: self.p,
-            XMux.AB: ab,
-        }[x_sel]
-        y = {
-            YMux.ZERO: 0,
-            YMux.M: m_value,
-            YMux.ALL_ONES: ALL_ONES,
-            YMux.C: c_reg,
-        }[y_sel]
-        z = {
-            ZMux.ZERO: 0,
-            ZMux.PCIN: truncate(self.pcin, DSP_WIDTH),
-            ZMux.P: self.p,
-            ZMux.C: c_reg,
-            ZMux.P_MACC: self.p,
-            ZMux.PCIN_SHIFT17: truncate(self.pcin, DSP_WIDTH) >> 17,
-            ZMux.P_SHIFT17: self.p >> 17,
-        }[z_sel]
-        w = {
-            WMux.ZERO: 0,
-            WMux.P: self.p,
-            WMux.RND: attrs.rnd,
-            WMux.C: c_reg,
-        }[w_sel]
+    def _alu(self, decoded: _Decoded, a_reg: int, b_reg: int, c_reg: int,
+             m_value: int) -> Tuple[int, int]:
+        """The X/Y/Z/W muxes and the ALU in any valid mode: (P, carry)."""
+        attrs = self._attributes
+        p = self.p
+        pcin = self.pcin & ALL_ONES
+        x = (0, m_value, p, (a_reg << B_WIDTH) | b_reg)[decoded.x]
+        y = (0, m_value, ALL_ONES, c_reg)[decoded.y]
+        z = (0, pcin, p, c_reg, p, pcin >> 17, p >> 17)[decoded.z]
+        w = (0, p, attrs.rnd, c_reg)[decoded.w]
 
         carry = 0
-        if is_logic_mode(alumode):
-            if (x_sel, y_sel) == (XMux.M, YMux.M):
-                raise ConfigError(
-                    "logic-unit mode cannot select the multiplier on X and Y"
-                )
-            function = logic_function(alumode, y_sel)
-            alu_out = apply_logic(function, x, z)
+        alumode = decoded.alumode
+        if decoded.logic is not None:
+            alu_out = apply_logic(decoded.logic, x, z)
         elif attrs.simd == "ONE48":
             operand = w + x + y + self.carry_in
             total = self._arith(alumode, z, operand)
             carry = (total >> DSP_WIDTH) & 1 if total >= 0 else 0
-            alu_out = total & mask_for(DSP_WIDTH)
+            alu_out = total & ALL_ONES
         else:
             # SIMD: independent lanes with no cross-lane carries. The
             # carry-in only reaches lane 0 (UG579: CARRYIN per segment
@@ -271,14 +297,7 @@ class DSP48E2(Component):
                 if total >= 0 and (total >> lane_width) & 1:
                     carry |= 1 << lane
                 alu_out |= (total & lane_mask) << shift
-
-        if attrs.use_pattern_detect:
-            pd = masked_equal(alu_out, attrs.pattern, attrs.mask)
-            pbd = masked_equal(alu_out, ~attrs.pattern & ALL_ONES, attrs.mask)
-        else:
-            pd = False
-            pbd = False
-        return alu_out, carry, pd, pbd
+        return alu_out, carry
 
     @staticmethod
     def _arith(alumode: AluMode, z: int, operand: int) -> int:
@@ -297,11 +316,11 @@ class DSP48E2(Component):
     @property
     def stored_ab(self) -> int:
         """Current 48-bit A:B register contents (the CAM stored word)."""
-        a_reg = self._chain_output(self._a_pipe, truncate(self.a, A_WIDTH))
-        b_reg = self._chain_output(self._b_pipe, truncate(self.b, B_WIDTH))
-        return concat_ab(a_reg, b_reg)
+        a_reg = self._a_pipe[-1] if self._a_pipe else self.a & _A_MASK
+        b_reg = self._b_pipe[-1] if self._b_pipe else self.b & _B_MASK
+        return (a_reg << B_WIDTH) | b_reg
 
     @property
     def held_c(self) -> int:
         """Current C register contents (the last latched search key)."""
-        return self._chain_output(self._c_pipe, truncate(self.c, DSP_WIDTH))
+        return self._c_pipe[-1] if self._c_pipe else self.c & ALL_ONES

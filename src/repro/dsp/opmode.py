@@ -22,7 +22,6 @@ Field layout (UG579 v1.9.1):
 from __future__ import annotations
 
 import enum
-import functools
 
 from repro.errors import ConfigError
 from repro.dsp.primitives import DSP_WIDTH, mask_for
@@ -109,12 +108,8 @@ def pack_opmode(x: XMux, y: YMux, z: ZMux, w: WMux = WMux.ZERO) -> int:
     return (int(w) << 7) | (int(z) << 4) | (int(y) << 2) | int(x)
 
 
-@functools.lru_cache(maxsize=512)
 def unpack_opmode(opmode: int) -> "tuple[XMux, YMux, ZMux, WMux]":
-    """Split a 9-bit OPMODE word into mux fields, validating each.
-
-    Cached: the decode is pure and called once per slice per cycle.
-    """
+    """Split a 9-bit OPMODE word into mux fields, validating each."""
     if not 0 <= opmode < (1 << 9):
         raise ConfigError(f"OPMODE must be a 9-bit value, got {opmode:#x}")
     try:

@@ -15,6 +15,10 @@ testbench) assigns input attributes before a cycle, and reads output
 attributes after it. Because outputs only change at commit, every
 component boundary behaves like a register stage, exactly as in the
 paper's pipelined CAM design.
+
+Scheduled names must be plain instance attributes: :meth:`commit`
+writes them straight into the instance ``__dict__``, so a property or a
+custom ``__setattr__`` would be bypassed.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ class Component:
     synchronous reset value of every register). State updates must go
     through :meth:`schedule` so that the two-phase contract holds.
     """
+
+    #: Bumped by every :meth:`add_child` anywhere; a
+    #: :class:`repro.sim.Simulator` re-flattens its schedule when it moves.
+    _tree_version = 0
 
     def __init__(self, name: Optional[str] = None) -> None:
         self._name = name if name is not None else type(self).__name__
@@ -64,6 +72,7 @@ class Component:
                 f"{type(component).__name__}"
             )
         self._children.append(component)
+        Component._tree_version += 1
         return component
 
     def iter_tree(self) -> Iterator["Component"]:
@@ -94,10 +103,15 @@ class Component:
         """Combinational evaluation; override in subclasses."""
 
     def commit(self) -> None:
-        """Apply scheduled updates (the clock edge). Rarely overridden."""
-        for key, value in self._pending.items():
-            setattr(self, key, value)
-        self._pending.clear()
+        """Apply scheduled updates (the clock edge). Rarely overridden.
+
+        The pending values go straight into the instance ``__dict__``
+        and a fresh dict takes the place of ``_pending``. The simulator
+        only calls this on components with something pending, so an
+        override must not expect to run on every edge.
+        """
+        self.__dict__.update(self._pending)
+        self._pending = {}
 
     def reset_state(self) -> None:
         """Restore power-on register values; override in subclasses."""

@@ -13,9 +13,16 @@ class Simulator:
     """Drives one synchronous clock domain over a set of component trees.
 
     Each :meth:`step` performs one clock cycle: every component in every
-    registered tree runs its *compute* phase, then every component
-    *commits*. The current cycle number is available as :attr:`cycle`
-    and starts at 0 (no edges have happened yet).
+    registered tree runs its *compute* phase, then every component with
+    scheduled updates *commits*. The current cycle number is available
+    as :attr:`cycle` and starts at 0 (no edges have happened yet).
+
+    The trees are flattened once into a schedule: the components in
+    depth-first pre-order (roots in registration order), so a parent
+    still drives its children's ports before they compute in the same
+    cycle, plus their bound ``compute`` methods. The schedule is built
+    again, and the simulator's trace attached to any new component,
+    only when :meth:`Component.add_child` has been called since.
 
     Example
     -------
@@ -43,9 +50,23 @@ class Simulator:
                 raise SimulationError(
                     f"Simulator roots must be Components, got {type(root).__name__}"
                 )
-            if trace is not None:
-                root.attach_tracer(trace)
+        self._components: List[Component] = []
+        self._computes: List[Callable[[], None]] = []
+        self._flatten()
         self.reset()
+
+    def _flatten(self) -> None:
+        """Rebuild the pre-order schedule; trace components new to it."""
+        known = set(self._components)
+        order = [component for root in self._roots
+                 for component in root.iter_tree()]
+        if self._trace is not None:
+            for component in order:
+                if component not in known:
+                    component._tracer = self._trace
+        self._components = order
+        self._computes = [component.compute for component in order]
+        self._tree_version = Component._tree_version
 
     # ------------------------------------------------------------------
     @property
@@ -69,14 +90,16 @@ class Simulator:
         """Advance the clock by ``cycles`` edges."""
         if cycles < 0:
             raise SimulationError(f"cannot step a negative cycle count ({cycles})")
+        trace = self._trace
         for _ in range(cycles):
-            if self._trace is not None:
-                self._trace.begin_cycle(self._cycle)
-            for root in self._roots:
-                for component in root.iter_tree():
-                    component.compute()
-            for root in self._roots:
-                for component in root.iter_tree():
+            if self._tree_version != Component._tree_version:
+                self._flatten()
+            if trace is not None:
+                trace.begin_cycle(self._cycle)
+            for compute in self._computes:
+                compute()
+            for component in self._components:
+                if component._pending:
                     component.commit()
             self._cycle += 1
 

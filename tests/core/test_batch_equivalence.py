@@ -65,7 +65,7 @@ class TestThreeWayDifferential:
     """Random configs x random interleavings, all three models agree."""
 
     @given(config=unit_configs(), seed=st.integers(0, 2 ** 16))
-    @settings(max_examples=80 if _DEEP else 10, deadline=None,
+    @settings(max_examples=80 if _DEEP else 20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_random_configs_and_interleavings(self, config, seed):
         report = check_equivalence(config, operations=25, seed=seed)

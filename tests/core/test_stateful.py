@@ -113,7 +113,7 @@ class CamMachine(RuleBasedStateMachine):
 
 
 CamMachine.TestCase.settings = settings(
-    max_examples=12, stateful_step_count=20, deadline=None
+    max_examples=24, stateful_step_count=20, deadline=None
 )
 TestCamMachine = CamMachine.TestCase
 
@@ -221,7 +221,7 @@ class TriEngineMachine(RuleBasedStateMachine):
 _DEEP = os.environ.get("HYPOTHESIS_PROFILE", "") == "deep"
 
 TriEngineMachine.TestCase.settings = settings(
-    max_examples=40 if _DEEP else 10,
+    max_examples=40 if _DEEP else 20,
     stateful_step_count=30 if _DEEP else 15,
     deadline=None,
 )

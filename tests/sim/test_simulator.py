@@ -92,3 +92,105 @@ def test_elapse_helper():
     sim = elapse([counter], 6)
     assert sim.cycle == 6
     assert counter.value == 6
+
+
+class Holder(Component):
+    """Schedules nothing unless :attr:`load` is set."""
+
+    def reset_state(self):
+        self.value = 7
+        self.load = None
+
+    def compute(self):
+        if self.load is not None:
+            self.schedule(value=self.load, load=None)
+
+
+class Feeder(Component):
+    """Sets its child's input port during its own compute phase."""
+
+    def __init__(self, name=None):
+        super().__init__(name)
+        self.child = self.add_child(Sampler(f"{self.name}.child"))
+
+    def reset_state(self):
+        self.count = 0
+
+    def compute(self):
+        self.child.port = self.count
+        self.schedule(count=self.count + 1)
+
+
+class Sampler(Component):
+    def reset_state(self):
+        self.port = None
+        self.seen = []
+
+    def compute(self):
+        self.seen.append(self.port)
+
+
+def test_child_added_after_construction_is_stepped_next_cycle():
+    root = Counter("root")
+    sim = Simulator(root)
+    sim.step(2)
+    late = root.add_child(Counter("late"))
+    late.reset_state()
+    sim.step(3)
+    assert root.value == 5
+    assert late.value == 3
+
+
+def test_child_added_after_construction_is_traced():
+    trace = Trace()
+    root = Counter("root")
+    sim = Simulator(root, trace=trace)
+    sim.step(1)
+    late = root.add_child(Counter("late"))
+    late.reset_state()
+    sim.step(2)
+    assert [e.value for e in trace.events("late", "value")] == [0, 1]
+    assert [e.cycle for e in trace.events("late", "value")] == [1, 2]
+
+
+def test_parent_drives_child_port_in_the_same_cycle():
+    feeder = Feeder("feed")
+    sim = Simulator(feeder)
+    sim.step(3)
+    # Pre-order: the parent computes first, so the child samples the
+    # value driven in the same compute phase, not the previous one.
+    assert feeder.child.seen == [0, 1, 2]
+
+
+def test_idle_component_keeps_state_and_scheduled_value_lands_at_edge():
+    holder = Holder()
+    sim = Simulator(holder)
+    sim.step(4)
+    assert holder.value == 7
+    holder.load = 11
+    holder.compute()
+    assert holder.value == 7  # nothing moves before the edge
+    holder.commit()
+    assert holder.value == 11
+    holder.load = 3
+    sim.step()
+    assert holder.value == 3
+    sim.step(2)
+    assert holder.value == 3
+
+
+def test_dsp_rejects_a_second_writer_of_its_registers():
+    from repro.dsp import DSP48E2, cam_cell_attributes
+
+    class Meddler(Component):
+        def __init__(self):
+            super().__init__("meddler")
+            self.dsp = self.add_child(DSP48E2(cam_cell_attributes(), name="dsp"))
+
+        def compute(self):
+            self.dsp.c = 5
+            self.dsp.schedule(_c_pipe=[9])
+
+    sim = Simulator(Meddler())
+    with pytest.raises(SimulationError, match="_c_pipe.*multiple drivers"):
+        sim.step()
