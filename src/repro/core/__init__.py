@@ -65,6 +65,7 @@ from repro.core.types import (
     CamType,
     Encoding,
     OpKind,
+    SearchBatch,
     SearchResult,
     UpdateReceipt,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "ResultEncoder",
     "RoutingCompute",
     "RoutingTable",
+    "SearchBatch",
     "SearchResult",
     "SearchStats",
     "UnitConfig",

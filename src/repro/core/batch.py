@@ -56,7 +56,7 @@ from repro.core.session import (
     UpdateStats,
     _SessionBase,
 )
-from repro.core.types import CamType, SearchResult
+from repro.core.types import CamType, SearchBatch, SearchResult
 from repro.dsp.primitives import DSP_WIDTH, mask_for
 from repro.errors import (
     AuditError,
@@ -109,6 +109,12 @@ class _GroupStore:
         diff = (keys[:, None] ^ self.values[None, :n]) & self.cares[None, :n]
         return (diff == 0) & self.live[None, :n]
 
+    def matches(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(key index, address) of every match, sorted by key, then
+        address (one flat scan: cheaper than a 2-D ``nonzero``)."""
+        flat = np.flatnonzero(self.match_matrix(keys))
+        return np.divmod(flat, max(self.fill, 1))
+
     def entries(self, width: int) -> List[Optional[CamEntry]]:
         """Golden view (holes as ``None``), same order as the hardware,
         as ``width``-bit entries like the cycle engine's cells hold."""
@@ -121,14 +127,6 @@ class _GroupStore:
             out.append(CamEntry(value=int(self.values[index]),
                                 mask=_FULL ^ care, width=width))
         return out
-
-
-def _vector_from_row(row: np.ndarray) -> int:
-    """Pack one boolean match row into the integer match vector."""
-    if row.size == 0:
-        return 0
-    packed = np.packbits(row, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
 
 
 class BatchSession(_SessionBase):
@@ -277,52 +275,39 @@ class BatchSession(_SessionBase):
 
     def _search(
         self, keys: List[int], groups: Optional[Sequence[int]]
-    ) -> Tuple[List[SearchResult], SearchStats]:
+    ) -> Tuple[SearchBatch, SearchStats]:
         if groups is None:
-            per_beat = self._num_groups
-            group_ids = list(range(per_beat))
+            group_ids = list(range(self._num_groups))
         else:
             group_ids = self._validate_groups(groups)
-            per_beat = len(group_ids)
-        raw_keys = [int(key) for key in keys]
-        masked = np.asarray(raw_keys, dtype=np.int64) & _FULL
+        per_beat = len(group_ids)
+        raw_keys = np.fromiter(keys, dtype=np.int64, count=len(keys))
+        masked = raw_keys & _FULL
         encoding = self.config.block.encoding
 
-        results: List[Optional[SearchResult]] = [None] * len(keys)
         with obs.span("unit.search", keys=len(keys)):
             if self.config.replicate_updates:
                 # Every group answers from the same content: one matrix.
-                matrix = self._stores[0].match_matrix(masked)
-                for index, key in enumerate(raw_keys):
-                    results[index] = SearchResult.from_vector(
-                        key, _vector_from_row(matrix[index]), encoding
-                    )
+                rows, cols = self._stores[0].matches(masked)
+                batch = SearchBatch(raw_keys, rows, cols, encoding)
             else:
-                key_groups = np.asarray(
-                    [group_ids[index % per_beat]
-                     for index in range(len(keys))]
-                )
-                for g in set(key_groups.tolist()):
-                    picks = np.flatnonzero(key_groups == g)
-                    matrix = self._stores[g].match_matrix(masked[picks])
-                    for row, index in enumerate(picks):
-                        results[index] = SearchResult.from_vector(
-                            raw_keys[index], _vector_from_row(matrix[row]),
-                            encoding,
-                        )
+                # Key i rides group group_ids[i % per_beat].
+                matches = []
+                for offset, g in enumerate(group_ids):
+                    picks = np.arange(offset, len(keys), per_beat)
+                    rows, cols = self._stores[g].matches(masked[picks])
+                    matches.append((picks[rows], cols))
+                batch = SearchBatch.gather(raw_keys, matches, encoding)
 
         beats = -(-len(keys) // per_beat)
         cycles = beats + self.config.search_latency - 1
         self._cycle += cycles
-        stats = SearchStats(keys=len(keys), beats=beats, cycles=cycles)
-        return results, stats  # type: ignore[return-value]
+        return batch, SearchStats(keys=len(keys), beats=beats, cycles=cycles)
 
     def _delete(self, key: int) -> SearchResult:
         masked = np.asarray([key], dtype=np.int64) & _FULL
-        first = self._stores[0].match_matrix(masked)[0]
-        result = SearchResult.from_vector(
-            key, _vector_from_row(first), self.config.block.encoding
-        )
+        rows, cols = self._stores[0].matches(masked)
+        result = SearchBatch([key], rows, cols, self.config.block.encoding)[0]
         for store in self._distinct_stores():
             row = store.match_matrix(masked)[0]
             store.live[: row.size][row] = False
@@ -541,7 +526,7 @@ class AuditSession(BatchSession):
         self,
         keys: Sequence[int],
         groups: Optional[Sequence[int]] = None,
-    ) -> List[SearchResult]:
+    ) -> SearchBatch:
         keys = list(keys)
         results = super().search(keys, groups=groups)
         if self._tally():

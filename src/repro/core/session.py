@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.core.config import UnitConfig
 from repro.core.mask import CamEntry, binary_entry
-from repro.core.types import CamType, SearchResult
+from repro.core.types import CamType, SearchBatch, SearchResult
 from repro.core.unit import CamUnit
 from repro.fabric.area import unit_resources
 from repro.errors import ConfigError, RoutingError, SimulationError
@@ -198,8 +198,9 @@ class _SessionBase:
         self,
         keys: Sequence[int],
         groups: Optional[Sequence[int]] = None,
-    ) -> List[SearchResult]:
-        """Search ``keys`` at the pipelined rate; returns results in order.
+    ) -> SearchBatch:
+        """Search ``keys`` at the pipelined rate; returns one
+        :class:`SearchBatch` whose views are the results in key order.
 
         Keys are packed ``M`` per beat (the multi-query width); explicit
         ``groups`` only make sense in independent mode and then apply to
@@ -215,7 +216,7 @@ class _SessionBase:
         self.last_search_stats = stats
         if obs.enabled():
             publish_search_metrics(
-                self, stats, hits=sum(1 for r in results if r.hit),
+                self, stats, hits=int(results.hits.sum()),
                 wall_s=time.perf_counter() - t0,
             )
         return results
@@ -371,7 +372,7 @@ class CamSession(_SessionBase):
 
     def _search(
         self, keys: List[int], groups: Optional[Sequence[int]]
-    ) -> Tuple[List[SearchResult], SearchStats]:
+    ) -> Tuple[SearchBatch, SearchStats]:
         start = self.cycle
         per_beat = self.unit.num_groups if groups is None else len(groups)
         pending = 0
@@ -399,11 +400,10 @@ class CamSession(_SessionBase):
             raise SimulationError(
                 f"search pipeline failed to drain ({pending} beats pending)"
             )
-        return results, SearchStats(
-            keys=len(keys),
-            beats=(len(keys) + per_beat - 1) // per_beat,
-            cycles=self.cycle - start,
-        )
+        stats = SearchStats(keys=len(keys), beats=-(-len(keys) // per_beat),
+                            cycles=self.cycle - start)
+        encoding = self.config.block.encoding
+        return SearchBatch.from_results(results, encoding), stats
 
     def _delete(self, key: int) -> SearchResult:
         self.unit.issue_delete(key)

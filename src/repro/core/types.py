@@ -4,9 +4,12 @@ and the backend protocols every CAM implementation conforms to."""
 from __future__ import annotations
 
 import enum
+from collections import abc
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Any,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -14,6 +17,8 @@ from typing import (
     Tuple,
     runtime_checkable,
 )
+
+import numpy as np
 
 from repro.dsp.primitives import popcount
 
@@ -113,6 +118,131 @@ class SearchResult:
         # Encoding.BINARY: hit | multi-match flag | address.
         multi = 1 << (address_bits + 1) if self.match_count > 1 else 0
         return multi | hit_bit | (self.address or 0)
+
+
+class SearchBatch(abc.Sequence):
+    """Columnar outcome of one search call: every key's answer at once.
+
+    The software counterpart of the block result encoders, which
+    condense all match lines of a beat into one bus word per query:
+    ``keys``, ``hits``, ``addresses`` (first match, ``-1`` on a miss)
+    and ``counts`` are NumPy columns, and the matches themselves are
+    kept as coordinates -- ``rows`` (key index) and ``cols`` (address),
+    sorted by row, then address -- so no per-key match vector is built
+    until a view asks for one.
+
+    As a sequence the batch is the per-key view: ``batch[i]``,
+    iteration and ``len`` give exactly the :class:`SearchResult` of
+    each key, and a batch compares equal to a sequence of equal
+    results, in either operand order.
+    """
+
+    def __init__(self, keys, rows: np.ndarray, cols: np.ndarray,
+                 encoding: Encoding = Encoding.PRIORITY) -> None:
+        #: Searched keys as given (unmasked), in call order.
+        self.keys = np.asarray(keys, dtype=np.int64)
+        self.rows = rows
+        self.cols = cols
+        self.encoding = encoding
+        self._views: Optional[List[SearchResult]] = None
+
+    @classmethod
+    def gather(cls, keys, matches: Sequence[Tuple[np.ndarray, np.ndarray]],
+               encoding: Encoding) -> "SearchBatch":
+        """Batch over ``keys`` from one or more ``(rows, cols)`` match
+        arrays in any order (merged shards or groups)."""
+        rows = np.concatenate([r for r, _ in matches])
+        cols = np.concatenate([c for _, c in matches])
+        order = np.lexsort((cols, rows))
+        return cls(keys, rows[order], cols[order], encoding)
+
+    @classmethod
+    def from_results(cls, results: Sequence[SearchResult],
+                     encoding: Encoding) -> "SearchBatch":
+        """Columnar form of per-key results (the cycle engine's output)."""
+        rows: List[int] = []
+        cols: List[int] = []
+        for index, result in enumerate(results):
+            vector = result.match_vector
+            while vector:
+                low = vector & -vector
+                rows.append(index)
+                cols.append(low.bit_length() - 1)
+                vector ^= low
+        return cls([r.key for r in results], np.array(rows, dtype=np.int64),
+                   np.array(cols, dtype=np.int64), encoding)
+
+    def rebase(self, table: np.ndarray) -> "SearchBatch":
+        """The same answers with every address ``a`` moved to
+        ``table[a]`` (shard-local to global addresses)."""
+        cols = table[self.cols]
+        order = np.lexsort((cols, self.rows))
+        return SearchBatch(self.keys, self.rows[order], cols[order],
+                           self.encoding)
+
+    # ------------------------------------------------------------------
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Matches per key."""
+        return np.bincount(self.rows, minlength=self.keys.size)
+
+    @cached_property
+    def hits(self) -> np.ndarray:
+        return self.counts > 0
+
+    @cached_property
+    def addresses(self) -> np.ndarray:
+        """Lowest matching address per key; ``-1`` on a miss."""
+        addresses = np.full(self.keys.size, -1, dtype=np.int64)
+        if self.rows.size:
+            first = np.flatnonzero(np.diff(self.rows, prepend=-1))
+            addresses[self.rows[first]] = self.cols[first]
+        return addresses
+
+    def _results(self) -> List[SearchResult]:
+        if self._views is None:
+            # One pass over the matches in Python: cheaper than the
+            # NumPy columns for the few-key batches of point lookups.
+            size = self.keys.size
+            vectors, counts = [0] * size, [0] * size
+            firsts: List[Optional[int]] = [None] * size
+            for row, col in zip(self.rows.tolist(), self.cols.tolist()):
+                if not counts[row]:  # sorted: a row's first is its lowest
+                    firsts[row] = col
+                vectors[row] |= 1 << col
+                counts[row] += 1
+            encoding = self.encoding
+            self._views = [
+                SearchResult(key, count > 0, first, vector, count, encoding)
+                for key, first, vector, count in zip(
+                    self.keys.tolist(), firsts, vectors, counts)
+            ]
+        return self._views
+
+    def __len__(self) -> int:
+        return self.keys.size
+
+    def __getitem__(self, index):
+        return self._results()[index]
+
+    def __iter__(self) -> Iterator[SearchResult]:
+        return iter(self._results())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SearchBatch):
+            return (self.encoding is other.encoding
+                    and np.array_equal(self.keys, other.keys)
+                    and np.array_equal(self.rows, other.rows)
+                    and np.array_equal(self.cols, other.cols))
+        if isinstance(other, abc.Sequence) and not isinstance(other, str):
+            return len(other) == len(self) and all(
+                mine == theirs for mine, theirs in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"SearchBatch({self._results()!r})"
 
 
 @runtime_checkable

@@ -59,11 +59,6 @@ from repro.service.sharded import ShardedCam, merge_results
 _STOP = object()
 
 
-def _miss(key: int) -> SearchResult:
-    """The degraded answer for a key a poisoned shard owned."""
-    return SearchResult.from_vector(int(key), 0)
-
-
 @dataclass(frozen=True)
 class ServiceResponse:
     """Outcome of one admitted request.
@@ -583,7 +578,9 @@ class CamService:
                     buckets=obs.SECONDS_BUCKETS, kind=request.kind)
         if (result is None and request.kind != "insert"
                 and status in ("timeout", "shard_failed")):
-            result = _miss(request.key)
+            # Degrade to a miss in the CAM's own result encoding.
+            result = merge_results(request.key, [],
+                                   self.cam.config.block.encoding)
         if not request.future.done():  # caller may have been cancelled
             request.future.set_result(ServiceResponse(
                 kind=request.kind,

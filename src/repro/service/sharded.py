@@ -8,13 +8,15 @@ engine -- batch by default, ``audit`` for per-shard shadow
 verification), and per-shard answers are merged back into one result.
 
 The merge preserves the paper's priority-encoding semantics across
-shard boundaries by translating every shard-local match bit onto a
+shard boundaries by translating every shard-local match onto a
 **global address space**: global address = global insertion index,
-exactly the numbering :class:`repro.core.ReferenceCam` uses. The
-merged ``match_vector`` is the OR of the translated per-shard vectors,
-so ``address`` (the lowest set bit) is the *globally* first-inserted
-match even when candidates live on different shards -- a sharded
-service is therefore result-identical to one big reference CAM.
+exactly the numbering :class:`repro.core.ReferenceCam` uses. Each
+shard's :class:`~repro.core.types.SearchBatch` is rebased through a
+NumPy local-to-global address table and the per-shard matches are
+merged by key, so ``address`` (the lowest matching global address) is
+the *globally* first-inserted match even when candidates live on
+different shards -- a sharded service is therefore result-identical
+to one big reference CAM.
 
 Failure isolation: a shard whose backend raises unexpectedly is
 *poisoned* -- recorded, counted, and fenced off. Subsequent operations
@@ -32,6 +34,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro import obs
 from repro.core.config import UnitConfig
 from repro.core.mask import CamEntry
@@ -42,7 +46,14 @@ from repro.core.session import (
     publish_search_metrics,
     publish_update_metrics,
 )
-from repro.core.types import CamBackend, CamType, SearchResult
+from repro.core.types import (
+    CamBackend,
+    CamType,
+    Encoding,
+    SearchBatch,
+    SearchResult,
+)
+from repro.dsp.primitives import mask_for
 from repro.errors import (
     CLIENT_ERRORS,
     CapacityError,
@@ -65,14 +76,15 @@ def merge_results(
     ORs the (already global) match vectors; the rebuilt result's
     address is the lowest global address, i.e. the globally
     first-inserted match -- priority encoding across shard boundaries.
+    A single partial is already the answer and comes back unchanged.
     """
+    if len(partials) == 1:
+        return partials[0]
     vector = 0
     for partial in partials:
         vector |= partial.match_vector
     if encoding is None:
-        encoding = partials[0].encoding if partials else None
-    if encoding is None:
-        return SearchResult.from_vector(key, vector)
+        encoding = partials[0].encoding if partials else Encoding.PRIORITY
     return SearchResult.from_vector(key, vector, encoding)
 
 
@@ -160,9 +172,7 @@ class ShardedCam:
         self.sessions: Tuple[CamBackend, ...] = tuple(
             session_factory(index, config) for index in range(shards)
         )
-        #: shard -> (local address -> global address), in local fill order.
-        self._global_addrs: List[List[int]] = [[] for _ in range(shards)]
-        self._global_count = 0
+        self._flush_addressing()
         self._poisoned: Dict[int, str] = {}
         self.last_update_stats: Optional[UpdateStats] = None
         self.last_search_stats: Optional[SearchStats] = None
@@ -299,30 +309,9 @@ class ShardedCam:
     # ------------------------------------------------------------------
     # routing helpers
     # ------------------------------------------------------------------
-    def _route_value(self, word: RawWord) -> int:
-        if isinstance(word, CamEntry):
-            return self.policy.mask_key(word.value)
-        return self.policy.mask_key(int(word))
-
     def _assign_addresses(self, shard: int, addresses: Sequence[int]) -> None:
-        self._global_addrs[shard].extend(addresses)
-
-    def _map_vector(self, shard: int, local_vector: int) -> int:
-        """Translate a shard-local match vector onto global addresses."""
-        table = self._global_addrs[shard]
-        mapped = 0
-        vector = local_vector
-        while vector:
-            low = vector & -vector
-            mapped |= 1 << table[low.bit_length() - 1]
-            vector ^= low
-        return mapped
-
-    def _globalize(self, shard: int, result: SearchResult) -> SearchResult:
-        return SearchResult.from_vector(
-            result.key, self._map_vector(shard, result.match_vector),
-            result.encoding,
-        )
+        self._global_addrs[shard] = np.concatenate(
+            [self._global_addrs[shard], np.asarray(addresses, dtype=np.int64)])
 
     # ------------------------------------------------------------------
     # shard-level primitives (the async scheduler dispatches these)
@@ -359,16 +348,14 @@ class ShardedCam:
                 shard=shard, op="update")
         return stats
 
-    def search_shard(
-        self, shard: int, keys: Sequence[int]
-    ) -> List[SearchResult]:
-        """Search ``keys`` on one shard; vectors come back globally
-        mapped (for pinned policies this is already the final answer)."""
+    def search_shard(self, shard: int, keys: Sequence[int]) -> SearchBatch:
+        """Search ``keys`` on one shard; the batch comes back in
+        global addresses (for pinned policies the final answer)."""
         self._check_shard(shard)
         with obs.span("svc.shard.search", shard=shard, keys=len(keys)):
-            results = self._fenced(shard, self.sessions[shard].search, keys)
+            batch = self._fenced(shard, self.sessions[shard].search, keys)
         obs.inc("svc_shard_ops_total", shard=shard, op="search")
-        return [self._globalize(shard, result) for result in results]
+        return batch.rebase(self._global_addrs[shard])
 
     def delete_shard(self, shard: int, key: int) -> SearchResult:
         """Delete-by-content on one shard; returns the globally-mapped
@@ -377,7 +364,8 @@ class ShardedCam:
         with obs.span("svc.shard.delete", shard=shard):
             result = self._fenced(shard, self.sessions[shard].delete, key)
         obs.inc("svc_shard_ops_total", shard=shard, op="delete")
-        return self._globalize(shard, result)
+        local = SearchBatch.from_results([result], result.encoding)
+        return local.rebase(self._global_addrs[shard])[0]
 
     def partition_update(
         self, words: Sequence[RawWord]
@@ -397,14 +385,15 @@ class ShardedCam:
                 f"({self.occupancy}/{self.capacity} used)"
             )
         base = self._global_count
+        mask = mask_for(self.policy.data_width)
+        values = [(word.value if isinstance(word, CamEntry) else int(word))
+                  & mask for word in words]
+        owners = self.policy.shards_for(values, base)
         parts: Dict[int, Tuple[List[RawWord], List[int]]] = {}
-        for offset, word in enumerate(words):
-            shard = self.policy.shard_for_insert(
-                self._route_value(word), base + offset
-            )
-            entry = parts.setdefault(shard, ([], []))
-            entry[0].append(word)
-            entry[1].append(base + offset)
+        for shard in np.unique(owners).tolist():
+            picks = np.flatnonzero(owners == shard).tolist()
+            parts[shard] = ([words[i] for i in picks],
+                            [base + i for i in picks])
         self._global_count = base + len(words)
         return parts
 
@@ -456,7 +445,7 @@ class ShardedCam:
         self,
         keys: Sequence[int],
         groups: Optional[Sequence[int]] = None,
-    ) -> List[SearchResult]:
+    ) -> SearchBatch:
         """Search ``keys``; answers merged across shards by global
         priority. Pinned policies touch one shard per key; broadcast
         policies fan every key to every shard."""
@@ -465,50 +454,38 @@ class ShardedCam:
                 f"{self.name}: the sharded service routes queries itself; "
                 "per-call group pinning is not supported"
             )
-        keys = [int(key) for key in keys]
-        if not keys:
+        keys = np.fromiter(keys, dtype=np.int64)
+        if not keys.size:
             raise ConfigError("search needs at least one key")
-        with obs.span("svc.search", engine=self.engine_name, keys=len(keys)):
+        with obs.span("svc.search", engine=self.engine_name, keys=keys.size):
             before = [s.cycle for s in self.sessions]
-            results: List[Optional[SearchResult]] = [None] * len(keys)
+            owners = None
+            targets = range(self.num_shards)
+            if not self.policy.broadcast_lookups:
+                owners = self.policy.shards_for(keys.astype(np.uint64), 0)
+                targets = sorted(set(owners.tolist()))
+                if len(targets) == 1:
+                    owners = None  # one shard takes every key
+            matches = []
             beats = 0
-            if self.policy.broadcast_lookups:
-                partials: List[List[SearchResult]] = []
-                for shard in range(self.num_shards):
-                    partials.append(self.search_shard(shard, keys))
-                    beats = max(
-                        beats, self.sessions[shard].last_search_stats.beats
-                    )
-                for index, key in enumerate(keys):
-                    results[index] = merge_results(
-                        key, [per_shard[index] for per_shard in partials]
-                    )
-            else:
-                routed: Dict[int, List[int]] = {}
-                for index, key in enumerate(keys):
-                    shard = self.policy.shard_for_key(key)
-                    routed.setdefault(shard, []).append(index)
-                for shard in sorted(routed):
-                    picks = routed[shard]
-                    answers = self.search_shard(
-                        shard, [keys[index] for index in picks]
-                    )
-                    beats = max(
-                        beats, self.sessions[shard].last_search_stats.beats
-                    )
-                    for index, answer in zip(picks, answers):
-                        results[index] = answer
+            for shard in targets:
+                picks = (np.arange(keys.size) if owners is None
+                         else np.flatnonzero(owners == shard))
+                part = self.search_shard(shard, keys[picks].tolist())
+                shard_stats = self.sessions[shard].last_search_stats
+                beats = max(beats, shard_stats.beats)
+                matches.append((picks[part.rows], part.cols))
+            # one shard answered every key: its batch is the answer
+            results = part if len(matches) == 1 else SearchBatch.gather(
+                keys, matches, self.config.block.encoding)
             cycles = max(
                 s.cycle - b for s, b in zip(self.sessions, before)
             )
-            stats = SearchStats(keys=len(keys), beats=beats, cycles=cycles)
+            stats = SearchStats(keys=keys.size, beats=beats, cycles=cycles)
         self.last_search_stats = stats
         if obs.enabled():
-            publish_search_metrics(
-                self, stats,
-                hits=sum(1 for r in results if r is not None and r.hit),
-            )
-        return results  # type: ignore[return-value]
+            publish_search_metrics(self, stats, hits=int(results.hits.sum()))
+        return results
 
     def search_one(self, key: int, group: Optional[int] = None) -> SearchResult:
         if group is not None:
@@ -565,7 +542,9 @@ class ShardedCam:
                       help="shards currently serving")
 
     def _flush_addressing(self) -> None:
-        self._global_addrs = [[] for _ in range(self.num_shards)]
+        #: shard -> int64 table of local address -> global address.
+        self._global_addrs = [np.zeros(0, dtype=np.int64)
+                              for _ in range(self.num_shards)]
         self._global_count = 0
 
     def idle(self, cycles: int = 1) -> None:
@@ -598,7 +577,7 @@ class ShardedCam:
                 "policy": self.policy.name,
                 "engine": self.engine,
                 "global_count": self._global_count,
-                "global_addrs": [list(t) for t in self._global_addrs],
+                "global_addrs": [t.tolist() for t in self._global_addrs],
             },
             children=children,
         )
@@ -642,7 +621,8 @@ class ShardedCam:
             self._fenced(shard, session.restore, child,
                          passthrough=CLIENT_ERRORS + (SnapshotError,))
             self._poisoned.pop(shard, None)
-        self._global_addrs = [[int(a) for a in table] for table in tables]
+        self._global_addrs = [np.asarray(table, dtype=np.int64)
+                              for table in tables]
         self._global_count = int(snapshot.meta.get("global_count", 0))
         obs.set_gauge("svc_shards_healthy",
                       self.num_shards - len(self._poisoned),

@@ -29,7 +29,9 @@ carry no such restriction.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from repro.dsp.primitives import mask_for
 from repro.errors import ConfigError
@@ -65,6 +67,17 @@ class ShardPolicy(abc.ABC):
         """Owning shard for stored word ``value`` (``index`` is the
         global insertion index, used by order-based policies)."""
 
+    def shards_for(self, values: Sequence[int],
+                   first_index: int) -> np.ndarray:
+        """:meth:`shard_for_insert` of each masked non-negative value,
+        value ``i`` at insertion index ``first_index + i``; pinned lookups
+        route ``shards_for(keys, 0)``. Built-ins override it in NumPy."""
+        return np.fromiter(
+            (self.shard_for_insert(self.mask_key(value), first_index + offset)
+             for offset, value in enumerate(values)),
+            dtype=np.int64, count=len(values),
+        )
+
     def shard_for_key(self, key: int) -> Optional[int]:
         """Shard that can answer a lookup for ``key``; ``None`` means
         every shard must be asked (broadcast)."""
@@ -75,11 +88,15 @@ class ShardPolicy(abc.ABC):
                 f"data_width={self.data_width})")
 
 
-def _splitmix64(value: int) -> int:
-    """The splitmix64 finaliser: cheap, well-mixed 64-bit hash."""
-    value = (value + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+_M64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _splitmix64(value):
+    """The splitmix64 finaliser: cheap, well-mixed 64-bit hash (of an
+    int, or elementwise of a ``uint64`` array, which wraps mod 2^64)."""
+    value = (value + 0x9E3779B97F4A7C15) & _M64
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _M64
     return value ^ (value >> 31)
 
 
@@ -95,6 +112,14 @@ class HashShardPolicy(ShardPolicy):
     def shard_for_insert(self, value: int, index: int) -> int:
         return _splitmix64(self.mask_key(value) ^ self.seed) % self.num_shards
 
+    def shards_for(self, values, first_index):
+        if len(values) < 16:  # NumPy's per-call cost loses to the loop
+            return super().shards_for(values, first_index)
+        # splitmix64 works mod 2^64: the seed's low 64 bits are all of it
+        values = np.asarray(values, dtype=np.uint64) & np.uint64(self._mask)
+        mixed = _splitmix64(values ^ np.uint64(self.seed & _M64))
+        return (mixed % np.uint64(self.num_shards)).astype(np.int64)
+
 
 class RangeShardPolicy(ShardPolicy):
     """Contiguous key-space slices (pinned lookups, preserves order)."""
@@ -105,6 +130,13 @@ class RangeShardPolicy(ShardPolicy):
         # floor(key * N / 2^width): equal-width slices without division
         # bias at the top of the key space.
         return (self.mask_key(value) * self.num_shards) >> self.data_width
+
+    def shards_for(self, values, first_index):
+        if self._mask * self.num_shards > _M64:  # product leaves uint64
+            return super().shards_for(values, first_index)
+        values = np.asarray(values, dtype=np.uint64) & np.uint64(self._mask)
+        return ((values * np.uint64(self.num_shards))
+                >> np.uint64(self.data_width)).astype(np.int64)
 
 
 class RoundRobinShardPolicy(ShardPolicy):
@@ -123,6 +155,10 @@ class RoundRobinShardPolicy(ShardPolicy):
 
     def shard_for_insert(self, value: int, index: int) -> int:
         return index % self.num_shards
+
+    def shards_for(self, values, first_index):
+        indices = np.arange(first_index, first_index + len(values))
+        return indices % self.num_shards
 
     def shard_for_key(self, key: int) -> Optional[int]:
         return None

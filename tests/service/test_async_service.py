@@ -8,7 +8,7 @@ import asyncio
 
 import pytest
 
-from repro.core import unit_for_entries
+from repro.core import Encoding, unit_for_entries
 from repro.core.batch import open_session
 from repro.errors import ConfigError, ServiceError, ServiceOverloadError
 from repro.service import (
@@ -380,6 +380,34 @@ def test_broadcast_lookup_survives_one_poisoned_shard():
             assert found.status == "shard_failed"
 
     run(scenario())
+
+
+def test_degraded_miss_carries_the_configured_encoding():
+    """Regression: with every shard poisoned the degraded miss came back
+    PRIORITY-encoded whatever encoding the CAM was configured with."""
+    config = unit_for_entries(32, block_size=16, data_width=WIDTH,
+                              bus_width=128, encoding=Encoding.COUNT)
+
+    def factory(index, cfg):
+        session = open_session(cfg, engine="batch", name=f"c.shard{index}")
+        return FaultyBackend(session, fail_after=2)
+
+    async def scenario():
+        cam = ShardedCam(config, shards=2, policy="round_robin",
+                         session_factory=factory)
+        async with CamService(cam) as service:
+            assert (await service.insert([7, 8])).ok  # one op per shard
+            healthy = await service.lookup(7)  # second op per shard
+            degraded = await service.lookup(7)  # both shards now fault
+        return cam, healthy, degraded
+
+    cam, healthy, degraded = run(scenario())
+    assert cam.poisoned_shards == (0, 1)
+    assert healthy.ok and healthy.result.hit
+    assert healthy.result.encoding is Encoding.COUNT
+    assert degraded.status == "shard_failed"
+    assert not degraded.result.hit
+    assert degraded.result.encoding is Encoding.COUNT
 
 
 # ----------------------------------------------------------------------

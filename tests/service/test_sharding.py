@@ -1,5 +1,8 @@
 """Unit tests for the shard routing policies."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -8,6 +11,7 @@ from repro.service import (
     HashShardPolicy,
     RangeShardPolicy,
     RoundRobinShardPolicy,
+    ShardPolicy,
     policy_for,
 )
 
@@ -95,3 +99,43 @@ def test_pinned_policies_do_not_broadcast():
     assert not HashShardPolicy(4, 16).broadcast_lookups
     assert not RangeShardPolicy(4, 16).broadcast_lookups
     assert HashShardPolicy(4, 16).shard_for_key(3) is not None
+
+
+def policy_variants(shards, width):
+    yield HashShardPolicy(shards, width)
+    yield HashShardPolicy(shards, width, seed=0x5EED_CAFE_F00D)
+    yield RangeShardPolicy(shards, width)
+    yield RoundRobinShardPolicy(shards, width)
+
+
+@pytest.mark.parametrize("width", [8, 32, 48])
+@pytest.mark.parametrize("shards", range(1, 8))
+def test_array_routing_equals_scalar_routing(width, shards):
+    rng = random.Random(width * 100 + shards)
+    values = [rng.getrandbits(width) for _ in range(200)]
+    values += [0, (1 << width) - 1]
+    for policy in policy_variants(shards, width):
+        # a few values take the scalar loop, many the NumPy body
+        for size in (0, 1, 15, 16, len(values)):
+            head = values[-size:] if size else []
+            first = rng.randrange(1000)
+            routed = policy.shards_for(head, first)
+            assert routed.dtype == np.int64
+            assert routed.tolist() == [
+                policy.shard_for_insert(value, first + offset)
+                for offset, value in enumerate(head)
+            ], (policy, size)
+            if not policy.broadcast_lookups:
+                assert policy.shards_for(head, 0).tolist() == [
+                    policy.shard_for_key(value) for value in head]
+
+
+def test_base_policy_routes_arrays_through_the_scalar_hook():
+    class ParityPolicy(ShardPolicy):
+        name = "parity"
+
+        def shard_for_insert(self, value, index):
+            return value % 2
+
+    policy = ParityPolicy(2, 8)
+    assert policy.shards_for([4, 7, 9, 0], 10).tolist() == [0, 1, 1, 0]
