@@ -11,8 +11,10 @@ through
 - the **pipelined** client: a window of concurrent in-flight lookups
   over the same single connection.
 
-Both talk to the same in-process loopback server wrapping the same
-sharded CAM, so the only variable is wire-level concurrency. The
+Both legs are :func:`repro.service.drive` runs (closed loop, one
+worker for the naive client, ``WINDOW`` for the pipelined one) against
+the same in-process loopback server wrapping the same sharded CAM, so
+the only variable is wire-level concurrency. The
 archived artefact asserts the pipelined client sustains >= 5x the
 naive client's request rate (the ISSUE acceptance bar); loopback RTT
 is microseconds, so the real-network gap would be far larger.
@@ -26,12 +28,14 @@ from conftest import run_once
 
 from repro.core import unit_for_entries
 from repro.net import CamClient, CamServer
-from repro.service import CamService, ShardedCam
+from repro.service import CamService, ShardedCam, TrafficSpec, drive
 from repro.service.workload import table09_probe_stream
 
 SHARDS = 2
 ENTRIES_PER_SHARD = 1024
-#: Probes per measured leg (the naive leg pays a full RTT per probe).
+#: Lookups per measured leg (the naive leg pays a full RTT per probe).
+#: Both legs walk the first NAIVE_PROBES keys of the stream, the
+#: pipelined leg PIPELINED_PROBES // NAIVE_PROBES times over.
 NAIVE_PROBES = 400
 PIPELINED_PROBES = 4000
 #: In-flight window for the pipelined leg.
@@ -46,7 +50,7 @@ def make_cam():
     return ShardedCam(config, shards=SHARDS, policy="hash", engine="batch")
 
 
-async def measure(probes):
+async def measure():
     """Seed one server, then time both client modes against it."""
     cam = make_cam()
     # A near-zero batch window keeps per-request latency honest for the
@@ -55,48 +59,33 @@ async def measure(probes):
     await service.start()
     server = CamServer(service, port=0)
     await server.start()
-    loop = asyncio.get_running_loop()
     try:
-        host, port = server.address
-        stored, _ = table09_probe_stream(cam.capacity, seed=3)
-        async with CamClient(host, port) as seeder:
-            for start in range(0, len(stored), 64):
-                await seeder.insert(stored[start:start + 64])
+        _, probes = table09_probe_stream(cam.capacity, seed=3)
+        probes = probes[:NAIVE_PROBES]
 
-        async with CamClient(host, port, pipelined=False) as naive:
-            started = loop.time()
-            hits_naive = 0
-            for key in probes[:NAIVE_PROBES]:
-                response = await naive.lookup(key)
-                hits_naive += int(response.result.hit)
-            naive_s = loop.time() - started
-        naive_rps = NAIVE_PROBES / naive_s
+        async def leg(requests, concurrency, pipelined):
+            async with CamClient(*server.address,
+                                 pipelined=pipelined) as client:
+                return await drive(client, TrafficSpec(
+                    requests=requests, concurrency=concurrency, seed=3),
+                    probes=probes)
 
-        async with CamClient(host, port, pipelined=True) as fast:
-            window = asyncio.Semaphore(WINDOW)
+        # The first leg also stores the seed set (outside its timing).
+        naive = await leg(NAIVE_PROBES, 1, pipelined=False)
+        fast = await leg(PIPELINED_PROBES, WINDOW, pipelined=True)
 
-            async def probe(key):
-                async with window:
-                    return int((await fast.lookup(key)).result.hit)
-
-            started = loop.time()
-            flags = await asyncio.gather(*[
-                probe(key) for key in probes[:PIPELINED_PROBES]
-            ])
-            pipelined_s = loop.time() - started
-        pipelined_rps = PIPELINED_PROBES / pipelined_s
-
-        # same answers on the shared prefix, no decode trouble
-        assert sum(flags[:NAIVE_PROBES]) == hits_naive
+        # same answers on the shared keys, no failures, no decode trouble
+        assert naive.ok == NAIVE_PROBES and fast.ok == PIPELINED_PROBES
+        assert fast.hits == naive.hits * (PIPELINED_PROBES // NAIVE_PROBES)
         assert server.stats.decode_errors == 0
         return {
-            "stored": len(stored),
-            "naive_s": naive_s,
-            "naive_rps": naive_rps,
-            "pipelined_s": pipelined_s,
-            "pipelined_rps": pipelined_rps,
-            "speedup": pipelined_rps / naive_rps,
-            "hit_rate": sum(flags) / len(flags),
+            "stored": naive.stored_words,
+            "naive_s": naive.wall_s,
+            "naive_rps": naive.achieved_rps,
+            "pipelined_s": fast.wall_s,
+            "pipelined_rps": fast.achieved_rps,
+            "speedup": fast.achieved_rps / naive.achieved_rps,
+            "hit_rate": fast.hits / fast.keys_probed,
         }
     finally:
         await server.stop()
@@ -105,10 +94,7 @@ async def measure(probes):
 
 @pytest.mark.slow
 def test_pipelined_client_beats_naive_by_5x(benchmark, record_text):
-    _, probes = table09_probe_stream(
-        make_cam().capacity, seed=3, max_probes=PIPELINED_PROBES
-    )
-    result = run_once(benchmark, lambda: asyncio.run(measure(probes)))
+    result = run_once(benchmark, lambda: asyncio.run(measure()))
 
     assert result["speedup"] >= MIN_SPEEDUP, (
         f"pipelined client achieved only {result['speedup']:.1f}x the "

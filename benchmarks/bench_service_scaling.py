@@ -33,11 +33,12 @@ from conftest import run_once
 
 from repro.core import unit_for_entries
 from repro.service import (
+    DEMO_MIX,
     CamService,
     ShardedCam,
-    WorkloadSpec,
+    TrafficSpec,
     demo_cam,
-    drive_service,
+    drive,
 )
 from repro.service.workload import table09_probe_stream
 
@@ -54,7 +55,7 @@ def shard_config():
 def table09_probe_workload():
     """Stored hub adjacency + probe stream from the Table IX graph
     (the shared stream also used by ``bench_net_throughput`` and the
-    ``loadgen`` CLI, so every layer is measured on the same input)."""
+    traffic driver, so every layer is measured on the same input)."""
     capacity = shard_config().num_blocks * 64
     return table09_probe_stream(capacity, seed=3)
 
@@ -206,11 +207,10 @@ def test_service_front_door_serves_scaled_cam(benchmark, shards):
                        block_size=64)
         async with CamService(cam, max_batch=64,
                               request_timeout_s=10.0) as service:
-            return await drive_service(
-                service, WorkloadSpec(requests=400, clients=8, seed=5)
-            )
+            return await drive(service, TrafficSpec(
+                requests=400, concurrency=8, seed=5, **DEMO_MIX))
 
     report = run_once(benchmark, lambda: asyncio.run(scenario()))
-    assert report.ok == report.requests
+    assert report.ok == report.requests == 400
     assert report.timeouts == report.shard_failures == 0
-    assert report.mean_batch_occupancy >= 1.0
+    assert report.summary["service"]["mean_batch_occupancy"] >= 1.0

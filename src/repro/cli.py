@@ -482,9 +482,28 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _report_traffic(args: argparse.Namespace, name: str, spec,
+                    report) -> None:
+    """Print a traffic run; write its manifest when asked."""
+    print(report.render())
+    _write_trace(getattr(args, "trace_out", None))
+    if args.manifest_out:
+        config = {key: value for key, value in vars(args).items()
+                  if key not in ("command", "manifest_out", "trace_out")}
+        _write_manifest(args.manifest_out,
+                        report.manifest(spec, name, config))
+
+
 def _cmd_serve_demo(args: argparse.Namespace) -> int:
-    from repro.service import WorkloadSpec, demo_cam, run_demo_workload
-    from repro.service.workload import latency_percentile
+    import asyncio
+
+    from repro.service import (
+        DEMO_MIX,
+        CamService,
+        TrafficSpec,
+        demo_cam,
+        drive,
+    )
 
     cam = demo_cam(
         entries_per_shard=args.entries_per_shard,
@@ -495,63 +514,27 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         replicas=args.replicas,
         fault_mode=args.fault_mode,
     )
-    spec = WorkloadSpec(requests=args.requests, clients=args.clients,
-                        seed=args.seed)
+    spec = TrafficSpec(requests=args.requests, concurrency=args.clients,
+                       seed=args.seed, **DEMO_MIX)
     print(f"service: {cam.engine_name}, policy={args.policy}, "
           f"capacity={cam.capacity}")
-    print(f"traffic: {spec.requests} requests from {spec.clients} clients "
-          f"(seed {spec.seed})")
-    report = run_demo_workload(
-        cam,
-        spec,
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms / 1e3,
-        queue_depth=args.queue_depth,
-        request_timeout_s=args.timeout_ms / 1e3,
-        auto_repair=args.auto_repair,
-    )
-    print(report.render())
-    _write_trace(args.trace_out)
-    if args.manifest_out:
-        manifest = obs.build_manifest(
-            name="cli_serve_demo",
-            config={
-                "shards": args.shards,
-                "policy": args.policy,
-                "engine": args.engine,
-                "entries_per_shard": args.entries_per_shard,
-                "requests": spec.requests,
-                "clients": spec.clients,
-                "max_batch": args.max_batch,
-                "max_delay_ms": args.max_delay_ms,
-                "queue_depth": args.queue_depth,
-                "timeout_ms": args.timeout_ms,
-                "poison_shard": args.poison_shard,
-                "replicas": args.replicas,
-                "fault_mode": args.fault_mode,
-                "auto_repair": args.auto_repair,
-            },
-            timings={"wall_s": report.wall_s},
-            metrics=obs.metrics().snapshot(),
-            extra={
-                "ok": report.ok,
-                "timeouts": report.timeouts,
-                "shard_failures": report.shard_failures,
-                "rejected": report.rejected,
-                "throughput_rps": report.throughput_rps,
-                "latency_p99_ms": latency_percentile(report.latencies_s,
-                                                     0.99) * 1e3,
-                "mean_batch_occupancy": report.mean_batch_occupancy,
-                "poisoned_shards": report.poisoned_shards,
-                "simulated_cycles": report.simulated_cycles,
-                "repairs_completed": report.repairs_completed,
-                "repairs_failed": report.repairs_failed,
-                "failed_replicas": report.failed_replicas,
-            },
-        )
-        _write_manifest(args.manifest_out, manifest)
-    degraded = report.timeouts + report.shard_failures + report.client_errors
-    if args.poison_shard is None and degraded:
+    print(f"traffic: {spec.requests} requests from {spec.concurrency} "
+          f"clients (seed {spec.seed})")
+
+    async def run():
+        async with CamService(
+            cam,
+            max_batch=args.max_batch,
+            max_delay_s=args.max_delay_ms / 1e3,
+            queue_depth=args.queue_depth,
+            request_timeout_s=args.timeout_ms / 1e3,
+            auto_repair=args.auto_repair,
+        ) as service:
+            return await drive(service, spec)
+
+    report = asyncio.run(run())
+    _report_traffic(args, "cli_serve_demo", spec, report)
+    if args.poison_shard is None and report.ok < report.requests:
         return 1
     return 0
 
@@ -624,28 +607,33 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.net import LoadgenSpec, run_loadgen_blocking
+    import asyncio
 
-    spec = LoadgenSpec(
-        mode=args.mode,
+    from repro.net import CamClient
+    from repro.service import TrafficSpec, drive
+
+    spec = TrafficSpec(
         requests=args.requests,
         concurrency=args.concurrency,
-        rate=args.rate,
+        rate=args.rate if args.mode == "open" else None,
         batch=args.batch,
-        pool_size=args.pool,
-        pipelined=not args.naive,
         kill_after=args.kill_after,
         seed=args.seed,
     )
-    print(f"loadgen: {spec.mode} loop against "
+    print(f"loadgen: {args.mode} loop against "
           f"{args.host}:{args.port} "
           f"({'naive' if args.naive else 'pipelined'}, "
-          f"pool={spec.pool_size})", flush=True)
-    report = run_loadgen_blocking(args.host, args.port, spec,
-                                  request_timeout_s=args.timeout_s)
-    print(report.render())
-    if args.manifest_out:
-        _write_manifest(args.manifest_out, report.manifest(spec))
+          f"pool={args.pool})", flush=True)
+
+    async def run():
+        async with CamClient(args.host, args.port, pool_size=args.pool,
+                             pipelined=not args.naive,
+                             request_timeout_s=args.timeout_s,
+                             max_retries=5) as client:
+            return await drive(client, spec)
+
+    report = asyncio.run(run())
+    _report_traffic(args, "net_loadgen", spec, report)
     return 1 if report.errors else 0
 
 

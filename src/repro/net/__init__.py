@@ -17,9 +17,11 @@ behind a slow front end; see PAPERS.md, Nguyen et al.). Three layers:
 - :mod:`repro.net.client` -- :class:`CamClient`, a pipelined client
   that multiplexes concurrent requests over a connection pool by
   request id and retries with backoff on connection loss (idempotency
-  tokens make mutating retries exactly-once on the server), plus
-  :mod:`repro.net.loadgen`, the open/closed-loop load generator behind
-  ``python -m repro loadgen``.
+  tokens make mutating retries exactly-once on the server).
+
+``python -m repro loadgen`` drives a :class:`CamClient` with
+:func:`repro.service.drive`, the same traffic driver ``serve-demo``
+runs in process.
 
 The network path is proven result-identical to the in-process service
 by the hypothesis suite in ``tests/net/`` -- same workload through
@@ -31,13 +33,6 @@ semantics.
 from __future__ import annotations
 
 from repro.net.client import CamClient
-from repro.net.loadgen import (
-    LoadgenSpec,
-    LoadReport,
-    run_loadgen,
-    run_loadgen_blocking,
-    table09_probe_stream,
-)
 from repro.net.protocol import (
     ERROR_CODES,
     MAX_FRAME_SIZE,
@@ -61,12 +56,7 @@ __all__ = [
     "ErrorCode",
     "Frame",
     "FrameDecoder",
-    "LoadReport",
-    "LoadgenSpec",
     "Opcode",
     "ServerStats",
     "Status",
-    "run_loadgen",
-    "run_loadgen_blocking",
-    "table09_probe_stream",
 ]

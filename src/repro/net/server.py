@@ -35,7 +35,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
 from repro import obs
@@ -375,9 +375,7 @@ class CamServer:
             self._send(conn, Opcode.PONG, frame.request_id, frame.payload)
         elif opcode is Opcode.LOOKUP:
             keys = protocol.decode_lookup(frame.payload)
-            responses = await asyncio.gather(*[
-                self.service.lookup(key) for key in keys
-            ])
+            responses = await self.service.lookup_many(keys)
             payload = protocol.encode_results([
                 (response.status, response.result)
                 for response in responses
@@ -483,42 +481,13 @@ class CamServer:
             self._dedupe.popitem(last=False)
 
     def _stats_doc(self) -> dict:
-        cam = self.service.cam
-        service = self.service.stats
         return {
             "server": {
+                **asdict(self.stats),
                 "connections_active": len(self._connections),
-                "connections_opened": self.stats.connections_opened,
-                "connections_rejected": self.stats.connections_rejected,
-                "frames_in": self.stats.frames_in,
-                "frames_out": self.stats.frames_out,
-                "bytes_in": self.stats.bytes_in,
-                "bytes_out": self.stats.bytes_out,
-                "decode_errors": self.stats.decode_errors,
-                "requests": self.stats.requests,
-                "retry_later": self.stats.retry_later,
-                "dedupe_hits": self.stats.dedupe_hits,
                 "draining": self._draining,
-                "per_opcode": dict(self.stats.per_opcode),
             },
-            "service": {
-                "admitted": service.admitted,
-                "completed": service.completed,
-                "ok": service.ok,
-                "timeouts": service.timeouts,
-                "shard_failures": service.shard_failures,
-                "client_errors": service.client_errors,
-                "rejected": service.rejected,
-                "mean_batch_occupancy": service.mean_batch_occupancy,
-            },
-            "cam": {
-                "engine": cam.engine_name,
-                "shards": cam.num_shards,
-                "capacity": cam.capacity,
-                "occupancy": cam.occupancy,
-                "cycle": cam.cycle,
-                "poisoned_shards": list(cam.poisoned_shards),
-            },
+            **self.service.stats_doc(),
         }
 
 

@@ -12,6 +12,11 @@ Two layers over the single-unit sessions of :mod:`repro.core`:
   them per shard, and isolates backend failures to the shard that
   raised them.
 
+:func:`drive` runs traffic against either front door, a
+:class:`CamService` or a :class:`~repro.net.client.CamClient`: the
+Table IX probe stream plus an insert/delete share
+(:class:`TrafficSpec`), summed up in a :class:`TrafficReport`.
+
 Construct the sharded façade through :func:`repro.open_session` with
 ``shards > 1``; see ``docs/service.md`` for the full tour::
 
@@ -51,15 +56,16 @@ from repro.service.sharding import (
     policy_for,
 )
 from repro.service.workload import (
+    DEMO_MIX,
     FaultyBackend,
-    WorkloadReport,
-    WorkloadSpec,
+    TrafficReport,
+    TrafficSpec,
     demo_cam,
-    drive_service,
-    run_demo_workload,
+    drive,
 )
 
 __all__ = [
+    "DEMO_MIX",
     "POLICIES",
     "SNAPSHOT_VERSION",
     "CamService",
@@ -75,11 +81,10 @@ __all__ = [
     "ServiceStats",
     "ShardPolicy",
     "ShardedCam",
-    "WorkloadReport",
-    "WorkloadSpec",
+    "TrafficReport",
+    "TrafficSpec",
     "demo_cam",
-    "drive_service",
+    "drive",
     "merge_results",
     "policy_for",
-    "run_demo_workload",
 ]

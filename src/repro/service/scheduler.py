@@ -39,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
@@ -279,6 +279,32 @@ class CamService:
         """Current admission queue depth."""
         return self._queue.qsize() if self._queue is not None else 0
 
+    def stats_doc(self) -> dict:
+        """The ``service`` and ``cam`` sections of the stats document
+        (:class:`~repro.net.server.CamServer` adds ``server``)."""
+        cam = self.cam
+        return {
+            "service": {
+                **asdict(self.stats),
+                "mean_batch_occupancy": self.stats.mean_batch_occupancy,
+            },
+            "cam": {
+                "engine": cam.engine_name,
+                "shards": cam.num_shards,
+                "replicas": cam.num_replicas,
+                "capacity": cam.capacity,
+                "occupancy": cam.occupancy,
+                "cycle": cam.cycle,
+                "poisoned_shards": list(cam.poisoned_shards),
+                # str keys: the document reads the same after JSON.
+                "failed_replicas": {
+                    str(shard): list(failed)
+                    for shard, session in enumerate(cam.sessions)
+                    if (failed := getattr(session, "failed_replicas", ()))
+                },
+            },
+        }
+
     # ------------------------------------------------------------------
     # repair
     # ------------------------------------------------------------------
@@ -354,6 +380,11 @@ class CamService:
     async def lookup(self, key: int) -> ServiceResponse:
         """Search one key; the merged result respects global priority."""
         return await self._admit(_Request("lookup", key=int(key)))
+
+    async def lookup_many(self, keys: Sequence[int]) -> List[ServiceResponse]:
+        """Search a batch of keys, one admitted :meth:`lookup` per key;
+        the answers come back in key order."""
+        return await asyncio.gather(*[self.lookup(key) for key in keys])
 
     async def insert(self, words: Sequence[RawWord]) -> ServiceResponse:
         """Store a batch of words (routed per shard by the dispatcher)."""

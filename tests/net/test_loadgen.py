@@ -1,4 +1,5 @@
-"""Load generator: spec validation, both loop modes, manifests."""
+"""The traffic driver over the wire: spec validation, both loop modes,
+manifests (what ``python -m repro loadgen`` runs)."""
 
 import asyncio
 
@@ -7,14 +8,9 @@ import pytest
 from repro import obs
 from repro.core import unit_for_entries
 from repro.errors import ConfigError
-from repro.net import (
-    CamClient,
-    CamServer,
-    LoadgenSpec,
-    run_loadgen,
-    table09_probe_stream,
-)
-from repro.service import CamService, ShardedCam
+from repro.net import CamClient, CamServer
+from repro.service import CamService, ShardedCam, TrafficSpec, drive
+from repro.service.workload import table09_probe_stream
 
 
 def make_cam():
@@ -23,7 +19,7 @@ def make_cam():
     return ShardedCam(config, shards=2, engine="batch")
 
 
-def run_spec(spec, **loadgen_kwargs):
+def run_spec(spec, *, pipelined=True, pool_size=1):
     async def scenario():
         service = CamService(make_cam(), max_delay_s=0.001, max_batch=64)
         await service.start()
@@ -31,10 +27,10 @@ def run_spec(spec, **loadgen_kwargs):
         await server.start()
         try:
             host, port = server.address
-            async with CamClient(host, port, pool_size=spec.pool_size,
-                                 pipelined=spec.pipelined,
+            async with CamClient(host, port, pool_size=pool_size,
+                                 pipelined=pipelined,
                                  backoff_s=0.005) as client:
-                return await run_loadgen(client, spec, **loadgen_kwargs)
+                return await drive(client, spec)
         finally:
             await server.stop()
             await service.stop()
@@ -43,16 +39,18 @@ def run_spec(spec, **loadgen_kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"mode": "bursty"},
+    {"rate": -1.0},
     {"requests": 0},
     {"concurrency": 0},
-    {"mode": "open", "rate": 0},
+    {"rate": 0},
     {"batch": 0},
     {"kill_after": -1},
+    {"insert_fraction": 0.8, "delete_fraction": 0.3},
+    {"insert_words": 0},
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ConfigError):
-        LoadgenSpec(**kwargs)
+        TrafficSpec(**kwargs)
 
 
 def test_table09_probe_stream_is_deterministic():
@@ -66,7 +64,7 @@ def test_table09_probe_stream_is_deterministic():
 
 
 def test_closed_loop_run():
-    spec = LoadgenSpec(mode="closed", requests=40, concurrency=4)
+    spec = TrafficSpec(requests=40, concurrency=4)
     report = run_spec(spec)
     assert report.requests == 40
     assert report.errors == 0
@@ -79,8 +77,7 @@ def test_closed_loop_run():
 
 
 def test_open_loop_run_records_offered_rate():
-    spec = LoadgenSpec(mode="open", requests=30, concurrency=8,
-                       rate=5000.0, batch=2)
+    spec = TrafficSpec(requests=30, concurrency=8, rate=5000.0, batch=2)
     report = run_spec(spec)
     assert report.requests == 30
     assert report.keys_probed == 60
@@ -89,17 +86,26 @@ def test_open_loop_run_records_offered_rate():
 
 
 def test_kill_after_recovers_with_zero_errors():
-    spec = LoadgenSpec(mode="closed", requests=60, concurrency=4,
-                       kill_after=20)
+    spec = TrafficSpec(requests=60, concurrency=4, kill_after=20)
     report = run_spec(spec)
     assert report.kills == 1
     assert report.errors == 0, "retries must absorb the kill"
     assert report.requests == 60
 
 
-def test_seed_phase_skipped_when_server_populated():
-    stored, probes = table09_probe_stream(128, seed=3)
+def test_mixed_traffic_over_the_wire():
+    spec = TrafficSpec(requests=80, concurrency=4, insert_fraction=0.2,
+                       delete_fraction=0.1, seed=5)
+    report = run_spec(spec, pipelined=False, pool_size=2)
+    assert report.requests == report.ok == 80
+    assert report.lookups + report.inserts + report.deletes == 80
+    assert report.inserts > 0 and report.deletes > 0
+    assert report.words_inserted > 0
+    assert report.summary["cam"]["occupancy"] == (report.stored_words
+                                                  + report.words_inserted)
 
+
+def test_seed_phase_skipped_when_server_populated():
     async def scenario():
         service = CamService(make_cam(), max_delay_s=0.001)
         await service.start()
@@ -108,11 +114,9 @@ def test_seed_phase_skipped_when_server_populated():
         try:
             host, port = server.address
             async with CamClient(host, port) as client:
-                spec = LoadgenSpec(requests=10, concurrency=2)
-                first = await run_loadgen(client, spec, stored=stored,
-                                          probes=probes)
-                second = await run_loadgen(client, spec, stored=stored,
-                                           probes=probes)
+                spec = TrafficSpec(requests=10, concurrency=2)
+                first = await drive(client, spec)
+                second = await drive(client, spec)
                 return first, second
         finally:
             await server.stop()
@@ -128,16 +132,20 @@ def test_manifest_is_schema_valid():
     obs.reset()
     obs.enable(tracing=False)
     try:
-        spec = LoadgenSpec(requests=12, concurrency=2, kill_after=4)
+        spec = TrafficSpec(requests=12, concurrency=2, kill_after=4)
         report = run_spec(spec)
-        manifest = report.manifest(spec)
+        manifest = report.manifest(spec, "net_loadgen", {"pool": 1})
         obs.validate_manifest(manifest)
         assert manifest["name"] == "net_loadgen"
         assert manifest["config"]["kill_after"] == 4
+        assert manifest["config"]["pool"] == 1
         assert manifest["extra"]["kills"] == 1
         assert manifest["extra"]["errors"] == 0
         assert manifest["extra"]["achieved_rps"] > 0
         assert "latency_p99_ms" in manifest["extra"]
+        # the server's service summary rides along
+        assert manifest["extra"]["capacity"] == 256
+        assert manifest["extra"]["max_queue_depth"] >= 1
     finally:
         obs.disable()
         obs.reset()

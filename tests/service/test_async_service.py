@@ -11,14 +11,17 @@ import pytest
 from repro.core import Encoding, unit_for_entries
 from repro.core.batch import open_session
 from repro.errors import ConfigError, ServiceError, ServiceOverloadError
+from repro.net import CamClient, CamServer
 from repro.service import (
+    DEMO_MIX,
     CamService,
     FaultyBackend,
     ShardedCam,
-    WorkloadSpec,
+    TrafficSpec,
     demo_cam,
-    drive_service,
+    drive,
 )
+from repro.service.workload import latency_percentile
 
 WIDTH = 16
 
@@ -411,21 +414,23 @@ def test_degraded_miss_carries_the_configured_encoding():
 
 
 # ----------------------------------------------------------------------
-# workload driver (the serve-demo/CI entry point)
+# traffic driver (the serve-demo/loadgen/CI entry point)
 # ----------------------------------------------------------------------
 def test_workload_driver_reports_clean_run():
     async def scenario():
         cam = demo_cam(entries_per_shard=128, shards=4, block_size=32)
         async with CamService(cam, max_batch=32,
                               request_timeout_s=5.0) as service:
-            report = await drive_service(
-                service, WorkloadSpec(requests=200, clients=4, seed=7)
-            )
+            report = await drive(service, TrafficSpec(
+                requests=200, concurrency=4, seed=7, **DEMO_MIX))
+            summary = service.stats_doc()
         assert report.requests == 200
         assert report.ok == 200
         assert report.timeouts == report.shard_failures == 0
         assert report.lookups + report.inserts + report.deletes == 200
-        assert report.simulated_cycles > 0
+        assert report.inserts > 0 and report.deletes > 0
+        assert summary["cam"]["cycle"] > 0
+        assert report.summary == summary
         assert len(report.latencies_s) == 200
         text = report.render()
         assert "requests" in text and "shards" in text
@@ -438,11 +443,58 @@ def test_workload_driver_with_poisoned_shard():
         cam = demo_cam(entries_per_shard=128, shards=4, block_size=32,
                        poison_shard=2, poison_after=3)
         async with CamService(cam, request_timeout_s=5.0) as service:
-            report = await drive_service(
-                service, WorkloadSpec(requests=200, clients=2, seed=11)
-            )
-        assert report.poisoned_shards == [2]
+            report = await drive(service, TrafficSpec(
+                requests=200, concurrency=2, seed=11, **DEMO_MIX))
+            summary = service.stats_doc()
+        assert summary["cam"]["poisoned_shards"] == [2]
         assert report.shard_failures > 0
         assert report.ok > 0  # healthy shards kept serving
 
     run(scenario())
+
+
+def test_driver_refuses_kill_after_in_process():
+    async def scenario():
+        async with CamService(make_cam()) as service:
+            await drive(service, TrafficSpec(requests=4, kill_after=1))
+
+    with pytest.raises(ConfigError):
+        run(scenario())
+
+
+@pytest.mark.parametrize("wire", [False, True], ids=["service", "wire"])
+@pytest.mark.parametrize("requests,concurrency", [(10, 3), (2, 8)])
+def test_driver_issues_exactly_the_requested_operations(
+        requests, concurrency, wire):
+    spec = TrafficSpec(requests=requests, concurrency=concurrency,
+                       seed=1, **DEMO_MIX)
+
+    async def scenario():
+        cam = demo_cam(entries_per_shard=64, shards=2, block_size=32)
+        async with CamService(cam, max_delay_s=0.001) as service:
+            if not wire:
+                report = await drive(service, spec)
+            else:
+                async with CamServer(service, port=0) as server:
+                    async with CamClient(*server.address) as client:
+                        report = await drive(client, spec)
+            return report, service.stats.admitted
+
+    report, admitted = run(scenario())
+    assert report.requests == report.ok == requests
+    assert report.lookups + report.inserts + report.deletes == requests
+    seed_inserts = -(-report.stored_words // 64)
+    assert admitted == seed_inserts + report.keys_probed \
+        + report.inserts + report.deletes
+
+
+@pytest.mark.parametrize("latencies,q,expected", [
+    ([1, 2], 0.5, 1),
+    (list(range(1, 101)), 0.50, 50),
+    (list(range(1, 101)), 0.99, 99),
+    (list(range(1, 101)), 1.0, 100),
+    ([3], 0.0, 3),
+    ([], 0.5, 0.0),
+])
+def test_latency_percentile_is_nearest_rank(latencies, q, expected):
+    assert latency_percentile(latencies, q) == expected

@@ -31,10 +31,11 @@ from repro.service import (
     CamService,
     FaultyBackend,
     ReplicaSet,
+    DEMO_MIX,
     ShardedCam,
-    WorkloadSpec,
+    TrafficSpec,
     demo_cam,
-    run_demo_workload,
+    drive,
 )
 
 WIDTH = 12
@@ -291,13 +292,20 @@ def test_service_repair_shard_reinstates_replicas():
 def test_auto_repair_workload_has_zero_failures():
     cam = demo_cam(entries_per_shard=64, shards=4, replicas=2,
                    poison_shard=1)  # default fault mode: crash
-    report = run_demo_workload(
-        cam, WorkloadSpec(requests=300, clients=4, seed=7),
-        max_delay_s=0.001, auto_repair=True)
+
+    async def run():
+        async with CamService(cam, max_delay_s=0.001,
+                              request_timeout_s=5.0,
+                              auto_repair=True) as service:
+            report = await drive(service, TrafficSpec(
+                requests=300, concurrency=4, seed=7, **DEMO_MIX))
+            return report, service.stats_doc()
+
+    report, summary = asyncio.run(run())
     assert report.ok == 300
     assert report.shard_failures == 0
-    assert report.replicas == 2
-    assert report.repairs_completed >= 1
+    assert summary["cam"]["replicas"] == 2
+    assert summary["service"]["repairs_completed"] >= 1
 
 
 def test_replica_set_rejects_mismatched_members():
