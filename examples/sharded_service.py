@@ -71,10 +71,10 @@ async def batching_demo() -> None:
 async def isolation_demo() -> None:
     print("3. per-shard failure isolation")
 
-    def factory(index, cfg):
+    def factory(shard, replica, cfg):
         session = repro.open_session(cfg, engine="batch",
-                                     name=f"demo.shard{index}")
-        if index == 1:
+                                     name=f"demo.shard{shard}")
+        if shard == 1:
             return FaultyBackend(session, fail_after=4)
         return session
 
@@ -97,7 +97,7 @@ async def recovery_demo() -> None:
 
     faulty = {}
 
-    def replica_factory(shard, replica, cfg):
+    def factory(shard, replica, cfg):
         session = repro.open_session(cfg, engine="batch",
                                      name=f"demo.shard{shard}.r{replica}")
         if shard == 0 and replica == 0:
@@ -106,7 +106,7 @@ async def recovery_demo() -> None:
         return session
 
     cam = ShardedCam(shard_config(), shards=2, replicas=2,
-                     replica_factory=replica_factory)
+                     session_factory=factory)
     async with CamService(cam) as service:
         await service.insert(list(range(24)))   # kills shard 0's replica 0
         hits = sum([(await service.lookup(k)).result.hit

@@ -570,7 +570,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
             max_connections=args.max_connections,
             max_frame_size=args.max_frame_size or MAX_FRAME_SIZE,
             idle_timeout_s=args.idle_timeout_s,
-            request_timeout_s=args.timeout_ms / 1e3,
         )
         await server.start()
         host, port = server.address

@@ -13,11 +13,11 @@ Failure handling:
 
 - **connection loss** -- every future pending on the dead connection
   fails with :class:`~repro.errors.ConnectionLostError`; the request
-  layer reconnects and retries with exponential backoff up to
-  ``max_retries`` times. Mutations reuse their idempotency token on
-  every attempt, so a retry the server already applied is answered
-  from its dedupe cache -- exactly-once, zero lost or duplicated
-  updates;
+  layer reconnects and retries with exponential backoff (20 ms
+  doubling to 0.5 s) up to ``max_retries`` times. Mutations reuse
+  their idempotency token on every attempt, so a retry the server
+  already applied is answered from its idempotency table --
+  exactly-once, zero lost or duplicated updates;
 - **server drain** -- ``RETRY_LATER`` error frames are retried the
   same way (the server is restarting or handing off);
 - **timeouts** -- a response not seen within ``request_timeout_s``
@@ -63,6 +63,9 @@ from repro.service.scheduler import ServiceResponse
 from repro.service.snapshot import CamSnapshot
 
 _READ_CHUNK = 64 * 1024
+#: First retry delay; each further retry doubles it up to the cap.
+_BACKOFF_S = 0.02
+_BACKOFF_MAX_S = 0.5
 
 #: Errors that mark an *attempt* as failed but the request retryable.
 _RETRYABLE = (ConnectionLostError, RequestTimeoutError,
@@ -73,11 +76,10 @@ class _Connection:
     """One pooled socket plus its demultiplexing reader task."""
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter,
-                 max_frame_size: int) -> None:
+                 writer: asyncio.StreamWriter) -> None:
         self.reader = reader
         self.writer = writer
-        self.decoder = FrameDecoder(max_frame_size=max_frame_size)
+        self.decoder = FrameDecoder()
         self.pending: Dict[int, "asyncio.Future[Frame]"] = {}
         self.ids = itertools.count(1)
         self.task: Optional[asyncio.Task] = None
@@ -123,9 +125,6 @@ class CamClient:
         pipelined: bool = True,
         request_timeout_s: float = 10.0,
         max_retries: int = 3,
-        backoff_s: float = 0.02,
-        backoff_max_s: float = 0.5,
-        max_frame_size: int = protocol.MAX_FRAME_SIZE,
     ) -> None:
         if pool_size < 1:
             raise ConfigError(f"pool_size must be >= 1, got {pool_size}")
@@ -137,20 +136,12 @@ class CamClient:
             raise ConfigError(
                 f"max_retries must be >= 0, got {max_retries}"
             )
-        if backoff_s <= 0 or backoff_max_s < backoff_s:
-            raise ConfigError(
-                "backoff must satisfy 0 < backoff_s <= backoff_max_s, "
-                f"got {backoff_s} / {backoff_max_s}"
-            )
         self.host = host
         self.port = port
         self.pool_size = pool_size
         self.pipelined = pipelined
         self.request_timeout_s = request_timeout_s
         self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.backoff_max_s = backoff_max_s
-        self.max_frame_size = max_frame_size
         self.retries = 0
         self.kills = 0
         self._pool: List[Optional[_Connection]] = [None] * pool_size
@@ -287,7 +278,7 @@ class CamClient:
         if conn is not None and not conn.closed:
             return conn
         reader, writer = await asyncio.open_connection(self.host, self.port)
-        conn = _Connection(reader, writer, self.max_frame_size)
+        conn = _Connection(reader, writer)
         conn.task = asyncio.ensure_future(self._reader_loop(conn))
         self._reader_tasks.add(conn.task)
         conn.task.add_done_callback(self._reader_tasks.discard)
@@ -332,7 +323,7 @@ class CamClient:
 
     async def _request_with_retries(self, opcode: Opcode,
                                     payload: bytes) -> Frame:
-        delay = self.backoff_s
+        delay = _BACKOFF_S
         last: Optional[BaseException] = None
         for attempt in range(self.max_retries + 1):
             if attempt:
@@ -341,7 +332,7 @@ class CamClient:
                         help="request attempts after the first",
                         opcode=opcode.name.lower())
                 await asyncio.sleep(delay)
-                delay = min(delay * 2, self.backoff_max_s)
+                delay = min(delay * 2, _BACKOFF_MAX_S)
             try:
                 return await self._attempt(opcode, payload)
             except _RETRYABLE as exc:

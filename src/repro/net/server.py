@@ -15,15 +15,16 @@ Operational guarantees:
   are closed) and at most ``max_frame_size`` payload bytes per frame
   (violations answer ``FRAME_TOO_LARGE`` and close the connection);
 - **timeouts** -- a connection idle longer than ``idle_timeout_s`` is
-  closed; a request older than ``request_timeout_s`` resolves as a
-  ``TIMEOUT`` error frame (the service's own deadline machinery keeps
-  the backend safe independently);
+  closed; request deadlines belong to the wrapped service alone (an
+  expired request comes back as status ``"timeout"`` inside its
+  RESULT/UPDATED frame and is never applied);
 - **graceful drain** -- :meth:`stop` stops accepting, lets in-flight
   requests complete and answers frames that arrive during the drain
   window with ``RETRY_LATER``, so a restarting client loses nothing;
 - **exactly-once mutations** -- INSERT/DELETE frames carry idempotency
-  tokens; the server caches token -> response and answers a retried
-  token from the cache without re-applying the mutation.
+  tokens; the server keeps one bounded token -> response-future table
+  and answers a retried token from it (awaiting the first attempt if it
+  is still running) without re-applying the mutation.
 
 Telemetry is threaded through :mod:`repro.obs` under ``net_*`` names
 (frames and bytes per direction, decode errors, connection churn,
@@ -36,21 +37,17 @@ import asyncio
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from repro import obs
-from repro.errors import (
-    ConfigError,
-    NetError,
-    ProtocolError,
-    ReproError,
-    RequestTimeoutError,
-)
+from repro.errors import ConfigError, NetError, ProtocolError
 from repro.net import protocol
 from repro.net.protocol import ErrorCode, Frame, FrameDecoder, Opcode
 from repro.service.scheduler import CamService
 
 _READ_CHUNK = 64 * 1024
+#: Idempotency tokens remembered; the oldest is forgotten first.
+_DEDUPE_CAPACITY = 65536
 
 
 @dataclass
@@ -81,7 +78,7 @@ class _Connection:
     """Per-connection state: decoder, writer queue, in-flight tasks."""
 
     __slots__ = ("reader", "writer", "decoder", "outgoing", "tasks",
-                 "peer", "closed")
+                 "handler", "peer", "closed")
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter,
@@ -91,6 +88,8 @@ class _Connection:
         self.decoder = FrameDecoder(max_frame_size=max_frame_size)
         self.outgoing: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue()
         self.tasks: Set[asyncio.Task] = set()
+        #: the task running this connection's reader loop.
+        self.handler = asyncio.current_task()
         peer = writer.get_extra_info("peername")
         self.peer = f"{peer[0]}:{peer[1]}" if peer else "?"
         self.closed = False
@@ -121,24 +120,18 @@ class CamServer:
         max_connections: int = 64,
         max_frame_size: int = protocol.MAX_FRAME_SIZE,
         idle_timeout_s: Optional[float] = None,
-        request_timeout_s: Optional[float] = None,
-        dedupe_capacity: int = 65536,
     ) -> None:
         if max_connections < 1:
             raise ConfigError(
                 f"max_connections must be >= 1, got {max_connections}"
             )
+        if max_frame_size < 1:
+            raise ConfigError(
+                f"max_frame_size must be >= 1, got {max_frame_size}"
+            )
         if idle_timeout_s is not None and idle_timeout_s <= 0:
             raise ConfigError(
                 f"idle_timeout_s must be > 0, got {idle_timeout_s}"
-            )
-        if request_timeout_s is not None and request_timeout_s <= 0:
-            raise ConfigError(
-                f"request_timeout_s must be > 0, got {request_timeout_s}"
-            )
-        if dedupe_capacity < 1:
-            raise ConfigError(
-                f"dedupe_capacity must be >= 1, got {dedupe_capacity}"
             )
         self.service = service
         self.host = host
@@ -146,13 +139,12 @@ class CamServer:
         self.max_connections = max_connections
         self.max_frame_size = max_frame_size
         self.idle_timeout_s = idle_timeout_s
-        self.request_timeout_s = request_timeout_s
-        self.dedupe_capacity = dedupe_capacity
         self.stats = ServerStats()
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[_Connection] = set()
-        self._dedupe: "OrderedDict[bytes, Tuple[int, bytes]]" = OrderedDict()
-        self._dedupe_pending: Dict[bytes, "asyncio.Task"] = {}
+        #: idempotency token -> future of its mutation's (opcode,
+        #: payload) answer; still pending while the first attempt runs.
+        self._dedupe: "OrderedDict[bytes, asyncio.Future]" = OrderedDict()
         self._draining = False
 
     # ------------------------------------------------------------------
@@ -204,12 +196,12 @@ class CamServer:
         if self._server is None and not self._connections:
             return
         await self.drain()
+        handlers = [conn.handler for conn in self._connections]
         for conn in list(self._connections):
             await conn.outgoing.put(None)  # writer flushes then exits
-        # Writers pop the sentinel, flush, and close their transport;
-        # _close_connection drops them from the set.
-        while self._connections:
-            await asyncio.sleep(0.005)
+        # Each writer pops the sentinel, flushes and closes its
+        # transport; the reader then sees EOF and its handler returns.
+        await asyncio.gather(*handlers, return_exceptions=True)
         self._server = None
 
     async def __aenter__(self) -> "CamServer":
@@ -343,22 +335,8 @@ class CamServer:
         started = time.perf_counter()
         status = "ok"
         try:
-            if self.request_timeout_s is not None:
-                await asyncio.wait_for(
-                    self._execute(conn, frame), self.request_timeout_s
-                )
-            else:
-                await self._execute(conn, frame)
-        except asyncio.TimeoutError:
-            status = "timeout"
-            self._send_error(conn, frame.request_id, RequestTimeoutError(
-                f"request exceeded the server's "
-                f"{self.request_timeout_s}s deadline"
-            ))
-        except ReproError as exc:
-            status = "error"
-            self._send_error(conn, frame.request_id, exc)
-        except Exception as exc:  # pragma: no cover - defensive
+            await self._execute(conn, frame)
+        except Exception as exc:  # typed ReproErrors map to their codes
             status = "error"
             self._send_error(conn, frame.request_id, exc)
         obs.inc("net_requests_total", help="requests by opcode and outcome",
@@ -439,46 +417,38 @@ class CamServer:
         self._send(conn, Opcode.ERROR, request_id,
                    protocol.encode_error(code, str(exc)))
 
-    async def _mutate_once(self, token: bytes, apply) -> Tuple[int, bytes]:
+    async def _mutate_once(
+        self, token: bytes, apply: Callable[[], Awaitable[Tuple[int, bytes]]]
+    ) -> Tuple[int, bytes]:
         """Run ``apply`` exactly once per idempotency token.
 
-        A retried token is answered from the completed-response cache;
-        a token whose first attempt is *still executing* (a retry
-        racing its original on another connection) awaits that same
-        execution instead of re-applying the mutation.
+        A retried token awaits the future of its first attempt --
+        finished or, for a retry racing its original on another
+        connection, still running -- instead of re-applying the
+        mutation. An attempt that raised is forgotten, so its retry
+        applies afresh.
         """
-        cached = self._dedupe_get(token)
-        if cached is not None:
-            return cached
         key = bytes(token)
-        task = self._dedupe_pending.get(key)
-        if task is None:
-            task = asyncio.ensure_future(apply())
-            self._dedupe_pending[key] = task
-            try:
-                result = await task
-            finally:
-                del self._dedupe_pending[key]
-            self._dedupe_put(token, Opcode(result[0]), result[1])
-            return result
-        self.stats.dedupe_hits += 1
-        obs.inc("net_dedupe_hits_total",
-                help="mutations answered from the idempotency cache")
-        return await asyncio.shield(task)
-
-    def _dedupe_get(self, token: bytes) -> Optional[Tuple[int, bytes]]:
-        cached = self._dedupe.get(bytes(token))
-        if cached is not None:
+        future = self._dedupe.get(key)
+        if future is None:
+            future = asyncio.ensure_future(apply())
+            self._dedupe[key] = future
+            future.add_done_callback(
+                lambda done: self._forget_failed(key, done))
+            while len(self._dedupe) > _DEDUPE_CAPACITY:
+                self._dedupe.popitem(last=False)
+        else:
             self.stats.dedupe_hits += 1
             obs.inc("net_dedupe_hits_total",
                     help="mutations answered from the idempotency cache")
-        return cached
+        # shield: a handler cancelled mid-wait must not cancel the
+        # mutation its retries are waiting on.
+        return await asyncio.shield(future)
 
-    def _dedupe_put(self, token: bytes, opcode: Opcode,
-                    payload: bytes) -> None:
-        self._dedupe[bytes(token)] = (int(opcode), payload)
-        while len(self._dedupe) > self.dedupe_capacity:
-            self._dedupe.popitem(last=False)
+    def _forget_failed(self, key: bytes, future: asyncio.Future) -> None:
+        if ((future.cancelled() or future.exception() is not None)
+                and self._dedupe.get(key) is future):
+            del self._dedupe[key]
 
     def _stats_doc(self) -> dict:
         return {

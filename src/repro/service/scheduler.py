@@ -5,10 +5,8 @@ into a concurrent service with the shape of the hardware arbiter it
 mirrors:
 
 - **bounded admission queue** -- requests enter one bounded
-  :class:`asyncio.Queue`; when it is full the service either applies
-  backpressure (``overflow="block"``, the default: ``await`` until a
-  slot frees) or fails fast (``overflow="reject"`` raises
-  :class:`~repro.errors.ServiceOverloadError`);
+  :class:`asyncio.Queue`; when it is full admission applies
+  backpressure (``await`` until a slot frees);
 - **one dispatcher** -- a single task reads the admission queue,
   routes each request to the shards it touches (binding an insert's
   global addresses in admission order) and gathers a micro-batch until
@@ -50,13 +48,15 @@ from repro.errors import (
     ConfigError,
     ServiceDrainingError,
     ServiceError,
-    ServiceOverloadError,
     ShardFailedError,
 )
 from repro.service.sharded import ShardedCam, merge_results
 
 #: Sentinel that flows through the admission queue to stop the dispatcher.
 _STOP = object()
+#: Auto-repair retries a shard after this delay, doubling to the cap.
+_REPAIR_BACKOFF_S = 0.05
+_REPAIR_BACKOFF_MAX_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,6 @@ class ServiceStats:
     timeouts: int = 0
     shard_failures: int = 0
     client_errors: int = 0
-    rejected: int = 0
     dispatches: int = 0
     dispatched_requests: int = 0
     max_queue_depth: int = 0
@@ -152,8 +151,10 @@ class CamService:
     ``max_delay_s`` bounds how long a micro-batch waits after its first
     request; together they trade latency for batch-engine occupancy
     exactly like the hardware bus packs words per beat. ``queue_depth``
-    bounds admission; ``request_timeout_s`` is the per-request deadline
-    measured from admission.
+    bounds admission (a full queue makes callers wait);
+    ``request_timeout_s`` is the per-request deadline measured from
+    admission, and the only one on the serving path --
+    :class:`~repro.net.server.CamServer` adds none of its own.
     """
 
     def __init__(
@@ -164,10 +165,7 @@ class CamService:
         max_delay_s: float = 0.002,
         queue_depth: int = 1024,
         request_timeout_s: float = 1.0,
-        overflow: str = "block",
         auto_repair: bool = False,
-        repair_backoff_s: float = 0.05,
-        repair_backoff_max_s: float = 2.0,
     ) -> None:
         if max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
@@ -179,25 +177,12 @@ class CamService:
             raise ConfigError(
                 f"request_timeout_s must be > 0, got {request_timeout_s}"
             )
-        if overflow not in ("block", "reject"):
-            raise ConfigError(
-                f"overflow must be 'block' or 'reject', got {overflow!r}"
-            )
-        if repair_backoff_s <= 0 or repair_backoff_max_s < repair_backoff_s:
-            raise ConfigError(
-                "repair backoff must satisfy 0 < repair_backoff_s <= "
-                f"repair_backoff_max_s, got {repair_backoff_s} / "
-                f"{repair_backoff_max_s}"
-            )
         self.cam = cam
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
         self.queue_depth = queue_depth
         self.request_timeout_s = request_timeout_s
-        self.overflow = overflow
         self.auto_repair = auto_repair
-        self.repair_backoff_s = repair_backoff_s
-        self.repair_backoff_max_s = repair_backoff_max_s
         self.stats = ServiceStats()
         self._queue: Optional[asyncio.Queue] = None
         self._tasks: List[asyncio.Task] = []
@@ -361,7 +346,7 @@ class CamService:
             now = loop.time()
             for shard in self.cam.degraded_shards:
                 next_at, delay = self._repair_schedule.get(
-                    shard, (0.0, self.repair_backoff_s)
+                    shard, (0.0, _REPAIR_BACKOFF_S)
                 )
                 if now < next_at:
                     continue
@@ -371,7 +356,7 @@ class CamService:
                     # Wait the current delay, double it for next time.
                     self._repair_schedule[shard] = (
                         loop.time() + delay,
-                        min(delay * 2, self.repair_backoff_max_s),
+                        min(delay * 2, _REPAIR_BACKOFF_MAX_S),
                     )
 
     # ------------------------------------------------------------------
@@ -410,18 +395,7 @@ class CamService:
         loop = asyncio.get_running_loop()
         request.admitted_t = loop.time()
         request.deadline = request.admitted_t + self.request_timeout_s
-        if self.overflow == "reject":
-            try:
-                self._queue.put_nowait(request)
-            except asyncio.QueueFull:
-                self.stats.rejected += 1
-                obs.inc("svc_rejections_total",
-                        help="requests refused by the full admission queue")
-                raise ServiceOverloadError(
-                    f"admission queue full ({self.queue_depth} requests)"
-                ) from None
-        else:
-            await self._queue.put(request)
+        await self._queue.put(request)
         self._track_admit()
         self.stats.admitted += 1
         depth = self._queue.qsize()

@@ -63,6 +63,7 @@ from repro.errors import (
     SnapshotError,
 )
 from repro.fabric.resources import total as total_resources
+from repro.service.replica import ReplicaSet
 from repro.service.sharding import ShardPolicy, policy_for
 
 
@@ -104,6 +105,11 @@ class ShardedCam:
     range) require a binary CAM -- the routing function must agree for
     stored words and search keys -- while the broadcast round-robin
     policy accepts any CAM type.
+
+    ``session_factory(shard, replica, config)`` builds each backend
+    (default: :func:`~repro.core.open_session` with ``engine``). It is
+    called once per replica; with ``replicas > 1`` the shard serves
+    its replicas through a :class:`~repro.service.replica.ReplicaSet`.
     """
 
     def __init__(
@@ -116,7 +122,6 @@ class ShardedCam:
         name: str = "sharded_cam",
         replicas: int = 1,
         session_factory=None,
-        replica_factory=None,
         **session_kwargs,
     ) -> None:
         if shards < 1:
@@ -135,42 +140,25 @@ class ShardedCam:
             )
         self.engine = engine
         self.num_replicas = replicas
-        if replicas > 1:
-            if session_factory is not None:
-                raise ConfigError(
-                    f"{name}: session_factory and replicas are exclusive; "
-                    "wrap individual replicas with replica_factory instead"
-                )
-            from repro.service.replica import ReplicaSet
-
-            if replica_factory is None:
-                from repro.core.batch import open_session
-
-                def replica_factory(shard: int, replica: int,
-                                    cfg: UnitConfig) -> CamBackend:
-                    return open_session(
-                        cfg, engine=engine,
-                        name=f"{name}.shard{shard}.r{replica}",
-                        **session_kwargs,
-                    )
-
-            def session_factory(index: int, cfg: UnitConfig):
-                return ReplicaSet(
-                    [replica_factory(index, r, cfg)
-                     for r in range(replicas)],
-                    name=f"{name}.shard{index}",
-                )
-
-        elif session_factory is None:
+        if session_factory is None:
             from repro.core.batch import open_session
 
-            def session_factory(index: int, cfg: UnitConfig) -> CamBackend:
+            def session_factory(shard: int, replica: int,
+                                cfg: UnitConfig) -> CamBackend:
+                suffix = f".r{replica}" if replicas > 1 else ""
                 return open_session(cfg, engine=engine,
-                                    name=f"{name}.shard{index}",
+                                    name=f"{name}.shard{shard}{suffix}",
                                     **session_kwargs)
 
+        def backend(shard: int) -> CamBackend:
+            members = [session_factory(shard, replica, config)
+                       for replica in range(replicas)]
+            if replicas == 1:
+                return members[0]
+            return ReplicaSet(members, name=f"{name}.shard{shard}")
+
         self.sessions: Tuple[CamBackend, ...] = tuple(
-            session_factory(index, config) for index in range(shards)
+            backend(shard) for shard in range(shards)
         )
         self._flush_addressing()
         self._poisoned: Dict[int, str] = {}

@@ -228,11 +228,11 @@ def demo_cam(
     )
     if fault_mode is None:
         fault_mode = "wedge" if replicas == 1 else "crash"
-    factory = replica_factory = None
+    factory = None
     if poison_shard is not None:
         from repro.core.batch import open_session
 
-        def replica_factory(shard: int, replica: int, cfg: UnitConfig):
+        def factory(shard: int, replica: int, cfg: UnitConfig):
             name = f"svc.shard{shard}" + (f".r{replica}" if replicas > 1
                                           else "")
             session = open_session(cfg, engine=engine, name=name,
@@ -242,14 +242,9 @@ def demo_cam(
                                      mode=fault_mode, fail_ops=fail_ops)
             return session
 
-        if replicas == 1:
-            def factory(index: int, cfg: UnitConfig):
-                return replica_factory(index, 0, cfg)
-
     return ShardedCam(config, shards=shards, policy=policy, engine=engine,
                       name="svc", replicas=replicas,
-                      session_factory=factory,
-                      replica_factory=replica_factory, **session_kwargs)
+                      session_factory=factory, **session_kwargs)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,7 @@ def run_spec(spec, *, pipelined=True, pool_size=1):
         try:
             host, port = server.address
             async with CamClient(host, port, pool_size=pool_size,
-                                 pipelined=pipelined,
-                                 backoff_s=0.005) as client:
+                                 pipelined=pipelined) as client:
                 return await drive(client, spec)
         finally:
             await server.stop()

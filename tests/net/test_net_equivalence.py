@@ -93,8 +93,7 @@ async def run_network_tape(workload, *, kill_at=None):
     await server.start()
     try:
         host, port = server.address
-        async with CamClient(host, port, max_retries=6,
-                             backoff_s=0.005) as client:
+        async with CamClient(host, port, max_retries=6) as client:
             out = []
             for index, (op, arg) in enumerate(workload):
                 if kill_at is not None and index == kill_at:
@@ -197,8 +196,7 @@ def test_kill_during_every_insert_never_duplicates():
         await server.start()
         try:
             host, port = server.address
-            async with CamClient(host, port, max_retries=6,
-                                 backoff_s=0.005) as client:
+            async with CamClient(host, port, max_retries=6) as client:
                 expected = 0
                 for wave in range(8):
                     words = [wave * 4 + i for i in range(1, 4)]

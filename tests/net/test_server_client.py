@@ -59,8 +59,7 @@ def serving(cam=None, *, service_kwargs=None, **server_kwargs):
 @pytest.mark.parametrize("kwargs", [
     {"max_connections": 0},
     {"idle_timeout_s": 0},
-    {"request_timeout_s": -1},
-    {"dedupe_capacity": 0},
+    {"max_frame_size": 0},
 ])
 def test_server_rejects_bad_parameters(kwargs):
     with pytest.raises(ConfigError):
@@ -71,8 +70,6 @@ def test_server_rejects_bad_parameters(kwargs):
     {"pool_size": 0},
     {"request_timeout_s": 0},
     {"max_retries": -1},
-    {"backoff_s": 0},
-    {"backoff_s": 0.5, "backoff_max_s": 0.1},
 ])
 def test_client_rejects_bad_parameters(kwargs):
     with pytest.raises(ConfigError):
@@ -359,16 +356,36 @@ def test_naive_client_serializes_requests():
     run(scenario())
 
 
-def test_server_request_timeout_sends_timeout_error_frame():
+def test_expired_insert_is_not_applied_and_its_resend_is_deduped():
+    """The service's admission deadline is the only request deadline:
+    an INSERT parked in a batch window longer than that deadline is
+    answered UPDATED with status ``timeout`` and never applied, and the
+    same frame resent is answered from the idempotency table."""
+
     async def scenario():
-        # A huge micro-batch window parks lookups far past the server's
-        # per-request deadline, forcing the TIMEOUT error path.
-        async with serving(service_kwargs={"max_delay_s": 5.0,
-                                           "max_batch": 1024},
-                           request_timeout_s=0.05) as server:
+        async with serving(service_kwargs={"max_delay_s": 0.2,
+                                           "request_timeout_s": 0.05}
+                           ) as server:
             host, port = server.address
-            async with CamClient(host, port, max_retries=0) as client:
-                with pytest.raises(NetError, match="deadline"):
-                    await client.lookup(1)
-            assert server.stats.errors_sent >= 1
+            reader, writer = await asyncio.open_connection(host, port)
+            payload = protocol.encode_mutation(
+                b"d" * protocol.TOKEN_SIZE, [5, 6, 7]
+            )
+            decoder = protocol.FrameDecoder()
+            frames = []
+            for request_id in (1, 2):
+                writer.write(protocol.encode_frame(
+                    Opcode.INSERT, request_id, payload
+                ))
+                await writer.drain()
+                while len(frames) < request_id:
+                    frames.extend(decoder.feed(await reader.read(4096)))
+            writer.close()
+            assert [f.opcode for f in frames] == [Opcode.UPDATED] * 2
+            status, stats = protocol.decode_update_ack(frames[0].payload)
+            assert status == "timeout" and stats.words == 0
+            assert frames[1].payload == frames[0].payload
+            assert server.stats.dedupe_hits == 1
+            assert server.service.stats.timeouts == 1
+            assert server.service.cam.occupancy == 0  # applied never
     run(scenario())

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import Encoding, unit_for_entries
 from repro.core.batch import open_session
-from repro.errors import ConfigError, ServiceError, ServiceOverloadError
+from repro.errors import ConfigError, ServiceError
 from repro.net import CamClient, CamServer
 from repro.service import (
     DEMO_MIX,
@@ -44,7 +44,6 @@ def run(coro):
     {"max_delay_s": -1},
     {"queue_depth": 0},
     {"request_timeout_s": 0},
-    {"overflow": "panic"},
 ])
 def test_rejects_bad_parameters(kwargs):
     with pytest.raises(ConfigError):
@@ -141,7 +140,7 @@ def test_max_batch_caps_every_shard_call():
     config = unit_for_entries(32, block_size=16, data_width=WIDTH,
                               bus_width=128)
 
-    def factory(index, cfg):
+    def factory(index, replica, cfg):
         session = open_session(cfg, engine="batch",
                                name=f"counted.shard{index}")
         return CountingBackend(session, calls)
@@ -202,38 +201,15 @@ def test_broadcast_policy_merges_cross_shard_tie():
 # ----------------------------------------------------------------------
 # backpressure
 # ----------------------------------------------------------------------
-def test_reject_mode_raises_overload():
-    async def scenario():
-        service = CamService(make_cam(shards=1), queue_depth=2,
-                             overflow="reject", max_delay_s=0.0)
-        async with service:
-            # 40 clients admit in one scheduling burst before the router
-            # task gets a turn: only queue_depth fit, the rest must fail
-            # fast with ServiceOverloadError.
-            results = await asyncio.gather(
-                *[service.lookup(key) for key in range(40)],
-                return_exceptions=True,
-            )
-        overloaded = [r for r in results
-                      if isinstance(r, ServiceOverloadError)]
-        served = [r for r in results if not isinstance(r, Exception)]
-        assert overloaded, "queue never overflowed"
-        assert service.stats.rejected == len(overloaded)
-        assert served and all(r.ok for r in served)
-
-    run(scenario())
-
-
 def test_block_mode_applies_backpressure_not_errors():
     async def scenario():
         service = CamService(make_cam(shards=1), queue_depth=2,
-                             overflow="block", max_delay_s=0.0)
+                             max_delay_s=0.0)
         async with service:
             responses = await asyncio.gather(
                 *[service.lookup(k) for k in range(40)]
             )
             assert all(r.ok for r in responses)
-            assert service.stats.rejected == 0
             assert service.stats.max_queue_depth <= 2
 
     run(scenario())
@@ -264,7 +240,7 @@ def test_request_timeout_resolves_as_miss():
         config = unit_for_entries(32, block_size=16, data_width=WIDTH,
                                   bus_width=128)
 
-        def factory(index, cfg):
+        def factory(index, replica, cfg):
             session = open_session(cfg, engine="batch",
                                    name=f"slow.shard{index}")
             return SlowBackend(session, stall_s=0.08)
@@ -308,7 +284,7 @@ def test_insert_runs_on_all_of_its_shards_or_none():
     config = unit_for_entries(32, block_size=16, data_width=WIDTH,
                               bus_width=128)
 
-    def factory(index, cfg):
+    def factory(index, replica, cfg):
         session = open_session(cfg, engine="batch", name=f"shard{index}")
         return SlowUpdateBackend(session, 0.08) if index == 0 else session
 
@@ -337,7 +313,7 @@ def faulty_cam(bad_shard=0, fail_after=0, shards=2, policy="hash"):
     config = unit_for_entries(32, block_size=16, data_width=WIDTH,
                               bus_width=128)
 
-    def factory(index, cfg):
+    def factory(index, replica, cfg):
         session = open_session(cfg, engine="batch", name=f"f.shard{index}")
         if index == bad_shard:
             return FaultyBackend(session, fail_after)
@@ -391,7 +367,7 @@ def test_degraded_miss_carries_the_configured_encoding():
     config = unit_for_entries(32, block_size=16, data_width=WIDTH,
                               bus_width=128, encoding=Encoding.COUNT)
 
-    def factory(index, cfg):
+    def factory(index, replica, cfg):
         session = open_session(cfg, engine="batch", name=f"c.shard{index}")
         return FaultyBackend(session, fail_after=2)
 

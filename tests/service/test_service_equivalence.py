@@ -102,7 +102,7 @@ def test_async_service_matches_reference(policy, workload):
         reference = ReferenceCam(cam.capacity)
         budget = insert_budget(cam)
         async with CamService(cam, max_batch=8, max_delay_s=0.001,
-                              queue_depth=2, overflow="block",
+                              queue_depth=2,
                               request_timeout_s=30.0) as service:
             for op, payload in workload:
                 if op == "insert":

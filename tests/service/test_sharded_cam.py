@@ -129,7 +129,7 @@ def test_reset_is_result_identical_to_fresh(shard_config):
     """Regression: reset() must clear poisoned-shard state and the
     address-translation tables -- a reset CAM behaves exactly like a
     freshly constructed one, including after a shard fault."""
-    def poisoning_factory(index, cfg):
+    def poisoning_factory(index, replica, cfg):
         session = BatchSession(cfg, name=f"sharded_cam.shard{index}")
         if index == 1:
             return FaultyBackend(session, fail_after=4)
@@ -199,7 +199,7 @@ def poisoned_cam(shard_config, bad_shard=1, fail_after=0, shards=4,
                  policy="hash"):
     from repro.core.batch import open_session
 
-    def factory(index, cfg):
+    def factory(index, replica, cfg):
         session = open_session(cfg, engine="batch", name=f"t.shard{index}")
         if index == bad_shard:
             return FaultyBackend(session, fail_after)
