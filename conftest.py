@@ -24,7 +24,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--audit-sample",
         type=float,
-        default=0.25,
+        default=1.0,
         help="fraction of reset-bounded episodes the audit engine replays "
              "through the cycle-accurate shadow (only with --cam-engine=audit)",
     )

@@ -22,21 +22,22 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.config import BlockConfig
-from repro.core.cell import CamCell
+from repro.core.cell import CellArray
 from repro.core.encoder import ResultEncoder
 from repro.core.mask import CamEntry
 from repro.core.types import SearchResult
 from repro.errors import CapacityError, ConfigError
 from repro.fabric.area import block_resources
 from repro.fabric.resources import ResourceVector
-from repro.sim.component import Component
 
 #: Depth of the cell search path: C register + P register.
 _CELL_PIPE_DEPTH = 2
 
 
-class CamBlock(Component):
+class CamBlock(CellArray):
     """One CAM block: cells plus DeMUX, update/search logic, encoder.
 
     Input ports (drive during a compute phase, or before a testbench
@@ -68,21 +69,18 @@ class CamBlock(Component):
         buffered: Optional[bool] = None,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(name or f"block{block_id}")
+        name = name or f"block{block_id}"
+        super().__init__(
+            config.block_size,
+            config.cell.data_width,
+            name,
+            slice_names=[f"{name}.cell{i}.dsp"
+                         for i in range(config.block_size)],
+        )
         self.config = config
         self.block_id = block_id
         self.buffered = config.buffered if buffered is None else buffered
         self.encoder = ResultEncoder(config.encoding, config.block_size)
-        self.cells: List[CamCell] = [
-            self.add_child(
-                CamCell(
-                    cam_type=config.cell.cam_type,
-                    data_width=config.cell.data_width,
-                    name=f"{self.name}.cell{i}",
-                )
-            )
-            for i in range(config.block_size)
-        ]
         self.reset_state()
 
     # ------------------------------------------------------------------
@@ -123,6 +121,7 @@ class CamBlock(Component):
 
     # ------------------------------------------------------------------
     def reset_state(self) -> None:
+        super().reset_state()
         self.in_update_valid = False
         self.in_update: Sequence[CamEntry] = ()
         self.in_search_valid = False
@@ -149,18 +148,20 @@ class CamBlock(Component):
             "update_done": False,
         }
         search_token: Optional[Tuple[int, bool]] = None
+        entries: Tuple[CamEntry, ...] = ()
+        clear: Optional[np.ndarray] = None
 
         if self.in_reset:
             if self.in_update_valid:
                 raise ConfigError(
                     f"{self.name}: reset and update collide in one cycle"
                 )
-            for cell in self.cells:
-                cell.clear = True
+            clear = np.ones(self.size, dtype=bool)
             updates["_fill"] = 0
             updates["_deleted"] = 0
         elif self.in_update_valid:
-            updates["_fill"] = self._apply_update(self.in_update)
+            entries = self._check_update(self.in_update)
+            updates["_fill"] = self._fill + len(entries)
             updates["update_done"] = True
 
         if self.in_search_valid:
@@ -173,19 +174,18 @@ class CamBlock(Component):
 
         if token_out is not None:
             key, delete = token_out
-            match_bits = [cell.match_now() for cell in self.cells]
+            match_bits = self.match_bits()
             encoded = self.encoder.encode(key, match_bits)
             if delete and encoded.hit:
                 # Delete-by-content: invalidate every matching cell as
                 # the comparison completes. Freed cells are reclaimed at
                 # reset, not reused (the fill pointer stays monotone).
-                for index, matched in enumerate(match_bits):
-                    if matched:
-                        self.cells[index].clear = True
+                clear = match_bits if clear is None else clear | match_bits
                 if "_deleted" not in updates:
                     updates["_deleted"] = self._deleted + encoded.match_count
         else:
             encoded = None
+        updates.update(self._drive_cells(self._fill, entries, clear))
 
         if self.buffered:
             buffered_valid, buffered_result = self._buffer
@@ -196,13 +196,16 @@ class CamBlock(Component):
             updates["result_valid"] = encoded is not None
             updates["result"] = encoded
 
-        self.schedule(**updates)
+        if self._pending:
+            self.schedule(**updates)
+        else:
+            self._pending = updates
         if encoded is not None:
             self.emit(match=encoded.hit, key=token_out)
 
     # ------------------------------------------------------------------
-    def _apply_update(self, entries: Sequence[CamEntry]) -> int:
-        """Demux an update beat onto consecutive cells; return new fill."""
+    def _check_update(self, entries: Sequence[CamEntry]) -> Tuple[CamEntry, ...]:
+        """Validate an update beat for the cells from the fill pointer."""
         entries = tuple(entries)
         if not entries:
             raise ConfigError(f"{self.name}: empty update beat")
@@ -216,21 +219,13 @@ class CamBlock(Component):
                 f"{self.name}: update of {len(entries)} words overflows "
                 f"({self._fill}/{self.size} occupied)"
             )
-        for offset, entry in enumerate(entries):
+        for entry in entries:
             if not isinstance(entry, CamEntry):
                 raise ConfigError(
                     f"{self.name}: update words must be CamEntry, got "
                     f"{type(entry).__name__}"
                 )
-            cell = self.cells[self._fill + offset]
-            cell.write_enable = True
-            cell.write_entry = entry
-        return self._fill + len(entries)
-
-    def _broadcast(self, key: int) -> None:
-        """Search logic: broadcast one key to every cell."""
-        for cell in self.cells:
-            cell.search_key = key
+        return entries
 
     # ------------------------------------------------------------------
     # testbench conveniences (drive ports, not state)
@@ -256,14 +251,28 @@ class CamBlock(Component):
         self.in_reset = True
 
     # ------------------------------------------------------------------
+    def slots(self) -> List[Optional[CamEntry]]:
+        """Golden-model view of the consumed cells, in address order:
+        each stored entry, or ``None`` for a delete-by-content hole."""
+        return self._entries(self._fill)
+
     def stored_entries(self) -> List[CamEntry]:
         """Golden-model view of the block contents, in fill order."""
-        entries = []
-        for cell in self.cells[: self._fill]:
-            entry = cell.stored_entry
-            if entry is not None:
-                entries.append(entry)
-        return entries
+        return [entry for entry in self.slots() if entry is not None]
+
+    def invalidate(self, cell: int) -> None:
+        """Invalidate one stored cell outside the clock.
+
+        A state poke for replaying snapshots: the cell becomes a hole
+        exactly as if delete-by-content had removed it, so the fill
+        pointer and hole positions match the snapshotted block.
+        """
+        if not 0 <= cell < self._fill or not self.occupied_bits[cell]:
+            raise ConfigError(f"{self.name}: cell {cell} holds no entry")
+        occupied = self.occupied_bits.copy()
+        occupied[cell] = False
+        self.occupied_bits = occupied
+        self._deleted += 1
 
     def resources(self) -> ResourceVector:
         """Estimated resource cost (cells + calibrated control logic)."""

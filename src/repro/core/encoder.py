@@ -9,19 +9,18 @@ workloads can use COUNT.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.types import Encoding, SearchResult
 from repro.errors import ConfigError
 
 
-def pack_match_bits(bits: List[bool]) -> int:
-    """Fold a list of per-cell match booleans into a bit vector."""
-    vector = 0
-    for index, bit in enumerate(bits):
-        if bit:
-            vector |= 1 << index
-    return vector
+def pack_match_bits(bits: Sequence[bool]) -> int:
+    """Fold per-cell match booleans (cell 0 first) into a bit vector."""
+    packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 class ResultEncoder:
@@ -43,7 +42,7 @@ class ResultEncoder:
         self.encoding = encoding
         self.size = size
 
-    def encode(self, key: int, match_bits: List[bool]) -> SearchResult:
+    def encode(self, key: int, match_bits: Sequence[bool]) -> SearchResult:
         """Build the :class:`SearchResult` for one search."""
         if len(match_bits) != self.size:
             raise ConfigError(

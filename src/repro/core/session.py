@@ -440,9 +440,7 @@ class CamSession(_SessionBase):
         """
         slots = []
         for block_id in self.unit.table.blocks_in_group(group):
-            block = self.unit.blocks[block_id]
-            for cell in block.cells[: block.occupancy]:
-                slots.append(cell.stored_entry)
+            slots.extend(self.unit.blocks[block_id].slots())
         return slots
 
     def _restore(self, snapshot) -> None:
@@ -450,7 +448,7 @@ class CamSession(_SessionBase):
 
         A regroup flush, then one bulk update per group with zero-valued
         placeholders standing in for dead slots. The placeholders are
-        then invalidated directly at the cell registers (a
+        then invalidated directly at the cells (a
         delete-by-content replay could not target a single slot: for
         ternary content the dead entry's value may still match *live*
         final entries). The replay leaves the fill pointers, hole
@@ -475,5 +473,4 @@ class CamSession(_SessionBase):
                 block_ids = self.unit.table.blocks_in_group(g)
                 for address in dead:
                     block = self.unit.blocks[block_ids[address // block_size]]
-                    block.cells[address % block_size].occupied = False
-                    block._deleted += 1
+                    block.invalidate(address % block_size)

@@ -423,7 +423,7 @@ class CamUnit(Component):
         return results
 
     def _merge_group_results(self, group: int, key: int) -> SearchResult:
-        merged: Optional[SearchResult] = None
+        vector = 0
         for slot, block_id in enumerate(self.table.blocks_in_group(group)):
             block = self.blocks[block_id]
             if not block.result_valid or block.result is None:
@@ -437,18 +437,10 @@ class CamUnit(Component):
                     f"{self.name}: block {block_id} answered key "
                     f"{local.key}, expected {key}"
                 )
-            rebased = local.offset(slot * self.block_size)
-            if merged is None:
-                merged = rebased
-            else:
-                merged = self._combine(merged, rebased)
-        assert merged is not None
-        return merged
-
-    @staticmethod
-    def _combine(first: SearchResult, second: SearchResult) -> SearchResult:
-        vector = first.match_vector | second.match_vector
-        return SearchResult.from_vector(first.key, vector, first.encoding)
+            # Rebase the block's cell addresses to group addresses.
+            vector |= local.match_vector << (slot * self.block_size)
+        return SearchResult.from_vector(key, vector,
+                                        self.config.block.encoding)
 
     # ------------------------------------------------------------------
     # golden-model views

@@ -1,13 +1,20 @@
-"""Functional model of the Xilinx DSP48E2 slice (UG579).
+"""Functional models of the Xilinx DSP48E2 slice (UG579).
 
 The CAM architecture of the paper repurposes DSP slices as
-storage-plus-compare cells; this package provides the slice model that
-:mod:`repro.core` builds on, plus the OPMODE/ALUMODE encodings and
-bit-vector primitives.
+storage-plus-compare cells. This package provides two models of the
+slice plus the OPMODE/ALUMODE encodings and bit-vector primitives:
+
+- :class:`DSP48E2` -- one slice, the full UG579 dataflow (multiplier,
+  pre-adder, SIMD ALU, cascade, pattern detector).
+- :class:`DspColumn` -- N slices that share attributes and one mode,
+  stepped as array operations; what :mod:`repro.core` builds its cells
+  and blocks on. It models the slice as the CAM configures it and is
+  fuzzed against N scalar slices.
 """
 
 from repro.dsp.attributes import Dsp48Attributes, cam_cell_attributes
-from repro.dsp.dsp48e2 import DSP48E2, MULT_A_WIDTH
+from repro.dsp.column import DspColumn
+from repro.dsp.dsp48e2 import DSP48E2, MULT_A_WIDTH, SliceRegisters
 from repro.dsp.opmode import (
     ALL_ONES,
     CAM_ALUMODE,
@@ -46,7 +53,9 @@ __all__ = [
     "DSP48E2",
     "DSP_WIDTH",
     "Dsp48Attributes",
+    "DspColumn",
     "MULT_A_WIDTH",
+    "SliceRegisters",
     "WMux",
     "XMux",
     "YMux",

@@ -61,6 +61,21 @@ class _Decoded(NamedTuple):
     ab_xor_c: bool
 
 
+class SliceRegisters(NamedTuple):
+    """Register contents of one slice, as plain Python values.
+
+    Each pipe lists a register chain from the port side (index 0) to
+    the register feeding the ALU (index -1).
+    """
+
+    a_pipe: List[int]
+    b_pipe: List[int]
+    c_pipe: List[int]
+    p: int
+    patterndetect: bool
+    patternbdetect: bool
+
+
 #: Decodes shared by every slice. Only valid pairs are cached, so an
 #: invalid mode raises in every cycle it is presented.
 _DECODE_CACHE: Dict[Tuple[int, int], _Decoded] = {}
@@ -311,7 +326,7 @@ class DSP48E2(Component):
         return -(z + operand) - 1  # AluMode.NOT_SUB
 
     # ------------------------------------------------------------------
-    # inspection helpers used by the CAM cell and by tests
+    # inspection helpers used by tests
     # ------------------------------------------------------------------
     @property
     def stored_ab(self) -> int:
@@ -320,7 +335,13 @@ class DSP48E2(Component):
         b_reg = self._b_pipe[-1] if self._b_pipe else self.b & _B_MASK
         return (a_reg << B_WIDTH) | b_reg
 
-    @property
-    def held_c(self) -> int:
-        """Current C register contents (the last latched search key)."""
-        return self._c_pipe[-1] if self._c_pipe else self.c & ALL_ONES
+    def registers(self) -> SliceRegisters:
+        """The slice's register chains and registered outputs."""
+        return SliceRegisters(
+            a_pipe=list(self._a_pipe),
+            b_pipe=list(self._b_pipe),
+            c_pipe=list(self._c_pipe),
+            p=self.p,
+            patterndetect=self.patterndetect,
+            patternbdetect=self.patternbdetect,
+        )

@@ -9,9 +9,8 @@ shadow and asserts bit-exact result and cycle agreement. Any analytic
 claim a benchmark leans on (latency formulas, beat counts, buffer
 penalties) is re-derived here on audited hardware.
 
-Run with ``--audit-sample=1.0`` to shadow every episode; the default
-sample keeps the suite fast while still auditing a deterministic
-(seeded) subset.
+The default ``--audit-sample`` of 1.0 shadows every episode; a smaller
+fraction audits a deterministic (seeded) subset.
 """
 
 from dataclasses import replace

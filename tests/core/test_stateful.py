@@ -221,8 +221,8 @@ class TriEngineMachine(RuleBasedStateMachine):
 _DEEP = os.environ.get("HYPOTHESIS_PROFILE", "") == "deep"
 
 TriEngineMachine.TestCase.settings = settings(
-    max_examples=40 if _DEEP else 20,
-    stateful_step_count=30 if _DEEP else 15,
+    max_examples=80 if _DEEP else 40,
+    stateful_step_count=40 if _DEEP else 30,
     deadline=None,
 )
 TestTriEngineMachine = TriEngineMachine.TestCase

@@ -63,17 +63,17 @@ def words(cam_type: CamType, values):
 def register_state(session: CamSession) -> dict:
     cells = []
     for block in session.unit.blocks:
-        for cell in block.cells:
-            dsp = cell.dsp
+        for index in range(block.size):
+            registers = block.column.registers(index)
             cells.append({
-                "cell": cell.name,
-                "a_pipe": list(dsp._a_pipe),
-                "b_pipe": list(dsp._b_pipe),
-                "c_pipe": list(dsp._c_pipe),
-                "p": dsp.p,
-                "patterndetect": dsp.patterndetect,
-                "occupied": cell.occupied,
-                "entry_mask": cell._entry_mask,
+                "cell": f"{block.name}.cell{index}",
+                "a_pipe": registers.a_pipe,
+                "b_pipe": registers.b_pipe,
+                "c_pipe": registers.c_pipe,
+                "p": registers.p,
+                "patterndetect": registers.patterndetect,
+                "occupied": bool(block.occupied_bits[index]),
+                "entry_mask": int(block.entry_masks[index]),
             })
     return {"cycle": session.sim.cycle, "trace_events": len(session.trace),
             "cells": cells}
