@@ -7,15 +7,19 @@ shard policy while preserving single-CAM semantics -- the priority
 encoder's lowest-address-wins contract holds *across* shard
 boundaries. :class:`repro.service.CamService` then fronts the shards
 with an asyncio scheduler: bounded admission, per-shard
-micro-batching, per-request deadlines, poisoned-shard isolation.
+micro-batching, per-request deadlines, failed-shard isolation. Every
+shard is a replica set of one or more sessions; a shard fails only
+when no replica of it is healthy.
 
 This example shows:
 
 1. cross-shard priority ties resolving exactly like one big CAM;
 2. concurrent lookups coalescing into micro-batches;
-3. a shard blowing up mid-run while the healthy shards keep serving;
-4. replicated shards: a dead replica served around, then rebuilt live
-   from its peer's snapshot and reinstated.
+3. a single-replica shard blowing up mid-run (its set has no healthy
+   replica left, so the shard fails) while the healthy shards keep
+   serving;
+4. two replicas per shard: a dead replica served around, then rebuilt
+   live from its peer's snapshot by ``CamService.repair_shard``.
 
 Run:  python examples/sharded_service.py
 """
@@ -86,8 +90,8 @@ async def isolation_demo() -> None:
             outcomes[response.status] += 1
         print(f"   {outcomes['ok']} served, "
               f"{outcomes['shard_failed']} degraded to miss-with-error")
-        print(f"   poisoned shards: {list(cam.poisoned_shards)} "
-              f"(healthy shards never noticed)")
+        print(f"   failed shards: {list(cam.poisoned_shards)} "
+              f"(no healthy replica left; the others never noticed)")
     assert cam.poisoned_shards == (1,)
     assert outcomes["ok"] > 0
 
@@ -112,7 +116,8 @@ async def recovery_demo() -> None:
         hits = sum([(await service.lookup(k)).result.hit
                     for k in range(24)])
         print(f"   {hits}/24 keys still served (peer replica failed over)")
-        print(f"   degraded shards: {list(cam.degraded_shards)}")
+        print(f"   degraded shards: {list(cam.degraded_shards)} "
+              f"(one replica fenced, none failed)")
         assert hits == 24 and cam.poisoned_shards == ()
 
         faulty[0].heal()                        # ops swap the node

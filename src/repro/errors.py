@@ -71,12 +71,15 @@ class ServiceError(ReproError):
 
 
 class ShardFailedError(ServiceError):
-    """A shard backend raised unexpectedly and has been poisoned.
+    """A shard has failed: its replica set has no healthy replica left.
 
-    The service isolates the failure: the poisoned shard keeps
-    answering miss-with-error while the remaining shards serve
-    normally. ``shard`` identifies the poisoned backend and
-    ``__cause__`` carries the original exception when available.
+    The service isolates the failure: the failed shard keeps answering
+    miss-with-error while the remaining shards serve normally.
+    ``shard`` identifies the failed shard. When the call itself
+    exhausted the set, the message and ``__cause__`` name the backend
+    fault that did it; a call that finds the shard already failed
+    carries the set's :class:`ReplicaExhaustedError` instead, whose
+    message lists every replica's fault.
     """
 
     def __init__(self, shard: int, message: str) -> None:
@@ -89,8 +92,13 @@ class RequestTimeoutError(ServiceError):
 
 
 class ServiceOverloadError(ServiceError):
-    """The bounded admission queue is full and the service is in
-    reject-on-overflow mode (backpressure surfaced to the caller)."""
+    """The server answered with an ``OVERLOADED`` error frame.
+
+    Client-side only: :class:`repro.net.client.CamClient` raises it for
+    that frame (a server at its connection limit sends one). The
+    service itself never rejects on load -- a full admission queue
+    makes callers wait.
+    """
 
 
 class ServiceDrainingError(ServiceError):
@@ -106,9 +114,11 @@ class ReplicaExhaustedError(ServiceError):
     """Every replica of a replica set has failed.
 
     Raised by :class:`repro.service.replica.ReplicaSet` when an
-    operation finds no healthy replica to serve it. Reaching the
-    sharded layer this poisons the owning shard, exactly like a
-    single-session backend fault.
+    operation finds no healthy replica to serve it, chained to the
+    fault that exhausted the set when the operation caused it. The
+    sharded layer turns it into a :class:`ShardFailedError` for the
+    owning shard -- a shard has failed exactly when its set is
+    exhausted.
     """
 
 

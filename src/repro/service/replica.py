@@ -11,7 +11,7 @@ against :class:`~repro.core.types.CamBackend`) unchanged:
   *preferred* replica; if it faults, the set marks it failed, fails
   over to the next healthy peer and retries -- the caller never sees
   the fault while at least one peer is healthy;
-- **divergence beats**: every ``beat_every`` write operations the set
+- **divergence beats**: every :data:`BEAT_EVERY` write operations the set
   compares the replicas' snapshot content hashes
   (:meth:`~repro.service.snapshot.CamSnapshot.content_hash`); a
   replica disagreeing with the majority (ties break toward the
@@ -23,12 +23,17 @@ against :class:`~repro.core.types.CamBackend`) unchanged:
   the rebuild was in flight (:meth:`begin_rebuild` /
   :meth:`finish_rebuild`), then reinstated. The async service layer
   drives this through :meth:`CamService.repair_shard
-  <repro.service.scheduler.CamService.repair_shard>`.
+  <repro.service.scheduler.CamService.repair_shard>`; a reset or a
+  restore heals every replica it succeeds on.
 
-Only :class:`~repro.errors.ReplicaExhaustedError` escapes to the
-sharded layer (when *no* replica can serve); client errors
-(capacity/config/routing/mask) propagate unchanged -- they leave every
-replica in the same deterministic state, so they are not faults.
+Every shard of a :class:`~repro.service.sharded.ShardedCam` is a
+replica set, ``R = 1`` included; the shard has failed exactly when its
+set has no healthy replica. Only
+:class:`~repro.errors.ReplicaExhaustedError` escapes to the sharded
+layer (when *no* replica can serve), chained to the fault that
+exhausted the set. Client errors (capacity/config/routing/mask) and
+:class:`~repro.errors.SnapshotError` propagate unchanged -- they leave
+every replica in the same deterministic state, so they are not faults.
 """
 
 from __future__ import annotations
@@ -42,8 +47,14 @@ from repro.errors import (
     ConfigError,
     ReplicaExhaustedError,
     ServiceError,
+    SnapshotError,
 )
 from repro.fabric.resources import total as total_resources
+
+#: Write operations between two divergence beats (0 disables beats).
+BEAT_EVERY = 256
+#: Writes a rebuild's catch-up log holds before the rebuild aborts.
+CATCHUP_LIMIT = 1024
 
 
 @dataclass
@@ -70,20 +81,10 @@ class ReplicaSet:
         replicas: Sequence,
         *,
         name: str = "replica_set",
-        beat_every: int = 256,
-        catchup_limit: int = 1024,
     ) -> None:
         replicas = list(replicas)
         if not replicas:
             raise ConfigError("a replica set needs at least one replica")
-        if beat_every < 0:
-            raise ConfigError(
-                f"beat_every must be >= 0 (0 disables beats), got {beat_every}"
-            )
-        if catchup_limit < 0:
-            raise ConfigError(
-                f"catchup_limit must be >= 0, got {catchup_limit}"
-            )
         capacity = getattr(replicas[0], "capacity", None)
         for index, replica in enumerate(replicas[1:], start=1):
             if getattr(replica, "capacity", None) != capacity:
@@ -95,13 +96,12 @@ class ReplicaSet:
                 )
         self.replicas: Tuple = tuple(replicas)
         self.name = name
-        self.beat_every = beat_every
-        self.catchup_limit = catchup_limit
         self.stats = ReplicaStats()
         self._preferred = 0
         self._failed: Dict[int, str] = {}
-        #: replica -> catch-up log of writes admitted during its
-        #: rebuild; ``None`` marks an overflowed (aborted) log.
+        #: replica -> catch-up log of the ``(op, args, kwargs)`` writes
+        #: admitted during its rebuild; ``None`` marks an overflowed
+        #: (aborted) log.
         self._rebuilding: Dict[int, Optional[List[tuple]]] = {}
         self._rebuild_src: Dict[int, object] = {}
         self._ops_since_beat = 0
@@ -138,7 +138,7 @@ class ReplicaSet:
     def _healthy_indexes(self) -> List[int]:
         return [i for i in range(self.num_replicas) if self.replica_healthy(i)]
 
-    def _serving_index(self) -> int:
+    def _serving_index(self, fault: Optional[BaseException] = None) -> int:
         if self.replica_healthy(self._preferred):
             return self._preferred
         for index in range(self.num_replicas):
@@ -147,7 +147,7 @@ class ReplicaSet:
         raise ReplicaExhaustedError(
             f"{self.name}: no healthy replica "
             f"(failed: {dict(self._failed)})"
-        )
+        ) from fault
 
     def _mark_failed(self, index: int, reason: str) -> None:
         if index in self._failed:
@@ -164,14 +164,16 @@ class ReplicaSet:
     # reads: preferred replica, failover on fault
     # ------------------------------------------------------------------
     def _read(self, op, fn):
+        fault = None
         while True:
-            index = self._serving_index()
+            index = self._serving_index(fault)
             session = self.replicas[index]
             try:
                 result = fn(session)
             except CLIENT_ERRORS:
                 raise
             except Exception as exc:  # replica fault: fail over
+                fault = exc
                 self._mark_failed(index, f"{type(exc).__name__}: {exc}")
                 self.stats.failovers += 1
                 obs.inc("svc_replica_failovers_total",
@@ -205,7 +207,9 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     # writes: fan out to every healthy replica
     # ------------------------------------------------------------------
-    def _write(self, op, fn, log_entry):
+    def _write(self, op, *args, **kwargs):
+        """Call session method ``op`` on every healthy replica and log
+        the write for in-flight rebuilds; returns the first result."""
         healthy = self._healthy_indexes()
         if not healthy:
             raise ReplicaExhaustedError(
@@ -215,11 +219,11 @@ class ReplicaSet:
         first_result = None
         have_result = False
         client_error: Optional[BaseException] = None
+        fault: Optional[BaseException] = None
         landed = 0
         for index in healthy:
-            session = self.replicas[index]
             try:
-                result = fn(session)
+                result = getattr(self.replicas[index], op)(*args, **kwargs)
             except CLIENT_ERRORS as exc:
                 # Deterministic partial landing: every replica takes the
                 # same beats before raising, so content stays identical.
@@ -227,6 +231,7 @@ class ReplicaSet:
                 landed += 1
                 continue
             except Exception as exc:
+                fault = exc
                 self._mark_failed(index, f"{type(exc).__name__}: {exc}")
                 continue
             landed += 1
@@ -237,30 +242,23 @@ class ReplicaSet:
             raise ReplicaExhaustedError(
                 f"{self.name}: every replica faulted during {op} "
                 f"(failed: {dict(self._failed)})"
-            )
-        self._log_write(log_entry)
+            ) from fault
+        self._log_write((op, args, kwargs))
         self._maybe_beat()
         if client_error is not None:
             raise client_error
         return first_result
 
     def update(self, words, group=None):
-        words = list(words)
-        stats = self._write(
-            "update",
-            lambda s: s.update(words, group=group),
-            ("update", words, group),
-        )
+        stats = self._write("update", list(words), group=group)
         self.last_update_stats = stats
         return stats
 
     def delete(self, key):
-        return self._write("delete", lambda s: s.delete(key),
-                           ("delete", key))
+        return self._write("delete", key)
 
     def set_groups(self, num_groups: int) -> None:
-        self._write("set_groups", lambda s: s.set_groups(num_groups),
-                    ("set_groups", num_groups))
+        self._write("set_groups", num_groups)
 
     def idle(self, cycles: int = 1) -> None:
         for index in self._healthy_indexes():
@@ -270,59 +268,56 @@ class ReplicaSet:
         """Clear content everywhere -- including failed replicas.
 
         An empty CAM is trivially consistent, so a failed replica whose
-        ``reset`` succeeds is healed on the spot; in-flight rebuilds
-        are abandoned (there is nothing left to catch up to).
+        ``reset`` succeeds is healed on the spot.
         """
-        errors: Dict[int, BaseException] = {}
-        for index, session in enumerate(self.replicas):
-            try:
-                session.reset()
-            except Exception as exc:
-                errors[index] = exc
-                continue
-            self._failed.pop(index, None)
-        self._rebuilding.clear()
-        self._rebuild_src.clear()
-        self._ops_since_beat = 0
-        for index, exc in errors.items():
-            self._mark_failed(index, f"{type(exc).__name__}: {exc}")
-        if not self._healthy_indexes():
-            raise ReplicaExhaustedError(
-                f"{self.name}: every replica faulted during reset"
-            )
-        obs.set_gauge("svc_replicas_healthy", len(self._healthy_indexes()),
-                      help="healthy replicas per set", set=self.name)
+        self._replace_content("reset")
 
     def restore(self, snapshot) -> None:
-        """Restore every replica from one snapshot (heals on success)."""
+        """Restore every replica from one snapshot (heals on success).
+
+        An incompatible snapshot (:class:`~repro.errors.SnapshotError`)
+        or a client error is not a fault: the replicas are identical,
+        so the first one raises before any of them has changed, and
+        nothing is fenced.
+        """
+        self._replace_content("restore", snapshot)
+
+    def _replace_content(self, op, *args) -> None:
+        """Call session method ``op`` on every replica, failed ones
+        included. Each replica it succeeds on holds known content again
+        and is healed; in-flight rebuilds are abandoned (their donor
+        content is gone)."""
         errors: Dict[int, BaseException] = {}
-        restored = 0
         for index, session in enumerate(self.replicas):
             try:
-                session.restore(snapshot)
+                getattr(session, op)(*args)
+            except CLIENT_ERRORS + (SnapshotError,):
+                raise
             except Exception as exc:
                 errors[index] = exc
                 continue
             self._failed.pop(index, None)
-            restored += 1
         self._rebuilding.clear()
         self._rebuild_src.clear()
         self._ops_since_beat = 0
-        for index, exc in errors.items():
-            self._mark_failed(index, f"{type(exc).__name__}: {exc}")
-        if restored == 0:
+        fault = None
+        for index, fault in errors.items():
+            self._mark_failed(index, f"{type(fault).__name__}: {fault}")
+        if len(errors) == self.num_replicas:
             raise ReplicaExhaustedError(
-                f"{self.name}: every replica faulted during restore"
-            )
+                f"{self.name}: every replica faulted during {op}"
+            ) from fault
+        obs.set_gauge("svc_replicas_healthy", len(self._healthy_indexes()),
+                      help="healthy replicas per set", set=self.name)
 
     # ------------------------------------------------------------------
     # divergence beats
     # ------------------------------------------------------------------
     def _maybe_beat(self) -> None:
-        if self.beat_every <= 0:
+        if BEAT_EVERY <= 0:
             return
         self._ops_since_beat += 1
-        if self._ops_since_beat < self.beat_every:
+        if self._ops_since_beat < BEAT_EVERY:
             return
         self._ops_since_beat = 0
         self.check_divergence()
@@ -373,7 +368,7 @@ class ReplicaSet:
         for index, log in self._rebuilding.items():
             if log is None:
                 continue
-            if len(log) >= self.catchup_limit:
+            if len(log) >= CATCHUP_LIMIT:
                 self._rebuilding[index] = None  # overflow: abort
                 continue
             log.append(entry)
@@ -406,7 +401,7 @@ class ReplicaSet:
 
         Returns the number of replayed writes. Raises
         :class:`~repro.errors.ServiceError` if the log overflowed
-        (``catchup_limit``) -- the rebuild must be restarted -- and
+        (:data:`CATCHUP_LIMIT`) -- the rebuild must be restarted -- and
         re-fences the replica if the restore/replay itself faults.
         """
         if index not in self._rebuild_src:
@@ -419,20 +414,14 @@ class ReplicaSet:
             self.stats.repairs_failed += 1
             raise ServiceError(
                 f"{self.name}: replica {index} catch-up log overflowed "
-                f"({self.catchup_limit} writes); restart the rebuild"
+                f"({CATCHUP_LIMIT} writes); restart the rebuild"
             )
         session = self.replicas[index]
         try:
             session.restore(src)
-            for entry in log:
-                op, args = entry[0], entry[1:]
+            for op, args, kwargs in log:
                 try:
-                    if op == "update":
-                        session.update(args[0], group=args[1])
-                    elif op == "delete":
-                        session.delete(args[0])
-                    elif op == "set_groups":
-                        session.set_groups(args[0])
+                    getattr(session, op)(*args, **kwargs)
                 except CLIENT_ERRORS:
                     # The live replicas landed the same deterministic
                     # partial result when this write was admitted.
@@ -452,30 +441,6 @@ class ReplicaSet:
         obs.set_gauge("svc_replicas_healthy", len(self._healthy_indexes()),
                       help="healthy replicas per set", set=self.name)
         return len(log)
-
-    def rebuild(self, index: int) -> int:
-        """Synchronous begin + finish (no writes can interleave)."""
-        self.begin_rebuild(index)
-        return self.finish_rebuild(index)
-
-    def repair(self) -> List[int]:
-        """Rebuild every failed replica; returns the indexes reinstated.
-
-        A replica whose rebuild is already in progress (``begin_rebuild``
-        was called earlier) has its catch-up log drained and is
-        reinstated rather than restarted.
-        """
-        healed = []
-        for index in list(self.failed_replicas):
-            try:
-                if index in self._rebuilding:
-                    self.finish_rebuild(index)
-                else:
-                    self.rebuild(index)
-            except ServiceError:
-                continue
-            healed.append(index)
-        return healed
 
     # ------------------------------------------------------------------
     # session-protocol properties (reported from a healthy replica)

@@ -18,10 +18,10 @@ mirrors:
   deadline resolves with ``status="timeout"`` instead of occupying the
   pipeline. Deadlines are checked once per flush, so a request runs on
   all of its shards or on none;
-- **per-shard failure isolation** -- a backend that raises
-  unexpectedly is poisoned by the :class:`ShardedCam`; requests
-  touching it resolve as miss-with-error (``status="shard_failed"``)
-  while the healthy shards keep serving.
+- **per-shard failure isolation** -- a shard whose replica set has no
+  healthy replica left has failed; requests touching it resolve as
+  miss-with-error (``status="shard_failed"``) while the healthy shards
+  keep serving.
 
 Every stage is threaded through :mod:`repro.obs`: admission queue
 depth, queue wait, batch occupancy, per-shard dispatch latency,
@@ -64,7 +64,7 @@ class ServiceResponse:
     """Outcome of one admitted request.
 
     ``status`` is one of ``"ok"``, ``"timeout"``, ``"shard_failed"``
-    (a poisoned backend; lookups degrade to a miss) or ``"error"`` (a
+    (a failed shard; lookups degrade to a miss) or ``"error"`` (a
     client mistake such as overflowing a shard's capacity). ``result``
     carries the merged :class:`SearchResult` for lookups/deletes,
     ``stats`` the aggregated :class:`UpdateStats` for inserts.
@@ -130,7 +130,7 @@ class _Request:
         #: shard -> SearchResult (lookups, deletes) or UpdateStats
         #: (inserts), for the shards that executed the request.
         self.answers: Dict[int, Union[SearchResult, UpdateStats]] = {}
-        #: detail of a poisoned-shard degradation, if any.
+        #: detail of a failed-shard degradation, if any.
         self.degraded: Optional[str] = None
         #: detail of a client error a shard raised, if any.
         self.error: Optional[str] = None
@@ -283,9 +283,8 @@ class CamService:
                 "poisoned_shards": list(cam.poisoned_shards),
                 # str keys: the document reads the same after JSON.
                 "failed_replicas": {
-                    str(shard): list(failed)
-                    for shard, session in enumerate(cam.sessions)
-                    if (failed := getattr(session, "failed_replicas", ()))
+                    str(shard): list(cam.sessions[shard].failed_replicas)
+                    for shard in cam.degraded_shards
                 },
             },
         }
@@ -294,26 +293,25 @@ class CamService:
     # repair
     # ------------------------------------------------------------------
     async def repair_shard(self, shard: int) -> bool:
-        """Rebuild a degraded shard's failed replicas and reinstate it.
+        """Rebuild a degraded shard's failed replicas.
 
         For each failed replica of the shard's
-        :class:`~repro.service.replica.ReplicaSet` backend: snapshot a
-        healthy donor, yield the loop once so writes admitted meanwhile
-        land in the bounded catch-up log, then restore + replay +
-        reinstate. If the whole backend comes back healthy, a poison
-        fence on the shard is lifted (:meth:`ShardedCam.revive_shard`).
-        Returns ``True`` when the shard ends the call fully healthy.
-        Requires a replicated backend -- an unreplicated poisoned shard
-        has no surviving copy to rebuild from.
+        :class:`~repro.service.replica.ReplicaSet`: snapshot a healthy
+        donor, yield the loop once so writes admitted meanwhile land in
+        the bounded catch-up log, then restore + replay + reinstate.
+        Returns ``True`` when the shard ends the call fully healthy. A
+        failed shard -- no healthy replica left -- has no donor to
+        rebuild from: the call returns ``False`` and counts no failed
+        repair (:meth:`ShardedCam.reset` or a restore heals it).
         """
         if not 0 <= shard < self.cam.num_shards:
             raise ConfigError(
                 f"shard {shard} out of range (0..{self.cam.num_shards - 1})"
             )
+        if not self.cam.shard_healthy(shard):
+            return False
         backend = self.cam.sessions[shard]
-        failed = getattr(backend, "failed_replicas", None)
-        if failed is None:
-            return False  # no replica machinery behind this shard
+        failed = backend.failed_replicas
         with obs.span("svc.repair_shard", shard=shard,
                       failed=len(failed)):
             for index in failed:
@@ -333,10 +331,7 @@ class CamService:
                 obs.inc("svc_repairs_total",
                         help="replica rebuilds completed by the service",
                         shard=shard)
-        if getattr(backend, "failed_replicas", ()):
-            return False
-        self.cam.revive_shard(shard)
-        return True
+        return not backend.failed_replicas
 
     async def _repair_monitor(self) -> None:
         """Background auto-repair loop with per-shard exponential backoff."""

@@ -18,12 +18,17 @@ the *globally* first-inserted match even when candidates live on
 different shards -- a sharded service is therefore result-identical
 to one big reference CAM.
 
-Failure isolation: a shard whose backend raises unexpectedly is
-*poisoned* -- recorded, counted, and fenced off. Subsequent operations
-touching it raise :class:`~repro.errors.ShardFailedError` immediately
+Failure isolation: every shard is a
+:class:`~repro.service.replica.ReplicaSet` of ``replicas >= 1``
+sessions, and the set is the shard's only failure fence. A replica
+that raises unexpectedly is fenced off and its peers serve on; a shard
+has *failed* (is poisoned) exactly when its set has no healthy replica
+left. Operations touching a failed shard raise
+:class:`~repro.errors.ShardFailedError` without calling a backend,
 instead of corrupting state; the async service layer
 (:mod:`repro.service.scheduler`) catches that error per request and
-degrades to miss-with-error while healthy shards keep serving.
+degrades to miss-with-error while healthy shards keep serving. A reset
+or a restore heals every replica it succeeds on.
 
 Cycle accounting treats shards as parallel hardware banks: one
 logical operation costs the *maximum* of the per-shard cycle deltas,
@@ -58,6 +63,7 @@ from repro.errors import (
     CLIENT_ERRORS,
     CapacityError,
     ConfigError,
+    ReplicaExhaustedError,
     RoutingError,
     ShardFailedError,
     SnapshotError,
@@ -108,8 +114,9 @@ class ShardedCam:
 
     ``session_factory(shard, replica, config)`` builds each backend
     (default: :func:`~repro.core.open_session` with ``engine``). It is
-    called once per replica; with ``replicas > 1`` the shard serves
-    its replicas through a :class:`~repro.service.replica.ReplicaSet`.
+    called once per replica, and each shard serves its replicas through
+    a :class:`~repro.service.replica.ReplicaSet` (one replica by
+    default).
     """
 
     def __init__(
@@ -150,18 +157,13 @@ class ShardedCam:
                                     name=f"{name}.shard{shard}{suffix}",
                                     **session_kwargs)
 
-        def backend(shard: int) -> CamBackend:
-            members = [session_factory(shard, replica, config)
-                       for replica in range(replicas)]
-            if replicas == 1:
-                return members[0]
-            return ReplicaSet(members, name=f"{name}.shard{shard}")
-
-        self.sessions: Tuple[CamBackend, ...] = tuple(
-            backend(shard) for shard in range(shards)
+        self.sessions: Tuple[ReplicaSet, ...] = tuple(
+            ReplicaSet([session_factory(shard, replica, config)
+                        for replica in range(replicas)],
+                       name=f"{name}.shard{shard}")
+            for shard in range(shards)
         )
         self._flush_addressing()
-        self._poisoned: Dict[int, str] = {}
         self.last_update_stats: Optional[UpdateStats] = None
         self.last_search_stats: Optional[SearchStats] = None
 
@@ -216,44 +218,20 @@ class ShardedCam:
 
     @property
     def poisoned_shards(self) -> Tuple[int, ...]:
-        """Shards fenced off after an unexpected backend failure."""
-        return tuple(sorted(self._poisoned))
+        """Failed shards: no healthy replica left to serve them."""
+        return tuple(shard for shard in range(self.num_shards)
+                     if not self.shard_healthy(shard))
 
     @property
     def degraded_shards(self) -> Tuple[int, ...]:
-        """Shards that need attention: poisoned, or (with replication)
-        serving with at least one failed replica."""
-        degraded = set(self._poisoned)
-        for shard, session in enumerate(self.sessions):
-            if getattr(session, "failed_replicas", ()):
-                degraded.add(shard)
-        return tuple(sorted(degraded))
+        """Shards that need attention: at least one failed replica
+        (every failed shard is degraded too)."""
+        return tuple(shard for shard, session in enumerate(self.sessions)
+                     if session.failed_replicas)
 
     def shard_healthy(self, shard: int) -> bool:
-        return shard not in self._poisoned
-
-    def revive_shard(self, shard: int) -> None:
-        """Lift the poison fence from a shard whose backend has been
-        repaired (all replicas healthy again). The shard resumes
-        serving with the content it held -- replicated backends keep it
-        consistent through the repair."""
-        if not 0 <= shard < self.num_shards:
-            raise RoutingError(
-                f"{self.name}: shard {shard} out of range "
-                f"(0..{self.num_shards - 1})"
-            )
-        if shard not in self._poisoned:
-            return
-        if getattr(self.sessions[shard], "failed_replicas", ()):
-            raise ShardFailedError(
-                shard, "cannot revive: backend still has failed replicas"
-            )
-        del self._poisoned[shard]
-        obs.inc("svc_shard_revivals_total",
-                help="poisoned shards reinstated after repair", shard=shard)
-        obs.set_gauge("svc_shards_healthy",
-                      self.num_shards - len(self._poisoned),
-                      help="shards currently serving")
+        session = self.sessions[shard]
+        return len(session.failed_replicas) < session.num_replicas
 
     def resources(self):
         """Aggregate resource vector (N times one shard's unit)."""
@@ -262,37 +240,23 @@ class ShardedCam:
     # ------------------------------------------------------------------
     # fault fencing
     # ------------------------------------------------------------------
+    def _fenced(self, shard: int, call, *args):
+        """Run one call on a shard's replica set. An exhausted set
+        surfaces as :class:`ShardFailedError`, whose message and
+        ``__cause__`` name the fault that exhausted it."""
+        try:
+            return call(*args)
+        except ReplicaExhaustedError as exc:
+            fault = exc.__cause__ or exc
+            raise ShardFailedError(
+                shard, f"{type(fault).__name__}: {fault}") from fault
+
     def _check_shard(self, shard: int) -> None:
         if not 0 <= shard < self.num_shards:
             raise RoutingError(
                 f"{self.name}: shard {shard} out of range "
                 f"(0..{self.num_shards - 1})"
             )
-        if shard in self._poisoned:
-            raise ShardFailedError(shard, self._poisoned[shard])
-
-    def _poison(self, shard: int, exc: BaseException) -> "ShardFailedError":
-        detail = f"{type(exc).__name__}: {exc}"
-        self._poisoned[shard] = detail
-        obs.inc("svc_shard_failures_total",
-                help="shard backends poisoned after unexpected errors",
-                shard=shard)
-        obs.set_gauge("svc_shards_healthy",
-                      self.num_shards - len(self._poisoned),
-                      help="shards currently serving")
-        error = ShardFailedError(shard, detail)
-        error.__cause__ = exc
-        return error
-
-    def _fenced(self, shard: int, call, *args, passthrough=CLIENT_ERRORS):
-        """Run one backend call; any error outside ``passthrough``
-        poisons the shard and surfaces as :class:`ShardFailedError`."""
-        try:
-            return call(*args)
-        except passthrough:
-            raise
-        except Exception as exc:
-            raise self._poison(shard, exc) from exc
 
     # ------------------------------------------------------------------
     # routing helpers
@@ -320,15 +284,14 @@ class ShardedCam:
             addresses = range(self._global_count, self._global_count + len(words))
             self._global_count += len(words)
         session = self.sessions[shard]
-        before = session.occupancy
         with obs.span("svc.shard.update", shard=shard, words=len(words)):
             try:
                 stats = self._fenced(shard, session.update, words)
             except CLIENT_ERRORS:
                 # The batch engine lands the beats that fit before the
-                # overflowing beat raises; keep the address map in sync
-                # with what actually landed.
-                landed = session.occupancy - before
+                # overflowing beat raises; keep the address map (one
+                # entry per stored word) in sync with what landed.
+                landed = session.occupancy - len(self._global_addrs[shard])
                 self._assign_addresses(shard, list(addresses)[:landed])
                 raise
         self._assign_addresses(shard, addresses)
@@ -413,16 +376,13 @@ class ShardedCam:
         parts = self.partition_update(words)
         with obs.span("svc.update", engine=self.engine_name,
                       words=len(words)):
-            before = [s.cycle for s in self.sessions]
-            beats = 0
+            beats = cycles = 0
             for shard in sorted(parts):
                 shard_words, shard_addresses = parts[shard]
                 stats = self.update_shard(shard, shard_words,
                                           addresses=shard_addresses)
                 beats = max(beats, stats.beats)
-            cycles = max(
-                s.cycle - b for s, b in zip(self.sessions, before)
-            )
+                cycles = max(cycles, stats.cycles)
             stats = UpdateStats(words=len(words), beats=beats, cycles=cycles)
         self.last_update_stats = stats
         if obs.enabled():
@@ -446,7 +406,6 @@ class ShardedCam:
         if not keys.size:
             raise ConfigError("search needs at least one key")
         with obs.span("svc.search", engine=self.engine_name, keys=keys.size):
-            before = [s.cycle for s in self.sessions]
             owners = None
             targets = range(self.num_shards)
             if not self.policy.broadcast_lookups:
@@ -455,20 +414,18 @@ class ShardedCam:
                 if len(targets) == 1:
                     owners = None  # one shard takes every key
             matches = []
-            beats = 0
+            beats = cycles = 0
             for shard in targets:
                 picks = (np.arange(keys.size) if owners is None
                          else np.flatnonzero(owners == shard))
                 part = self.search_shard(shard, keys[picks].tolist())
                 shard_stats = self.sessions[shard].last_search_stats
                 beats = max(beats, shard_stats.beats)
+                cycles = max(cycles, shard_stats.cycles)
                 matches.append((picks[part.rows], part.cols))
             # one shard answered every key: its batch is the answer
             results = part if len(matches) == 1 else SearchBatch.gather(
                 keys, matches, self.config.block.encoding)
-            cycles = max(
-                s.cycle - b for s, b in zip(self.sessions, before)
-            )
             stats = SearchStats(keys=keys.size, beats=beats, cycles=cycles)
         self.last_search_stats = stats
         if obs.enabled():
@@ -499,35 +456,28 @@ class ShardedCam:
         """Regroup every shard (flushes all content, like the unit)."""
         with obs.span("svc.set_groups", engine=self.engine_name,
                       groups=num_groups):
-            for session in self.sessions:
-                session.set_groups(num_groups)
+            for shard, session in enumerate(self.sessions):
+                self._fenced(shard, session.set_groups, num_groups)
         self._flush_addressing()
 
     def reset(self) -> None:
         """Clear every shard and restart the global address space.
 
-        Reset is also the recovery hammer: a *poisoned* shard gets its
-        backend reset too, and if that succeeds the fence is lifted --
-        an empty shard is trivially consistent with an empty address
-        map, so a reset sharded CAM is result-identical to a freshly
-        constructed one (regression-tested against a fresh instance).
-        A backend that still faults during its reset stays poisoned.
+        Reset is also the recovery hammer: every replica of every shard
+        is reset, failed ones included, and each one whose reset
+        succeeds is healed -- an empty shard is trivially consistent
+        with an empty address map, so a reset sharded CAM is
+        result-identical to a freshly constructed one
+        (regression-tested against a fresh instance). A shard whose
+        replicas all still fault during the reset stays failed.
         """
         with obs.span("svc.reset", engine=self.engine_name):
-            for shard, session in enumerate(self.sessions):
+            for session in self.sessions:
                 try:
                     session.reset()
-                except CLIENT_ERRORS:
-                    raise
-                except Exception as exc:
-                    if shard not in self._poisoned:
-                        self._poison(shard, exc)
+                except ReplicaExhaustedError:
                     continue
-                self._poisoned.pop(shard, None)
         self._flush_addressing()
-        obs.set_gauge("svc_shards_healthy",
-                      self.num_shards - len(self._poisoned),
-                      help="shards currently serving")
 
     def _flush_addressing(self) -> None:
         #: shard -> int64 table of local address -> global address.
@@ -545,9 +495,8 @@ class ShardedCam:
     def snapshot(self):
         """Capture every shard plus the global address maps.
 
-        The children are the per-shard snapshots (taken through
-        whatever backend serves the shard -- a replica set contributes
-        its healthy preferred replica); the metadata carries the
+        The children are the per-shard snapshots (each taken from a
+        healthy replica of the shard's set); the metadata carries the
         local-to-global address tables, so a restore reproduces
         cross-shard priority order exactly.
         """
@@ -555,7 +504,6 @@ class ShardedCam:
 
         children = []
         for shard, session in enumerate(self.sessions):
-            self._check_shard(shard)
             children.append(self._fenced(shard, session.snapshot))
         return CamSnapshot(
             kind="sharded",
@@ -573,9 +521,10 @@ class ShardedCam:
     def restore(self, snapshot) -> None:
         """Restore every shard and the address maps from a snapshot.
 
-        A successful restore also clears poison fences: each backend
-        now verifiably holds the snapshotted content, which is exactly
-        the consistency the fence protects.
+        A successful restore also heals failed replicas: each one now
+        verifiably holds the snapshotted content. An incompatible
+        snapshot raises :class:`~repro.errors.SnapshotError` and fences
+        nothing.
         """
         if snapshot.kind != "sharded":
             raise SnapshotError(
@@ -606,12 +555,7 @@ class ShardedCam:
         for shard, (session, child) in enumerate(
             zip(self.sessions, snapshot.children)
         ):
-            self._fenced(shard, session.restore, child,
-                         passthrough=CLIENT_ERRORS + (SnapshotError,))
-            self._poisoned.pop(shard, None)
+            self._fenced(shard, session.restore, child)
         self._global_addrs = [np.asarray(table, dtype=np.int64)
                               for table in tables]
         self._global_count = int(snapshot.meta.get("global_count", 0))
-        obs.set_gauge("svc_shards_healthy",
-                      self.num_shards - len(self._poisoned),
-                      help="shards currently serving")

@@ -63,8 +63,9 @@ class FaultyBackend:
     operation count is reached the selected failure ``mode`` kicks in:
 
     - ``"wedge"`` (default, the original behaviour) -- every further
-      transaction raises :class:`SimulationError` forever; the sharded
-      layer poisons the shard, a replica set fences the replica.
+      transaction raises :class:`SimulationError` forever; the shard's
+      replica set fences the replica (and the shard fails with it when
+      no healthy peer is left).
     - ``"crash"`` -- transactions raise for a window of ``fail_ops``
       operations, then the backend recovers (a rebooted process: its
       *content is stale*, so it must be rebuilt from a peer before it

@@ -25,8 +25,10 @@ from repro.errors import (
     CapacityError,
     ReplicaExhaustedError,
     ServiceError,
+    ShardFailedError,
     SimulationError,
 )
+from repro.service import replica as replica_module
 from repro.service import (
     CamService,
     FaultyBackend,
@@ -71,14 +73,14 @@ def session():
     return open_session(small_config(), "batch")
 
 
-def replica_set(replicas=2, *, wrap=None, **kwargs):
+def replica_set(replicas=2, *, wrap=None):
     members = []
     for index in range(replicas):
         member = session()
         if wrap and index in wrap:
             member = wrap[index](member)
         members.append(member)
-    return ReplicaSet(members, **kwargs)
+    return ReplicaSet(members)
 
 
 def assert_same(ours, gold, context):
@@ -182,11 +184,13 @@ def test_replica_rebuilt_mid_workload_is_bit_identical(workload, fail_after):
     reference = ReferenceCam(rset.capacity)
     live = 0
     mid = max(1, len(workload) // 2)
+    rebuilding = False
     for step, (op, payload) in enumerate(workload):
         if step == mid and rset.failed_replicas:
             # begin recovery mid-stream; later writes go to the log
             faulty[0].heal()  # fault cleared (node replaced)
             rset.begin_rebuild(0)
+            rebuilding = True
         if op == "insert":
             if live + len(payload) > rset.capacity:
                 continue
@@ -201,7 +205,9 @@ def test_replica_rebuilt_mid_workload_is_bit_identical(workload, fail_after):
                         (op, payload))
     if rset.failed_replicas:
         faulty[0].heal()
-        rset.repair()
+        if not rebuilding:
+            rset.begin_rebuild(0)
+        rset.finish_rebuild(0)
     assert rset.failed_replicas == ()
     # force every future read through the recovered replica
     rset.set_preferred(0)
@@ -211,28 +217,31 @@ def test_replica_rebuilt_mid_workload_is_bit_identical(workload, fail_after):
     assert len({r.snapshot().content_hash() for r in rset.replicas}) == 1
 
 
-def test_catchup_log_overflow_fails_the_rebuild():
-    rset = replica_set(2, catchup_limit=2, wrap={
+def test_catchup_log_overflow_fails_the_rebuild(monkeypatch):
+    monkeypatch.setattr(replica_module, "CATCHUP_LIMIT", 2)
+    rset = replica_set(2, wrap={
         0: lambda s: FaultyBackend(s, fail_after=1)})
     rset.update([1])
     rset.search_one(1)  # fence replica 0
     rset.replicas[0].heal()
     rset.begin_rebuild(0)
-    for value in (2, 3, 4):  # three logged writes > catchup_limit
+    for value in (2, 3, 4):  # three logged writes > CATCHUP_LIMIT
         rset.update([value])
     with pytest.raises(ServiceError):
         rset.finish_rebuild(0)
     assert rset.stats.repairs_failed == 1
     assert 0 in rset.failed_replicas
     # a fresh rebuild (new snapshot, short log) succeeds
-    assert rset.rebuild(0) == 0
+    rset.begin_rebuild(0)
+    assert rset.finish_rebuild(0) == 0
     assert rset.failed_replicas == ()
     rset.set_preferred(0)
     assert rset.search_one(4).hit
 
 
-def test_divergent_replica_is_fenced_by_hash_beat():
-    rset = replica_set(2, beat_every=4, wrap={
+def test_divergent_replica_is_fenced_by_hash_beat(monkeypatch):
+    monkeypatch.setattr(replica_module, "BEAT_EVERY", 4)
+    rset = replica_set(2, wrap={
         1: lambda s: FaultyBackend(s, fail_after=2, mode="diverge")})
     for value in range(6):  # beat fires after 4 writes
         rset.update([value])
@@ -250,7 +259,8 @@ def test_crashed_replica_recovers_after_its_window():
         rset.update([value])
     assert 0 in rset.failed_replicas
     # the crash window has passed: rebuild brings it back for good
-    rset.repair()
+    rset.begin_rebuild(0)
+    rset.finish_rebuild(0)
     assert rset.failed_replicas == ()
     rset.set_preferred(0)
     assert all(rset.search_one(v).hit for v in range(8))
@@ -287,6 +297,43 @@ def test_service_repair_shard_reinstates_replicas():
     assert repaired
     assert stats.repairs_completed >= 1
     assert cam.degraded_shards == ()
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_failed_shard_has_no_donor_and_reset_heals_it(replicas):
+    """With every replica of a shard fenced there is no donor to
+    rebuild from: repair_shard declines without counting a failed
+    repair, and a reset heals the shard so that it serves again."""
+    faulty = []
+
+    def factory(shard, replica, cfg):
+        member = open_session(cfg, "batch")
+        if shard == 1:
+            member = FaultyBackend(member, fail_after=0)
+            faulty.append(member)
+        return member
+
+    cam = ShardedCam(small_config(), shards=2, replicas=replicas,
+                     session_factory=factory)
+    with pytest.raises(ShardFailedError):
+        cam.update_shard(1, [5])
+    assert cam.poisoned_shards == (1,)
+
+    async def run():
+        async with CamService(cam) as service:
+            return await service.repair_shard(1), service.stats
+
+    repaired, stats = asyncio.run(run())
+    assert not repaired
+    assert stats.repairs_failed == 0
+    assert cam.poisoned_shards == (1,)
+
+    for member in faulty:
+        member.heal()
+    cam.reset()
+    assert cam.degraded_shards == ()
+    cam.update_shard(1, [5])
+    assert cam.search_shard(1, [5])[0].hit
 
 
 def test_auto_repair_workload_has_zero_failures():

@@ -39,8 +39,8 @@ def test_capacity_and_engine_name_aggregate(shard_config):
     assert cam.capacity == 128
     assert cam.num_shards == 4
     assert cam.engine_name == "sharded[4xbatch]"
-    assert all(isinstance(s, BatchSession) for s in cam.sessions)
-    assert [s.name for s in cam.sessions] \
+    assert all(isinstance(s.replicas[0], BatchSession) for s in cam.sessions)
+    assert [s.replicas[0].name for s in cam.sessions] \
         == [f"sharded_cam.shard{i}" for i in range(4)]
 
 
@@ -146,7 +146,7 @@ def test_reset_is_result_identical_to_fresh(shard_config):
 
     # swap in a healthy node, then reset: a fresh episode begins with
     # every shard revived and the address map empty
-    used.sessions[1].heal()
+    used.sessions[1].replicas[0].heal()
     used.reset()
     assert used.poisoned_shards == ()
     assert used.occupancy == 0
@@ -196,7 +196,8 @@ def test_cycle_counter_is_max_over_shards(shard_config):
 # failure isolation
 # ----------------------------------------------------------------------
 def poisoned_cam(shard_config, bad_shard=1, fail_after=0, shards=4,
-                 policy="hash"):
+                 policy="hash", replicas=1):
+    """Every replica of ``bad_shard`` faults after ``fail_after`` ops."""
     from repro.core.batch import open_session
 
     def factory(index, replica, cfg):
@@ -206,11 +207,12 @@ def poisoned_cam(shard_config, bad_shard=1, fail_after=0, shards=4,
         return session
 
     return ShardedCam(shard_config, shards=shards, policy=policy,
-                      session_factory=factory)
+                      replicas=replicas, session_factory=factory)
 
 
-def test_backend_fault_poisons_only_that_shard(shard_config):
-    cam = poisoned_cam(shard_config, bad_shard=1)
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_backend_fault_poisons_only_that_shard(shard_config, replicas):
+    cam = poisoned_cam(shard_config, bad_shard=1, replicas=replicas)
     with pytest.raises(ShardFailedError) as excinfo:
         cam.update_shard(1, [123])
     assert excinfo.value.shard == 1
@@ -222,8 +224,10 @@ def test_backend_fault_poisons_only_that_shard(shard_config):
     assert cam.search_shard(0, [55])[0].hit
 
 
-def test_poisoned_shard_fails_fast_without_backend_call(shard_config):
-    cam = poisoned_cam(shard_config, bad_shard=2)
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_poisoned_shard_fails_fast_without_backend_call(shard_config,
+                                                        replicas):
+    cam = poisoned_cam(shard_config, bad_shard=2, replicas=replicas)
     with pytest.raises(ShardFailedError):
         cam.search_shard(2, [1])
     # fenced: the wrapped backend is not called again, the error repeats
@@ -231,8 +235,10 @@ def test_poisoned_shard_fails_fast_without_backend_call(shard_config):
         cam.delete_shard(2, 1)
 
 
-def test_client_errors_do_not_poison(shard_config):
-    cam = ShardedCam(shard_config, shards=2, engine="batch")
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_client_errors_do_not_poison(shard_config, replicas):
+    cam = ShardedCam(shard_config, shards=2, engine="batch",
+                     replicas=replicas)
     with pytest.raises(CapacityError):
         cam.update_shard(0, list(range(cam.sessions[0].capacity + 1)))
     assert cam.poisoned_shards == ()

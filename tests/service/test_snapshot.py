@@ -346,6 +346,25 @@ def test_incompatible_restore_is_rejected():
         sharded.restore(snap)  # unit snapshot into a sharded facade
 
 
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_incompatible_sharded_restore_fences_nothing(replicas):
+    """A snapshot of another data width is a caller's mistake, not a
+    backend fault: at every replica count the restore raises
+    SnapshotError, fences no replica and leaves the content as it was."""
+    narrow = ShardedCam(small_config(), shards=2, engine="batch")
+    narrow.update([1, 2, 3])
+    wide = ShardedCam(
+        unit_for_entries(32, block_size=16, data_width=2 * WIDTH,
+                         bus_width=64),
+        shards=2, engine="batch", replicas=replicas)
+    wide.update([4, 5, 6])
+    before = wide.snapshot().content_hash()
+    with pytest.raises(SnapshotError):
+        wide.restore(narrow.snapshot())
+    assert wide.degraded_shards == ()
+    assert wide.snapshot().content_hash() == before
+
+
 def test_snapshot_entry_canonicalisation():
     entry = binary_entry(0x0F, WIDTH)
     slot = SnapshotEntry.from_entry(entry)
