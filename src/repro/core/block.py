@@ -29,6 +29,7 @@ from repro.core.cell import CellArray
 from repro.core.encoder import ResultEncoder
 from repro.core.mask import CamEntry
 from repro.core.types import SearchResult
+from repro.dsp import DspColumn
 from repro.errors import CapacityError, ConfigError
 from repro.fabric.area import block_resources
 from repro.fabric.resources import ResourceVector
@@ -37,8 +38,17 @@ from repro.fabric.resources import ResourceVector
 _CELL_PIPE_DEPTH = 2
 
 
+def cell_slice_names(block_name: str, size: int) -> List[str]:
+    """Trace names of a block's DSP slices, cell 0 first."""
+    return [f"{block_name}.cell{i}.dsp" for i in range(size)]
+
+
 class CamBlock(CellArray):
     """One CAM block: cells plus DeMUX, update/search logic, encoder.
+
+    The cells are the slice range ``[offset, offset + block_size)`` of
+    ``column`` -- in a unit, the unit's one column -- or, without a
+    ``column``, a column of the block's own.
 
     Input ports (drive during a compute phase, or before a testbench
     step; consumed and self-cleared each cycle). Updates and searches
@@ -68,14 +78,18 @@ class CamBlock(CellArray):
         block_id: int = 0,
         buffered: Optional[bool] = None,
         name: Optional[str] = None,
+        column: Optional[DspColumn] = None,
+        offset: int = 0,
     ) -> None:
         name = name or f"block{block_id}"
         super().__init__(
             config.block_size,
             config.cell.data_width,
             name,
-            slice_names=[f"{name}.cell{i}.dsp"
-                         for i in range(config.block_size)],
+            slice_names=(cell_slice_names(name, config.block_size)
+                         if column is None else None),
+            column=column,
+            offset=offset,
         )
         self.config = config
         self.block_id = block_id
@@ -84,10 +98,6 @@ class CamBlock(CellArray):
         self.reset_state()
 
     # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return self.config.block_size
-
     @property
     def words_per_beat(self) -> int:
         return self.config.words_per_beat

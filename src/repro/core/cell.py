@@ -7,11 +7,13 @@ reports a (masked) all-zero XOR result as a match. A per-entry ignore
 mask register alongside the slice realises the TCAM/RMCAM behaviour of
 Table II; an occupancy flip-flop gates matches so empty cells never hit.
 
-Cells are modelled as a :class:`CellArray`: the slices of N cells are
-one :class:`repro.dsp.DspColumn`, and the occupancy flip-flops and
-ignore masks are arrays beside it, so a write beat, a broadcast and a
-match are array operations. A CAM block is a cell array of
-``block_size`` cells; :class:`CamCell` is a cell array of one.
+Cells are modelled as a :class:`CellArray`: N cells are a slice range
+``[offset, offset + N)`` of one :class:`repro.dsp.DspColumn`, and the
+occupancy flip-flops and ignore masks are arrays beside it, so a write
+beat, a broadcast and a match are array operations. A CAM unit builds
+one column over every slice of its blocks and each block drives and
+reads its own range of it; a standalone block, or a :class:`CamCell`
+(a cell array of one), builds a column of its own size.
 
 Timing (Table V): update latency 1 cycle, search latency 2 cycles
 (C register, then ALU result into the P register), cost exactly 1 DSP.
@@ -31,6 +33,7 @@ from repro.dsp import (
     CAM_ALUMODE,
     CAM_OPMODE,
     DspColumn,
+    SliceRegisters,
     cam_cell_attributes,
     mask_for,
 )
@@ -43,8 +46,38 @@ _ALUMODE = int(CAM_ALUMODE)
 _B_MASK = mask_for(B_WIDTH)
 
 
+def cam_column(
+    size: int, data_width: int, name: str,
+    slice_names: Optional[Sequence[str]] = None,
+) -> DspColumn:
+    """A column of ``size`` CAM-cell slices for ``data_width``-bit words."""
+    if not 1 <= data_width <= DSP_WIDTH:
+        raise ConfigError(
+            f"data width must be 1..{DSP_WIDTH}, got {data_width}"
+        )
+    return DspColumn(size, cam_cell_attributes(mask=width_mask(data_width)),
+                     name=name, slice_names=slice_names)
+
+
+def tie_off(column: DspColumn) -> None:
+    """Drive the pins a CAM column ties every cycle: every slice in the
+    CAM mode, and the write enables low until a cell array raises its
+    range. The column's owner calls this before any cell array drives
+    the column in that cycle."""
+    column.opmode = CAM_OPMODE
+    column.alumode = _ALUMODE
+    column.ce_a = column.ce_b = False
+
+
 class CellArray(Component):
-    """N CAM cells: one DSP column plus occupancy and ignore-mask arrays.
+    """N CAM cells: a slice range of a DSP column plus occupancy and
+    ignore-mask arrays.
+
+    The cells are slices ``[offset, offset + size)`` of :attr:`column`.
+    Without a ``column`` the array builds one of its own size (named
+    ``slice_names``) as its child and ties it off itself; with one, the
+    column's owner adds it to the tree after every cell array driving
+    it and ties it off each cycle (:func:`tie_off`).
 
     State (arrays indexed by cell, replaced at each edge, never mutated
     in place):
@@ -54,9 +87,10 @@ class CellArray(Component):
     - the stored words and the latched key live in :attr:`column`.
 
     Subclasses drive the cells from their own compute phase:
-    :meth:`_broadcast` puts a key on every C port, :meth:`_drive_cells`
-    drives the write port and returns the cell-state updates to
-    schedule, and :meth:`match_bits` reads every match line.
+    :meth:`_broadcast` puts a key on every C port of the range,
+    :meth:`_drive_cells` drives the range's write port and returns the
+    cell-state updates to schedule, and :meth:`match_bits` reads every
+    match line of the range.
     """
 
     def __init__(
@@ -64,30 +98,38 @@ class CellArray(Component):
         size: int,
         data_width: int,
         name: str,
-        slice_names: Sequence[str],
+        slice_names: Optional[Sequence[str]] = None,
+        column: Optional[DspColumn] = None,
+        offset: int = 0,
     ) -> None:
         super().__init__(name)
-        if not 1 <= data_width <= DSP_WIDTH:
-            raise ConfigError(
-                f"data width must be 1..{DSP_WIDTH}, got {data_width}"
+        self._owns_column = column is None
+        if column is None:
+            column = self.add_child(
+                cam_column(size, data_width, f"{self.name}.column",
+                           slice_names)
             )
+        elif not 0 <= offset <= column.size - size:
+            raise ConfigError(
+                f"{self.name}: cells [{offset}, {offset + size}) do not fit "
+                f"a column of {column.size} slices"
+            )
+        self.size = size
         self.data_width = data_width
-        self.column = self.add_child(
-            DspColumn(size, cam_cell_attributes(mask=width_mask(data_width)),
-                      name=f"{self.name}.column", slice_names=slice_names)
-        )
+        self.column = column
+        self.offset = offset
+        self._cells = slice(offset, offset + size)
 
     def reset_state(self) -> None:
-        size = self.column.size
-        self.occupied_bits = np.zeros(size, dtype=bool)
-        self.entry_masks = np.full(size, width_mask(self.data_width),
+        self.occupied_bits = np.zeros(self.size, dtype=bool)
+        self.entry_masks = np.full(self.size, width_mask(self.data_width),
                                    dtype=np.uint64)
 
     # ------------------------------------------------------------------
     def _broadcast(self, key: int) -> None:
         """Search logic: one key on every cell's C port (held until the
         next broadcast)."""
-        self.column.c = key
+        self.column.c[self._cells] = key & ALL_ONES
 
     def _drive_cells(
         self,
@@ -103,26 +145,27 @@ class CellArray(Component):
         and mask updates for the caller to schedule.
         """
         column = self.column
-        # The cells tie the slices' mode pins to the CAM mode.
-        column.opmode = CAM_OPMODE
-        column.alumode = _ALUMODE
+        if self._owns_column:
+            tie_off(column)
         if not entries:
-            column.ce_a = column.ce_b = False
             if clear is None:
                 return {}
             return {"occupied_bits": self.occupied_bits & ~clear}
-        size = column.size
         stop = base + len(entries)
-        write = np.zeros(size, dtype=bool)
-        write[base:stop] = True
-        values = np.zeros(size, dtype=np.uint64)
-        values[base:stop] = [entry.value & ALL_ONES for entry in entries]
+        values = np.array([entry.value & ALL_ONES for entry in entries],
+                          dtype=np.uint64)
+        start, end = self.offset + base, self.offset + stop
+        column.a[start:end] = values >> B_WIDTH
+        column.b[start:end] = values & _B_MASK
+        write = column.ce_a
+        if write is False:  # the column's first write beat this cycle
+            write = np.zeros(column.size, dtype=bool)
+            column.ce_a = column.ce_b = write
+        write[start:end] = True
         masks = self.entry_masks.copy()
         masks[base:stop] = [entry.mask & ALL_ONES for entry in entries]
-        column.a = values >> B_WIDTH
-        column.b = values & _B_MASK
-        column.ce_a = column.ce_b = write
-        occupied = self.occupied_bits | write
+        occupied = self.occupied_bits.copy()
+        occupied[base:stop] = True
         if clear is not None:
             occupied &= ~clear
         return {"occupied_bits": occupied, "entry_masks": masks}
@@ -135,17 +178,25 @@ class CellArray(Component):
         each stored entry's ignore mask -- the "post-processing after
         the XOR operation" of section III-A. Empty cells never match.
         """
-        return self.occupied_bits & ((self.column.p & ~self.entry_masks) == 0)
+        p = self.column.p[self._cells]
+        return self.occupied_bits & ((p & ~self.entry_masks) == 0)
 
     def _entries(self, stop: int) -> List[Optional[CamEntry]]:
         """Golden-model view of cells ``[0, stop)``: each stored entry,
         or ``None`` for an empty cell."""
-        values = self.column.stored_ab[:stop].tolist()
+        start = self.offset
+        values = self.column.stored_ab[start:start + stop].tolist()
         masks = self.entry_masks[:stop].tolist()
         occupied = self.occupied_bits[:stop].tolist()
         width = self.data_width
         return [CamEntry(value=value, mask=mask, width=width) if live else None
                 for value, mask, live in zip(values, masks, occupied)]
+
+    def registers(self, cell: int) -> SliceRegisters:
+        """The DSP registers of cell ``cell`` as plain Python values."""
+        if not 0 <= cell < self.size:
+            raise IndexError(f"{self.name}: no cell {cell} of {self.size}")
+        return self.column.registers(self.offset + cell)
 
 
 class CamCell(CellArray):
@@ -214,7 +265,7 @@ class CamCell(CellArray):
     @property
     def stored_value(self) -> int:
         """The word currently held in the A:B registers."""
-        return int(self.column.stored_ab[0])
+        return int(self.column.stored_ab[self.offset])
 
     @property
     def stored_entry(self) -> Optional[CamEntry]:

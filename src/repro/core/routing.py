@@ -40,7 +40,6 @@ class RoutingTable:
         if num_blocks < 1:
             raise RoutingError(f"num_blocks must be >= 1, got {num_blocks}")
         self._num_blocks = num_blocks
-        self._mapping: List[int] = [0] * num_blocks
         self.remap_contiguous(num_groups)
 
     # ------------------------------------------------------------------
@@ -60,13 +59,13 @@ class RoutingTable:
         """Group that ``block_id`` currently belongs to."""
         return self._mapping[block_id]
 
-    def blocks_in_group(self, group_id: int) -> List[int]:
+    def blocks_in_group(self, group_id: int) -> Tuple[int, ...]:
         """Block IDs of one group, in ascending order."""
         if not 0 <= group_id < self._num_groups:
             raise RoutingError(
                 f"group {group_id} out of range (0..{self._num_groups - 1})"
             )
-        return [b for b, g in enumerate(self._mapping) if g == group_id]
+        return self._groups[group_id]
 
     def as_list(self) -> List[int]:
         return list(self._mapping)
@@ -80,8 +79,8 @@ class RoutingTable:
                 f"{self._num_blocks} blocks"
             )
         per_group = self._num_blocks // num_groups
-        self._mapping = [b // per_group for b in range(self._num_blocks)]
-        self._num_groups = num_groups
+        self._install([b // per_group for b in range(self._num_blocks)],
+                      num_groups)
 
     def remap(self, mapping: List[int]) -> None:
         """Install an explicit mapping (must partition blocks evenly)."""
@@ -107,8 +106,16 @@ class RoutingTable:
                     f"group {group} has {population} blocks, expected "
                     f"{per_group}"
                 )
-        self._mapping = list(mapping)
+        self._install(list(mapping), num_groups)
+
+    def _install(self, mapping: List[int], num_groups: int) -> None:
+        """Take ``mapping`` and cache each group's block IDs."""
+        self._mapping = mapping
         self._num_groups = num_groups
+        self._groups = tuple(
+            tuple(b for b, g in enumerate(mapping) if g == group)
+            for group in range(num_groups)
+        )
 
 
 class RoutingCompute(Component):

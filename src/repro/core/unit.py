@@ -14,6 +14,10 @@ groups, reconfigurable at runtime:
 - **Independent mode**: groups act as separate CAMs; updates and
   searches carry explicit group IDs.
 
+Every cell of the unit is a slice of one :class:`repro.dsp.DspColumn`,
+stepped once per cycle; block ``k`` drives and reads the slice range
+``[k * block_size, (k + 1) * block_size)``.
+
 Measured end-to-end latency (Table VIII): update 6 cycles, search
 7 cycles (8 once the encoder output buffer engages at >= 2K entries).
 Both paths sustain one beat per cycle.
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.block import CamBlock
+from repro.core.block import CamBlock, cell_slice_names
+from repro.core.cell import cam_column, tie_off
 from repro.core.config import UnitConfig
 from repro.core.group import BlockAddressController
 from repro.core.mask import CamEntry
@@ -85,20 +90,36 @@ class CamUnit(Component):
         self.routing = self.add_child(RoutingCompute(self.table))
         self.post_router = self.add_child(PostRouter())
         buffered = config.block_buffered
+        size = config.block.block_size
+        names = [f"{self.name}.block{i}" for i in range(config.num_blocks)]
+        # One DSP column over every slice of the unit; each block drives
+        # and reads its own range of it.
+        self.column = cam_column(
+            config.total_entries,
+            config.block.cell.data_width,
+            f"{self.name}.column",
+            [slice_name for name in names
+             for slice_name in cell_slice_names(name, size)],
+        )
         self.blocks: List[CamBlock] = [
             self.add_child(
                 CamBlock(
                     config.block,
                     block_id=i,
                     buffered=buffered,
-                    name=f"{self.name}.block{i}",
+                    name=name,
+                    column=self.column,
+                    offset=i * size,
                 )
             )
-            for i in range(config.num_blocks)
+            for i, name in enumerate(names)
         ]
         self._result_pipe = self.add_child(
             ValidPipe(self.block_search_latency, name=f"{self.name}.results")
         )
+        # Last child: the column computes after every block has driven
+        # its ports for the cycle.
+        self.add_child(self.column)
         self._init_control_state()
         self.reset_state()
 
@@ -316,6 +337,7 @@ class CamUnit(Component):
     # pipeline
     # ------------------------------------------------------------------
     def compute(self) -> None:
+        tie_off(self.column)
         # Stage 0: accept the staged beat into the routing pipeline.
         beat = self.in_beat
         self.in_beat = None
@@ -363,14 +385,11 @@ class CamUnit(Component):
 
     def _apply_update(self, beat: _UpdateBeat) -> None:
         targets = self._update_targets(beat.group)
-        shared_plan = None
         for g in targets:
             controller = self._controllers[g]
             block_ids = self.table.blocks_in_group(g)
             free = [self.blocks[b].free_cells for b in block_ids]
             plan = controller.plan(len(beat.words), free)
-            if shared_plan is None:
-                shared_plan = plan
             offset = 0
             for slot, count in plan.segments:
                 block = self.blocks[block_ids[slot]]

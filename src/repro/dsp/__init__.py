@@ -7,9 +7,10 @@ slice plus the OPMODE/ALUMODE encodings and bit-vector primitives:
 - :class:`DSP48E2` -- one slice, the full UG579 dataflow (multiplier,
   pre-adder, SIMD ALU, cascade, pattern detector).
 - :class:`DspColumn` -- N slices that share attributes and one mode,
-  stepped as array operations; what :mod:`repro.core` builds its cells
-  and blocks on. It models the slice as the CAM configures it and is
-  fuzzed against N scalar slices.
+  stepped as array operations. A CAM unit in :mod:`repro.core` has one
+  column over all of its slices, and each block drives and reads its
+  own slice range of it. It models the slice as the CAM configures it
+  and is fuzzed against N scalar slices.
 """
 
 from repro.dsp.attributes import Dsp48Attributes, cam_cell_attributes

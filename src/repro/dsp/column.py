@@ -1,12 +1,15 @@
 """A column of DSP48E2 slices stepped as one array operation.
 
-In the paper a CAM block is N DSP48E2 slices that share one
-OPMODE/ALUMODE (``P = (A:B) XOR C`` with the pattern detector on P) and
-receive one broadcast key, so the block is a word-parallel SIMD
-machine. :class:`DspColumn` models it that way: one component holds the
-A/B/C input registers, P and PATTERNDETECT/PATTERNBDETECT of every
-slice as NumPy arrays (index ``i`` is slice ``i``), and one cycle of the
-column is a handful of array operations instead of N Python slices.
+In the paper every cell of a CAM unit is a DSP48E2 slice, all in one
+OPMODE/ALUMODE (``P = (A:B) XOR C`` with the pattern detector on P),
+and a search key is broadcast to every slice of its group, so the unit
+is a word-parallel SIMD machine. :class:`DspColumn` models it that way:
+one component holds the A/B/C input registers, P and
+PATTERNDETECT/PATTERNBDETECT of every slice as NumPy arrays (index
+``i`` is slice ``i``), and one cycle of the column is a handful of
+array operations instead of N Python slices. A CAM unit steps all of
+its slices as one column; each of its blocks drives and reads one
+range of slices.
 
 The registers stay explicit and follow the :class:`repro.sim.Component`
 contract: :meth:`DspColumn.compute` schedules new arrays and the commit
@@ -60,6 +63,9 @@ class DspColumn(Component):
     :attr:`b`, :attr:`c` and the clock enables :attr:`ce_a`,
     :attr:`ce_b`, :attr:`ce_c`, :attr:`ce_p`, each either one value
     broadcast to every slice or an array with one entry per slice.
+    After a reset the data ports are zero arrays of the column's own,
+    so several drivers can each write their own range of slices in
+    place; no register ever aliases a port array.
 
     Output registers (arrays over the slices, read after a cycle):
     :attr:`p`, :attr:`patterndetect`, :attr:`patternbdetect`.
@@ -118,9 +124,9 @@ class DspColumn(Component):
     def reset_state(self) -> None:
         zeros = self._zeros
         # Input ports.
-        self.a = 0
-        self.b = 0
-        self.c = 0
+        self.a = np.zeros(self.size, dtype=np.uint64)
+        self.b = np.zeros(self.size, dtype=np.uint64)
+        self.c = np.zeros(self.size, dtype=np.uint64)
         self.opmode = 0
         self.alumode = int(AluMode.ADD)
         self.ce_a = True

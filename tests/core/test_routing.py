@@ -14,7 +14,7 @@ def test_default_contiguous_layout():
     table = RoutingTable(8, 2)
     assert table.as_list() == [0, 0, 0, 0, 1, 1, 1, 1]
     assert table.blocks_per_group == 4
-    assert table.blocks_in_group(1) == [4, 5, 6, 7]
+    assert table.blocks_in_group(1) == (4, 5, 6, 7)
 
 
 def test_group_of():
@@ -37,8 +37,8 @@ def test_custom_remap_not_tied_to_layout():
     table = RoutingTable(4)
     table.remap([0, 1, 0, 1])
     assert table.num_groups == 2
-    assert table.blocks_in_group(0) == [0, 2]
-    assert table.blocks_in_group(1) == [1, 3]
+    assert table.blocks_in_group(0) == (0, 2)
+    assert table.blocks_in_group(1) == (1, 3)
 
 
 def test_remap_validation():

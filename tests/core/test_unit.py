@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CamUnit, binary_entry, unit_for_entries
+from repro.core import CamUnit, SearchResult, binary_entry, unit_for_entries
 from repro.errors import CapacityError, ConfigError, RoutingError
 from repro.sim import Simulator
 
@@ -171,11 +171,77 @@ def test_regroup_validation():
         unit.issue_regroup(3)
 
 
-def test_regroup_with_custom_mapping():
-    unit, sim = make_unit(entries=64, block_size=16, groups=1)
+def interleaved_unit():
+    """A 4-block unit regrouped so group 0 is blocks 0 and 2 and group 1
+    is blocks 1 and 3: no group's blocks are neighbours."""
+    unit, sim = make_unit(entries=64, block_size=16, groups=1, bus=128)
     unit.issue_regroup(2, mapping=[0, 1, 0, 1])
     sim.step(unit.update_latency + 2)
-    assert unit.table.blocks_in_group(0) == [0, 2]
+    return unit, sim
+
+
+def search_beat(unit, sim, keys):
+    """Issue one search beat and return its results; unlike
+    :func:`search_unit` it steps past any earlier beat's output first."""
+    unit.issue_search(keys)
+    sim.step()
+    sim.run_until(lambda: unit.search_output is not None,
+                  unit.search_latency + 4)
+    return unit.search_output
+
+
+def expected_result(key, stored):
+    """The answer at group-content addresses (``block_slot * block_size
+    + cell``): the group fills its blocks in order, so a word's address
+    is its write index."""
+    vector = sum(1 << address for address, word in enumerate(stored)
+                 if word == key)
+    return SearchResult.from_vector(key, vector)
+
+
+def test_regroup_with_custom_mapping():
+    unit, sim = interleaved_unit()
+    assert list(unit.table.blocks_in_group(0)) == [0, 2]
+    assert list(unit.table.blocks_in_group(1)) == [1, 3]
+    # 24 words fill block slot 0 of each group and spill into slot 1;
+    # 7 and 21 are stored twice, once in each slot.
+    stored = [(3 * i) % 23 for i in range(22)] + [7, 21]
+    for base in range(0, len(stored), 4):
+        unit.issue_update(words(stored[base:base + 4]))
+        sim.step()
+    sim.step(unit.update_latency + 2)
+    for group in range(2):
+        assert [e.value for e in unit.stored_entries(group)] == stored
+    probes = [0, 7, 21, 15, 22, 99, 3, 7]
+    for first, second in zip(probes[::2], probes[1::2]):
+        results = search_beat(unit, sim, [first, second])
+        assert results == [expected_result(first, stored),
+                           expected_result(second, stored)]
+    assert expected_result(7, stored).match_count == 2
+
+
+def test_custom_mapping_write_and_search_in_one_cycle():
+    """An update beat, then a search beat on the next cycle: the update
+    path is one stage longer, so both reach the blocks in the same
+    cycle -- one block per group takes the write on its A/B ports while
+    every block's C port takes a key."""
+    unit, sim = interleaved_unit()
+    stored = list(range(100, 116)) + [200, 201]
+    for base in range(0, 16, 4):
+        unit.issue_update(words(stored[base:base + 4]))
+        sim.step()
+    sim.step(unit.update_latency + 2)
+    # Block slot 0 of each group is full; the next beat lands in slot 1
+    # (blocks 2 and 3) while the keys go to all four blocks.
+    unit.issue_update(words(stored[16:]))
+    sim.step()
+    results = search_beat(unit, sim, [105, 201])
+    assert results == [expected_result(105, stored),
+                       expected_result(201, stored)]
+    assert results[1].address == 17
+    results = search_beat(unit, sim, [200, 115])
+    assert results == [expected_result(200, stored),
+                       expected_result(115, stored)]
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ get the same random inputs -- A/B/C ports (one value broadcast or one
 per slice), per-slice clock enables, the mode, and now and then a
 reset -- and must then hold identical A/B/C pipes, P, PATTERNDETECT and
 PATTERNBDETECT, and have traced identical events. The scalar slice is
-the oracle: it is the full UG579 model ``tests/dsp`` pins down.
+the oracle: it is the full UG579 model ``tests/dsp`` pins down. A
+second case drives disjoint ranges of one column in place, as the
+blocks of a CAM unit drive the unit's column.
 
 Set ``HYPOTHESIS_PROFILE=deep`` for a longer soak.
 """
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dsp import (
     ALL_ONES,
+    B_WIDTH,
     CAM_ALUMODE,
     CAM_OPMODE,
     DSP48E2,
@@ -133,6 +136,78 @@ def test_column_matches_scalar_slices(attributes, size, cycles, data):
         slice_sim.step()
         for index, dsp in enumerate(slices):
             assert column.registers(index) == dsp.registers()
+        # Committed arrays are swapped, never written in place.
+        for array, copy in zip(held, copies):
+            assert np.array_equal(array, copy)
+    assert trace_rows(column_trace) == trace_rows(slice_trace)
+
+
+def drive_range(data, column, slices, start, stop):
+    """One driver's cycle on slices ``[start, stop)``, written in place
+    into the column's port arrays as a CAM block drives its range: now
+    and then a new key on C (held otherwise), and now and then a write
+    of consecutive slices with their A/B enables raised."""
+    if data.draw(st.booleans()):
+        key = data.draw(st.integers(0, ALL_ONES))
+        column.c[start:stop] = key
+        for dsp in slices[start:stop]:
+            dsp.c = key
+    if data.draw(st.booleans()):
+        first = data.draw(st.integers(start, stop - 1))
+        last = data.draw(st.integers(first + 1, stop))
+        words = data.draw(st.lists(st.integers(0, ALL_ONES),
+                                   min_size=last - first,
+                                   max_size=last - first))
+        values = np.array(words, dtype=np.uint64)
+        column.a[first:last] = values >> B_WIDTH
+        column.b[first:last] = values & mask_for(B_WIDTH)
+        if column.ce_a is False:  # the column's first write this cycle
+            column.ce_a = column.ce_b = np.zeros(column.size, dtype=bool)
+        column.ce_a[first:last] = True
+        for dsp, word in zip(slices[first:last], words):
+            dsp.a, dsp.b = word >> B_WIDTH, word & mask_for(B_WIDTH)
+            dsp.ce_a = dsp.ce_b = True
+
+
+@settings(max_examples=300 if _DEEP else 40, deadline=None)
+@given(attributes=ATTRIBUTES,
+       sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+       cycles=st.integers(1, 16), data=st.data())
+def test_column_ranges_match_scalar_slices(attributes, sizes, cycles, data):
+    """Several drivers -- the blocks of a CAM unit -- each drive their
+    own disjoint range of one column, against as many scalar slices."""
+    ranges = []
+    for size in sizes:
+        start = ranges[-1][1] if ranges else 0
+        ranges.append((start, start + size))
+    names = [f"slice{i}" for i in range(ranges[-1][1])]
+    column = DspColumn(len(names), attributes, name="column",
+                       slice_names=names)
+    slices = [DSP48E2(attributes, name=name) for name in names]
+    column_trace, slice_trace = Trace(), Trace()
+    column_sim = Simulator(column, trace=column_trace)
+    slice_sim = Simulator(*slices, trace=slice_trace)
+    for _ in range(cycles):
+        if data.draw(st.integers(0, 7)) == 0:
+            column_sim.reset()
+            slice_sim.reset()
+        # The owner's tie-off: one mode, every write enable low.
+        opmode, alumode = data.draw(
+            st.one_of(st.just(CAM_MODE), st.sampled_from(MODES)))
+        column.opmode, column.alumode = opmode, alumode
+        column.ce_a = column.ce_b = False
+        for dsp in slices:
+            dsp.opmode, dsp.alumode = opmode, alumode
+            dsp.ce_a = dsp.ce_b = False
+        for start, stop in data.draw(st.permutations(ranges)):
+            drive_range(data, column, slices, start, stop)
+        held = (column.p, column.patterndetect, column.patternbdetect)
+        copies = [array.copy() for array in held]
+        column_sim.step()
+        slice_sim.step()
+        for index, dsp in enumerate(slices):
+            assert column.registers(index) == dsp.registers()
+        assert column.stored_ab.tolist() == [dsp.stored_ab for dsp in slices]
         # Committed arrays are swapped, never written in place.
         for array, copy in zip(held, copies):
             assert np.array_equal(array, copy)

@@ -64,7 +64,7 @@ def register_state(session: CamSession) -> dict:
     cells = []
     for block in session.unit.blocks:
         for index in range(block.size):
-            registers = block.column.registers(index)
+            registers = block.registers(index)
             cells.append({
                 "cell": f"{block.name}.cell{index}",
                 "a_pipe": registers.a_pipe,
