@@ -20,7 +20,7 @@ output buffer. Both paths are fully pipelined (initiation interval 1).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +48,10 @@ class CamBlock(CellArray):
 
     The cells are the slice range ``[offset, offset + block_size)`` of
     ``column`` -- in a unit, the unit's one column -- or, without a
-    ``column``, a column of the block's own.
+    ``column``, a column of the block's own. ``column_lines``, when
+    given, returns the match line of every slice of ``column`` for the
+    current cycle (a unit computes them once for all of its blocks);
+    without it the block reads its own range (:meth:`match_bits`).
 
     Input ports (drive during a compute phase, or before a testbench
     step; consumed and self-cleared each cycle). Updates and searches
@@ -67,8 +70,10 @@ class CamBlock(CellArray):
 
     Registered outputs:
 
-    - :attr:`result_valid` / :attr:`result` -- one
-      :class:`SearchResult` per completed search.
+    - :attr:`result_valid` / :attr:`result_lines` -- the ``(key,
+      match lines)`` of a completed search, one bit per cell: the
+      encoder's input, registered. :attr:`result` is the encoder's
+      :class:`SearchResult` for it, built on demand.
     - :attr:`update_done` -- pulses the cycle after an update lands.
     """
 
@@ -80,6 +85,7 @@ class CamBlock(CellArray):
         name: Optional[str] = None,
         column: Optional[DspColumn] = None,
         offset: int = 0,
+        column_lines: Optional[Callable[[], np.ndarray]] = None,
     ) -> None:
         name = name or f"block{block_id}"
         super().__init__(
@@ -95,6 +101,7 @@ class CamBlock(CellArray):
         self.block_id = block_id
         self.buffered = config.buffered if buffered is None else buffered
         self.encoder = ResultEncoder(config.encoding, config.block_size)
+        self._column_lines = column_lines
         self.reset_state()
 
     # ------------------------------------------------------------------
@@ -139,14 +146,28 @@ class CamBlock(CellArray):
         self.in_delete = False
         self.in_reset = False
         self.result_valid = False
-        self.result: Optional[SearchResult] = None
+        self.result_lines: Optional[Tuple[int, np.ndarray]] = None
         self.update_done = False
         self._fill = 0
         self._deleted = 0
         self._search_pipe: List[Optional[Tuple[int, bool]]] = (
             [None] * _CELL_PIPE_DEPTH
         )
-        self._buffer: Tuple[bool, Optional[SearchResult]] = (False, None)
+        self._buffer: Optional[Tuple[int, np.ndarray]] = None
+
+    @property
+    def result(self) -> Optional[SearchResult]:
+        """The encoder's output for :attr:`result_lines` (combinational)."""
+        if self.result_lines is None:
+            return None
+        key, lines = self.result_lines
+        return self.encoder.encode(key, lines)
+
+    def _match_lines(self) -> np.ndarray:
+        """This cycle's match line of every cell of the block."""
+        if self._column_lines is None:
+            return self.match_bits()
+        return self._column_lines()[self._cells]
 
     # ------------------------------------------------------------------
     def compute(self) -> None:
@@ -182,36 +203,35 @@ class CamBlock(CellArray):
         token_out = self._search_pipe[-1]
         updates["_search_pipe"] = [search_token] + self._search_pipe[:-1]
 
+        registered = None
         if token_out is not None:
             key, delete = token_out
-            match_bits = self.match_bits()
-            encoded = self.encoder.encode(key, match_bits)
-            if delete and encoded.hit:
+            lines = self._match_lines()
+            registered = (key, lines)
+            # The hit flag is needed only to delete or to trace.
+            hit = (delete or self._tracer is not None) and bool(lines.any())
+            if delete and hit:
                 # Delete-by-content: invalidate every matching cell as
                 # the comparison completes. Freed cells are reclaimed at
                 # reset, not reused (the fill pointer stays monotone).
-                clear = match_bits if clear is None else clear | match_bits
+                clear = lines if clear is None else clear | lines
                 if "_deleted" not in updates:
-                    updates["_deleted"] = self._deleted + encoded.match_count
-        else:
-            encoded = None
+                    updates["_deleted"] = (self._deleted
+                                           + int(np.count_nonzero(lines)))
         updates.update(self._drive_cells(self._fill, entries, clear))
 
         if self.buffered:
-            buffered_valid, buffered_result = self._buffer
-            updates["_buffer"] = (encoded is not None, encoded)
-            updates["result_valid"] = buffered_valid
-            updates["result"] = buffered_result
-        else:
-            updates["result_valid"] = encoded is not None
-            updates["result"] = encoded
+            updates["_buffer"] = registered
+            registered = self._buffer
+        updates["result_valid"] = registered is not None
+        updates["result_lines"] = registered
 
         if self._pending:
             self.schedule(**updates)
         else:
             self._pending = updates
-        if encoded is not None:
-            self.emit(match=encoded.hit, key=token_out)
+        if token_out is not None and self._tracer is not None:
+            self.emit(match=hit, key=token_out)
 
     # ------------------------------------------------------------------
     def _check_update(self, entries: Sequence[CamEntry]) -> Tuple[CamEntry, ...]:

@@ -59,6 +59,15 @@ def cam_column(
                      name=name, slice_names=slice_names)
 
 
+def match_lines(
+    p: np.ndarray, occupied: np.ndarray, masks: np.ndarray
+) -> np.ndarray:
+    """Match line of every cell: the registered XOR result ``p`` under
+    each stored entry's ignore mask -- the "post-processing after the
+    XOR operation" of section III-A. Empty cells never match."""
+    return occupied & ((p & ~masks) == 0)
+
+
 def tie_off(column: DspColumn) -> None:
     """Drive the pins a CAM column ties every cycle: every slice in the
     CAM mode, and the write enables low until a cell array raises its
@@ -172,14 +181,10 @@ class CellArray(Component):
 
     # ------------------------------------------------------------------
     def match_bits(self) -> np.ndarray:
-        """Every cell's match bit for the key latched two edges ago.
-
-        Combinational: the registered XOR result (the P outputs) under
-        each stored entry's ignore mask -- the "post-processing after
-        the XOR operation" of section III-A. Empty cells never match.
-        """
-        p = self.column.p[self._cells]
-        return self.occupied_bits & ((p & ~self.entry_masks) == 0)
+        """Every cell's match bit for the key latched two edges ago
+        (combinational, :func:`match_lines` over the cell range)."""
+        return match_lines(self.column.p[self._cells], self.occupied_bits,
+                           self.entry_masks)
 
     def _entries(self, stop: int) -> List[Optional[CamEntry]]:
         """Golden-model view of cells ``[0, stop)``: each stored entry,

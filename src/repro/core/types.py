@@ -92,17 +92,6 @@ class SearchResult:
             encoding=encoding,
         )
 
-    def offset(self, base: int) -> "SearchResult":
-        """Rebase cell-local addresses to unit-global addresses."""
-        return SearchResult(
-            key=self.key,
-            hit=self.hit,
-            address=None if self.address is None else self.address + base,
-            match_vector=self.match_vector << base,
-            match_count=self.match_count,
-            encoding=self.encoding,
-        )
-
     def encoded(self, size: int) -> int:
         """Serialise onto the output bus per the configured encoding."""
         if self.encoding is Encoding.ONE_HOT:

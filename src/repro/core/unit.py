@@ -16,7 +16,10 @@ groups, reconfigurable at runtime:
 
 Every cell of the unit is a slice of one :class:`repro.dsp.DspColumn`,
 stepped once per cycle; block ``k`` drives and reads the slice range
-``[k * block_size, (k + 1) * block_size)``.
+``[k * block_size, (k + 1) * block_size)``. The unit computes the match
+line of every slice once per cycle, each block registers its range of
+them, and the output interface encodes one result per group from its
+blocks' lines (Table III's encoder at group width).
 
 Measured end-to-end latency (Table VIII): update 6 cycles, search
 7 cycles (8 once the encoder output buffer engages at >= 2K entries).
@@ -26,12 +29,16 @@ Both paths sustain one beat per cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.core.block import CamBlock, cell_slice_names
-from repro.core.cell import cam_column, tie_off
+from repro.core.cell import cam_column, match_lines, tie_off
 from repro.core.config import UnitConfig
+from repro.core.encoder import pack_match_bits
 from repro.core.group import BlockAddressController
 from repro.core.mask import CamEntry
 from repro.core.routing import PostRouter, RoutingCompute, RoutingTable
@@ -110,6 +117,7 @@ class CamUnit(Component):
                     name=name,
                     column=self.column,
                     offset=i * size,
+                    column_lines=self._column_lines,
                 )
             )
             for i, name in enumerate(names)
@@ -120,6 +128,9 @@ class CamUnit(Component):
         # Last child: the column computes after every block has driven
         # its ports for the cycle.
         self.add_child(self.column)
+        # (block occupancy arrays, block mask arrays, their unit-wide
+        # concatenations): rebuilt when a block's arrays are replaced.
+        self._cell_state: Optional[tuple] = None
         self._init_control_state()
         self.reset_state()
 
@@ -181,6 +192,7 @@ class CamUnit(Component):
     def reset_state(self) -> None:
         self.in_beat: Optional[object] = None
         self.update_done = False
+        self._lines: Optional[np.ndarray] = None
         self._init_control_state()
 
     # ------------------------------------------------------------------
@@ -338,6 +350,7 @@ class CamUnit(Component):
     # ------------------------------------------------------------------
     def compute(self) -> None:
         tie_off(self.column)
+        self._lines = None
         # Stage 0: accept the staged beat into the routing pipeline.
         beat = self.in_beat
         self.in_beat = None
@@ -378,6 +391,28 @@ class CamUnit(Component):
         self.schedule(update_done=update_applied)
 
     # ------------------------------------------------------------------
+    def _column_lines(self) -> np.ndarray:
+        """The match line of every slice of the unit for this cycle.
+
+        Combinational over registered state (the column's P outputs, the
+        blocks' occupancy and masks), so it is computed once, on the
+        first block's request, and every block reads its range of it.
+        """
+        lines = self._lines
+        if lines is None:
+            occupied = [block.occupied_bits for block in self.blocks]
+            masks = [block.entry_masks for block in self.blocks]
+            state = self._cell_state
+            if (state is None or not all(map(is_, occupied, state[0]))
+                    or not all(map(is_, masks, state[1]))):
+                state = self._cell_state = (
+                    occupied, masks,
+                    np.concatenate(occupied), np.concatenate(masks),
+                )
+            lines = self._lines = match_lines(self.column.p, state[2],
+                                              state[3])
+        return lines
+
     def _apply_search(self, beat: _SearchBeat) -> None:
         for _index, group, key in beat.queries:
             for block_id in self.table.blocks_in_group(group):
@@ -442,22 +477,27 @@ class CamUnit(Component):
         return results
 
     def _merge_group_results(self, group: int, key: int) -> SearchResult:
-        vector = 0
-        for slot, block_id in enumerate(self.table.blocks_in_group(group)):
+        """Encode one group's answer from its blocks' registered lines.
+
+        The lines are laid out in slot order, so a block's cell
+        addresses land at ``slot * block_size + cell``.
+        """
+        lines = []
+        for block_id in self.table.blocks_in_group(group):
             block = self.blocks[block_id]
-            if not block.result_valid or block.result is None:
+            if block.result_lines is None:
                 raise ConfigError(
                     f"{self.name}: block {block_id} produced no result for "
                     f"an expected search (pipeline desync)"
                 )
-            local = block.result
-            if local.key != key:  # pragma: no cover - defensive
+            local_key, local_lines = block.result_lines
+            if local_key != key:  # pragma: no cover - defensive
                 raise ConfigError(
                     f"{self.name}: block {block_id} answered key "
-                    f"{local.key}, expected {key}"
+                    f"{local_key}, expected {key}"
                 )
-            # Rebase the block's cell addresses to group addresses.
-            vector |= local.match_vector << (slot * self.block_size)
+            lines.append(local_lines)
+        vector = pack_match_bits(np.concatenate(lines))
         return SearchResult.from_vector(key, vector,
                                         self.config.block.encoding)
 

@@ -221,8 +221,8 @@ class TriEngineMachine(RuleBasedStateMachine):
 _DEEP = os.environ.get("HYPOTHESIS_PROFILE", "") == "deep"
 
 TriEngineMachine.TestCase.settings = settings(
-    max_examples=80 if _DEEP else 40,
-    stateful_step_count=40 if _DEEP else 30,
+    max_examples=120 if _DEEP else 50,
+    stateful_step_count=50 if _DEEP else 40,
     deadline=None,
 )
 TestTriEngineMachine = TriEngineMachine.TestCase

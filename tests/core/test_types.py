@@ -23,18 +23,6 @@ def test_from_vector_multi_hit_picks_lowest():
     assert result.match_count == 3
 
 
-def test_offset_rebases_address_and_vector():
-    result = SearchResult.from_vector(9, 0b1)
-    moved = result.offset(16)
-    assert moved.address == 16
-    assert moved.match_vector == 1 << 16
-    assert moved.key == 9
-
-
-def test_offset_of_miss_keeps_none():
-    assert SearchResult.from_vector(9, 0).offset(16).address is None
-
-
 def test_encoded_priority():
     result = SearchResult.from_vector(9, 0b100, Encoding.PRIORITY)
     # size 16 -> 4 address bits; hit flag is bit 4.
