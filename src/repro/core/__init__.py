@@ -64,7 +64,6 @@ from repro.core.types import (
     CamStore,
     CamType,
     Encoding,
-    OpKind,
     SearchBatch,
     SearchResult,
     UpdateReceipt,
@@ -105,7 +104,6 @@ __all__ = [
     "Divergence",
     "check_equivalence",
     "Encoding",
-    "OpKind",
     "PostRouter",
     "ReferenceCam",
     "ResultEncoder",

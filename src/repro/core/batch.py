@@ -10,6 +10,12 @@ but executed directly against NumPy arrays of stored ``(value, mask)``
 pairs, with the cycle accounting computed analytically from the
 pipeline structure instead of simulated.
 
+A group whose live entries all share one care mask (every binary CAM)
+answers a search by binary search in a sorted-value index, rebuilt
+lazily after any write; a mixed-care group (ternary or range) scans the
+full ``(keys, entries)`` XOR matrix. Both give the same matches, sorted
+by key, then address.
+
 The analytic model is *derived*, not guessed: every formula below
 mirrors a structural fact of the unit pipeline
 (:mod:`repro.core.routing`, :mod:`repro.core.block`) and is enforced
@@ -56,7 +62,7 @@ from repro.core.session import (
     UpdateStats,
     _SessionBase,
 )
-from repro.core.types import CamType, SearchBatch, SearchResult
+from repro.core.types import CamType, SearchBatch, SearchResult, key_array
 from repro.dsp.primitives import DSP_WIDTH, mask_for
 from repro.errors import (
     AuditError,
@@ -78,9 +84,13 @@ class _GroupStore:
     index. Deleted entries become dead slots (``live`` False); the fill
     pointer never rewinds, mirroring the block's invalidate-by-content
     behaviour.
+
+    Every write goes through :meth:`append`, :meth:`kill` or
+    :meth:`clear`, and each drops the sorted-value index that
+    :meth:`matches` builds on the next search.
     """
 
-    __slots__ = ("capacity", "fill", "values", "cares", "live")
+    __slots__ = ("capacity", "fill", "values", "cares", "live", "_index")
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
@@ -88,6 +98,7 @@ class _GroupStore:
         self.values = np.zeros(capacity, dtype=np.int64)
         self.cares = np.zeros(capacity, dtype=np.int64)
         self.live = np.zeros(capacity, dtype=bool)
+        self._index = None
 
     def append(self, values: np.ndarray, cares: np.ndarray) -> None:
         count = values.size
@@ -96,24 +107,61 @@ class _GroupStore:
         self.cares[self.fill:stop] = cares
         self.live[self.fill:stop] = True
         self.fill = stop
+        self._index = None
+
+    def kill(self, where) -> None:
+        """Invalidate the entries at addresses ``where``."""
+        self.live[where] = False
+        self._index = None
 
     def clear(self) -> None:
         self.fill = 0
         self.live[:] = False
+        self._index = None
 
-    def match_matrix(self, keys: np.ndarray) -> np.ndarray:
-        """Boolean (num_keys, fill) match matrix for masked keys."""
-        n = self.fill
-        if n == 0:
-            return np.zeros((keys.size, 0), dtype=bool)
-        diff = (keys[:, None] ^ self.values[None, :n]) & self.cares[None, :n]
-        return (diff == 0) & self.live[None, :n]
+    def _sorted_index(self) -> tuple:
+        """``(care, sorted masked values, their addresses)`` over the
+        live entries when they all share one care mask (every binary
+        CAM), else ``()``. Equal values keep ascending addresses."""
+        if self._index is None:
+            live = np.flatnonzero(self.live[:self.fill])
+            cares = self.cares[live]
+            if cares.size and (cares != cares[0]).any():
+                self._index = ()  # mixed cares: only the XOR scan fits
+            else:
+                care = int(cares[0]) if cares.size else _FULL
+                masked = self.values[live] & care
+                order = np.argsort(masked, kind="stable")
+                self._index = (care, masked[order], live[order])
+        return self._index
 
     def matches(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(key index, address) of every match, sorted by key, then
-        address (one flat scan: cheaper than a 2-D ``nonzero``)."""
-        flat = np.flatnonzero(self.match_matrix(keys))
-        return np.divmod(flat, max(self.fill, 1))
+        address.
+
+        A uniform-care store answers by binary search: each key's run
+        of equal values in the sorted index is its matches, already in
+        address order. A mixed-care (ternary or range) store scans the
+        full ``(keys, fill)`` XOR matrix in one flat pass.
+        """
+        index = self._sorted_index()
+        if not index:
+            n = self.fill
+            diff = (keys[:, None] ^ self.values[None, :n]) & self.cares[None, :n]
+            flat = np.flatnonzero((diff == 0) & self.live[None, :n])
+            return np.divmod(flat, n)
+        care, values, addresses = index
+        probes = keys & care
+        first = values.searchsorted(probes)
+        counts = values.searchsorted(probes, "right") - first
+        rows = counts.nonzero()[0]
+        if rows.size == counts.sum():  # no key matches twice
+            return rows, addresses[first[rows]]
+        rows = np.arange(keys.size).repeat(counts)
+        # the j-th match overall sits at its run's first slot plus its
+        # rank inside the run
+        skew = (first - counts.cumsum() + counts).repeat(counts)
+        return rows, addresses[skew + np.arange(rows.size)]
 
     def entries(self, width: int) -> List[Optional[CamEntry]]:
         """Golden view (holes as ``None``), same order as the hardware,
@@ -274,22 +322,21 @@ class BatchSession(_SessionBase):
         return group_ids
 
     def _search(
-        self, keys: List[int], groups: Optional[Sequence[int]]
+        self, keys: np.ndarray, groups: Optional[Sequence[int]]
     ) -> Tuple[SearchBatch, SearchStats]:
         if groups is None:
             group_ids = list(range(self._num_groups))
         else:
             group_ids = self._validate_groups(groups)
         per_beat = len(group_ids)
-        raw_keys = np.fromiter(keys, dtype=np.int64, count=len(keys))
-        masked = raw_keys & _FULL
+        masked = keys & _FULL
         encoding = self.config.block.encoding
 
         with obs.span("unit.search", keys=len(keys)):
             if self.config.replicate_updates:
-                # Every group answers from the same content: one matrix.
+                # Every group answers from the same content: one store.
                 rows, cols = self._stores[0].matches(masked)
-                batch = SearchBatch(raw_keys, rows, cols, encoding)
+                batch = SearchBatch(keys, rows, cols, encoding)
             else:
                 # Key i rides group group_ids[i % per_beat].
                 matches = []
@@ -297,7 +344,8 @@ class BatchSession(_SessionBase):
                     picks = np.arange(offset, len(keys), per_beat)
                     rows, cols = self._stores[g].matches(masked[picks])
                     matches.append((picks[rows], cols))
-                batch = SearchBatch.gather(raw_keys, matches, encoding)
+                batch = SearchBatch.gather(keys, matches, encoding,
+                                           disjoint=True)
 
         beats = -(-len(keys) // per_beat)
         cycles = beats + self.config.search_latency - 1
@@ -306,11 +354,13 @@ class BatchSession(_SessionBase):
 
     def _delete(self, key: int) -> SearchResult:
         masked = np.asarray([key], dtype=np.int64) & _FULL
-        rows, cols = self._stores[0].matches(masked)
-        result = SearchBatch([key], rows, cols, self.config.block.encoding)[0]
+        result = None
         for store in self._distinct_stores():
-            row = store.match_matrix(masked)[0]
-            store.live[: row.size][row] = False
+            rows, cols = store.matches(masked)
+            if result is None:  # group 0 answers, like the unit
+                result = SearchBatch([key], rows, cols,
+                                     self.config.block.encoding)[0]
+            store.kill(cols)
         self._cycle += self.config.search_latency
         return result
 
@@ -361,9 +411,7 @@ class BatchSession(_SessionBase):
             values = np.asarray([e.value for e in slots], dtype=np.int64)
             cares = np.asarray([e.care for e in slots], dtype=np.int64)
             store.append(values, cares)
-            dead = [addr for addr, e in enumerate(slots) if not e.live]
-            if dead:
-                store.live[np.asarray(dead)] = False
+            store.kill([addr for addr, e in enumerate(slots) if not e.live])
             beats = -(-len(slots) // per_beat)
             self._cycle += beats + self.config.update_latency - 1
 
@@ -527,7 +575,7 @@ class AuditSession(BatchSession):
         keys: Sequence[int],
         groups: Optional[Sequence[int]] = None,
     ) -> SearchBatch:
-        keys = list(keys)
+        keys = key_array(keys)
         results = super().search(keys, groups=groups)
         if self._tally():
             self._compare_results("search", results,

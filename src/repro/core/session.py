@@ -23,10 +23,12 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro import obs
 from repro.core.config import UnitConfig
 from repro.core.mask import CamEntry, binary_entry
-from repro.core.types import CamType, SearchBatch, SearchResult
+from repro.core.types import CamType, SearchBatch, SearchResult, key_array
 from repro.core.unit import CamUnit
 from repro.fabric.area import unit_resources
 from repro.errors import ConfigError, RoutingError, SimulationError
@@ -206,12 +208,12 @@ class _SessionBase:
         ``groups`` only make sense in independent mode and then apply to
         every beat.
         """
-        keys = list(keys)
-        if not keys:
+        keys = key_array(keys)
+        if not keys.size:
             raise ConfigError("search needs at least one key")
         t0 = time.perf_counter() if obs.enabled() else 0.0
         with obs.span("session.search", engine=self.engine_name,
-                      keys=len(keys)):
+                      keys=keys.size):
             results, stats = self._search(keys, groups)
         self.last_search_stats = stats
         if obs.enabled():
@@ -371,8 +373,9 @@ class CamSession(_SessionBase):
         )
 
     def _search(
-        self, keys: List[int], groups: Optional[Sequence[int]]
+        self, keys: np.ndarray, groups: Optional[Sequence[int]]
     ) -> Tuple[SearchBatch, SearchStats]:
+        keys = keys.tolist()
         start = self.cycle
         per_beat = self.unit.num_groups if groups is None else len(groups)
         pending = 0

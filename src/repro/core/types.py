@@ -1,4 +1,4 @@
-"""Shared types of the CAM core: CAM kinds, operations, results,
+"""Shared types of the CAM core: CAM kinds, results,
 and the backend protocols every CAM implementation conforms to."""
 
 from __future__ import annotations
@@ -34,15 +34,6 @@ class CamType(enum.Enum):
     BINARY = "binary"
     TERNARY = "ternary"
     RANGE = "range"
-
-
-class OpKind(enum.Enum):
-    """Operations accepted on the CAM block/unit input bus."""
-
-    UPDATE = "update"
-    SEARCH = "search"
-    RESET = "reset"
-    CONFIGURE = "configure"
 
 
 class Encoding(enum.Enum):
@@ -109,6 +100,14 @@ class SearchResult:
         return multi | hit_bit | (self.address or 0)
 
 
+def key_array(keys) -> np.ndarray:
+    """Search keys as a fresh int64 array (an int64 array is copied
+    whole, so a result never aliases the caller's buffer)."""
+    if isinstance(keys, np.ndarray) and keys.dtype == np.int64:
+        return keys.copy()
+    return np.fromiter(keys, dtype=np.int64)
+
+
 class SearchBatch(abc.Sequence):
     """Columnar outcome of one search call: every key's answer at once.
 
@@ -137,12 +136,17 @@ class SearchBatch(abc.Sequence):
 
     @classmethod
     def gather(cls, keys, matches: Sequence[Tuple[np.ndarray, np.ndarray]],
-               encoding: Encoding) -> "SearchBatch":
+               encoding: Encoding, disjoint: bool = False) -> "SearchBatch":
         """Batch over ``keys`` from one or more ``(rows, cols)`` match
-        arrays in any order (merged shards or groups)."""
+        arrays (merged shards or groups), each sorted by row, then
+        address. When the arrays are ``disjoint`` (no key matches in two
+        of them), a stable sort by row alone restores the order."""
         rows = np.concatenate([r for r, _ in matches])
         cols = np.concatenate([c for _, c in matches])
-        order = np.lexsort((cols, rows))
+        if disjoint:
+            order = rows.argsort(kind="stable")
+        else:
+            order = np.lexsort((cols, rows))
         return cls(keys, rows[order], cols[order], encoding)
 
     @classmethod
@@ -161,10 +165,15 @@ class SearchBatch(abc.Sequence):
         return cls([r.key for r in results], np.array(rows, dtype=np.int64),
                    np.array(cols, dtype=np.int64), encoding)
 
-    def rebase(self, table: np.ndarray) -> "SearchBatch":
+    def rebase(self, table: np.ndarray,
+               ascending: bool = False) -> "SearchBatch":
         """The same answers with every address ``a`` moved to
-        ``table[a]`` (shard-local to global addresses)."""
+        ``table[a]`` (shard-local to global addresses). A strictly
+        ``ascending`` table keeps each key's addresses in order, so the
+        re-sort is skipped."""
         cols = table[self.cols]
+        if ascending:
+            return SearchBatch(self.keys, self.rows, cols, self.encoding)
         order = np.lexsort((cols, self.rows))
         return SearchBatch(self.keys, self.rows[order], cols[order],
                            self.encoding)

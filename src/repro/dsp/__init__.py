@@ -33,15 +33,12 @@ from repro.dsp.primitives import (
     B_WIDTH,
     DSP_WIDTH,
     clog2,
-    concat_ab,
     is_power_of_two,
     mask_for,
-    masked_equal,
     pack_words,
     popcount,
     split_ab,
     truncate,
-    unpack_words,
 )
 
 __all__ = [
@@ -63,15 +60,12 @@ __all__ = [
     "ZMux",
     "cam_cell_attributes",
     "clog2",
-    "concat_ab",
     "is_power_of_two",
     "mask_for",
-    "masked_equal",
     "pack_opmode",
     "pack_words",
     "popcount",
     "split_ab",
     "truncate",
     "unpack_opmode",
-    "unpack_words",
 ]

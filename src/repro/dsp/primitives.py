@@ -3,12 +3,12 @@
 All values are plain non-negative Python integers interpreted as
 fixed-width bit vectors; helpers here keep widths explicit so that the
 48-bit DSP datapath behaves exactly like the silicon (wrap-around
-arithmetic, masked comparisons, field packing).
+arithmetic, field packing).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.errors import ConfigError
 
@@ -41,11 +41,6 @@ def check_fits(value: int, width: int, what: str = "value") -> int:
             f"{what} 0x{value:x} does not fit in {width} bits"
         )
     return value
-
-
-def concat_ab(a: int, b: int) -> int:
-    """Form the 48-bit A:B concatenation used as the X-mux input."""
-    return (truncate(a, A_WIDTH) << B_WIDTH) | truncate(b, B_WIDTH)
 
 
 def split_ab(value: int) -> "tuple[int, int]":
@@ -83,18 +78,3 @@ def pack_words(words: Iterable[int], word_width: int) -> int:
         check_fits(word, word_width, f"word[{index}]")
         packed |= word << (index * word_width)
     return packed
-
-
-def unpack_words(value: int, word_width: int, count: int) -> List[int]:
-    """Inverse of :func:`pack_words`; returns ``count`` words."""
-    word_mask = mask_for(word_width)
-    return [(value >> (i * word_width)) & word_mask for i in range(count)]
-
-
-def masked_equal(lhs: int, rhs: int, ignore_mask: int) -> bool:
-    """Compare two words ignoring the bits set in ``ignore_mask``.
-
-    This is exactly the DSP48E2 pattern-detector condition
-    ``((lhs XOR rhs) AND NOT mask) == 0`` that the CAM cell relies on.
-    """
-    return ((lhs ^ rhs) & ~ignore_mask & mask_for(DSP_WIDTH)) == 0

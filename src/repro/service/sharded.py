@@ -57,6 +57,7 @@ from repro.core.types import (
     Encoding,
     SearchBatch,
     SearchResult,
+    key_array,
 )
 from repro.dsp.primitives import mask_for
 from repro.errors import (
@@ -264,6 +265,17 @@ class ShardedCam:
     def _assign_addresses(self, shard: int, addresses: Sequence[int]) -> None:
         self._global_addrs[shard] = np.concatenate(
             [self._global_addrs[shard], np.asarray(addresses, dtype=np.int64)])
+        self._ascending[shard] = None
+
+    def _rebase(self, shard: int, batch: SearchBatch) -> SearchBatch:
+        """A shard batch in global addresses. Addresses bind in
+        admission order, so a table is normally strictly ascending and
+        the rebase keeps each key's addresses sorted as they come; that
+        fact is checked once per table change."""
+        table = self._global_addrs[shard]
+        if self._ascending[shard] is None:
+            self._ascending[shard] = bool((table[1:] > table[:-1]).all())
+        return batch.rebase(table, ascending=self._ascending[shard])
 
     # ------------------------------------------------------------------
     # shard-level primitives (the async scheduler dispatches these)
@@ -306,7 +318,7 @@ class ShardedCam:
         with obs.span("svc.shard.search", shard=shard, keys=len(keys)):
             batch = self._fenced(shard, self.sessions[shard].search, keys)
         obs.inc("svc_shard_ops_total", shard=shard, op="search")
-        return batch.rebase(self._global_addrs[shard])
+        return self._rebase(shard, batch)
 
     def delete_shard(self, shard: int, key: int) -> SearchResult:
         """Delete-by-content on one shard; returns the globally-mapped
@@ -316,7 +328,7 @@ class ShardedCam:
             result = self._fenced(shard, self.sessions[shard].delete, key)
         obs.inc("svc_shard_ops_total", shard=shard, op="delete")
         local = SearchBatch.from_results([result], result.encoding)
-        return local.rebase(self._global_addrs[shard])[0]
+        return self._rebase(shard, local)[0]
 
     def partition_update(
         self, words: Sequence[RawWord]
@@ -402,7 +414,7 @@ class ShardedCam:
                 f"{self.name}: the sharded service routes queries itself; "
                 "per-call group pinning is not supported"
             )
-        keys = np.fromiter(keys, dtype=np.int64)
+        keys = key_array(keys)
         if not keys.size:
             raise ConfigError("search needs at least one key")
         with obs.span("svc.search", engine=self.engine_name, keys=keys.size):
@@ -418,14 +430,16 @@ class ShardedCam:
             for shard in targets:
                 picks = (np.arange(keys.size) if owners is None
                          else np.flatnonzero(owners == shard))
-                part = self.search_shard(shard, keys[picks].tolist())
+                part = self.search_shard(shard, keys[picks])
                 shard_stats = self.sessions[shard].last_search_stats
                 beats = max(beats, shard_stats.beats)
                 cycles = max(cycles, shard_stats.cycles)
                 matches.append((picks[part.rows], part.cols))
-            # one shard answered every key: its batch is the answer
+            # one shard answered every key: its batch is the answer;
+            # pinned keys each answer from one shard (disjoint rows)
             results = part if len(matches) == 1 else SearchBatch.gather(
-                keys, matches, self.config.block.encoding)
+                keys, matches, self.config.block.encoding,
+                disjoint=owners is not None)
             stats = SearchStats(keys=keys.size, beats=beats, cycles=cycles)
         self.last_search_stats = stats
         if obs.enabled():
@@ -483,6 +497,9 @@ class ShardedCam:
         #: shard -> int64 table of local address -> global address.
         self._global_addrs = [np.zeros(0, dtype=np.int64)
                               for _ in range(self.num_shards)]
+        #: shard -> whether its table is strictly ascending (None:
+        #: not checked since the table last changed).
+        self._ascending = [None] * self.num_shards
         self._global_count = 0
 
     def idle(self, cycles: int = 1) -> None:
@@ -558,4 +575,5 @@ class ShardedCam:
             self._fenced(shard, session.restore, child)
         self._global_addrs = [np.asarray(table, dtype=np.int64)
                               for table in tables]
+        self._ascending = [None] * self.num_shards
         self._global_count = int(snapshot.meta.get("global_count", 0))

@@ -7,8 +7,10 @@ field for field, including the match vector and the encoded bus word.
 """
 
 import os
+from contextlib import suppress
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -24,6 +26,8 @@ from repro.core import (
     ternary_entry,
     unit_for_entries,
 )
+from repro.dsp.primitives import DSP_WIDTH, mask_for
+from repro.errors import CapacityError
 
 _DEEP = os.environ.get("HYPOTHESIS_PROFILE", "") == "deep"
 
@@ -126,6 +130,139 @@ def test_engine_batches_match_reference(engine, scenario):
 
 
 # ----------------------------------------------------------------------
+# batch-engine group stores: sorted index vs the XOR scan
+# ----------------------------------------------------------------------
+#: Stored values and probe bases, few enough that duplicates are common.
+POOL = [0x00, 0x05, 0x10, 0x13, 0x1F, 0xF0]
+
+
+def flat_scan(store, keys):
+    """Every live ``(key index, address)`` match from the full
+    ``(keys, fill)`` XOR matrix, sorted by key, then address."""
+    n = store.fill
+    diff = (keys[:, None] ^ store.values[None, :n]) & store.cares[None, :n]
+    flat = np.flatnonzero((diff == 0) & store.live[None, :n])
+    return np.divmod(flat, max(n, 1))
+
+
+@st.composite
+def pooled_entries(draw, cam_type):
+    value = draw(st.sampled_from(POOL))
+    if cam_type is CamType.BINARY:
+        return value
+    if cam_type is CamType.TERNARY:
+        dont_care = draw(st.sampled_from([0x0F, 0x0F, 0x03]))
+        return ternary_entry(value & ~dont_care, dont_care, WIDTH)
+    bits = draw(st.sampled_from([2, 2, 4]))
+    start = value & ~((1 << bits) - 1)
+    return range_entry(start, start + (1 << bits) - 1, WIDTH)
+
+
+@st.composite
+def store_programs(draw):
+    cam_type = draw(st.sampled_from(list(CamType)))
+    groups = draw(st.sampled_from([1, 2]))
+    config = unit_for_entries(32, block_size=8, data_width=WIDTH,
+                              bus_width=64, cam_type=cam_type,
+                              default_groups=groups)
+    if groups > 1 and draw(st.booleans()):
+        config = replace(config, replicate_updates=False)
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("update"),
+                  st.lists(pooled_entries(cam_type), min_size=1, max_size=9),
+                  st.integers(0, 3)),
+        st.tuples(st.just("delete"), st.sampled_from(POOL)),
+        st.tuples(st.just("reset")),
+        st.tuples(st.just("snapshot")),
+        st.tuples(st.just("restore")),
+        st.tuples(st.just("set_groups"), st.sampled_from([1, 2, 4])),
+    ), min_size=1, max_size=14))
+    probes = draw(st.lists(
+        st.builds(lambda v, flip, high: (v ^ flip) | high,
+                  st.sampled_from(POOL), st.sampled_from([0, 0, 1, 4]),
+                  st.sampled_from([0, 0, 1 << WIDTH, 1 << 40])),
+        min_size=1, max_size=10))
+    return config, steps, probes
+
+
+def check_stores(session, keys):
+    for store in session._distinct_stores():
+        live = store.cares[:store.fill][store.live[:store.fill]]
+        uniform = live.size == 0 or (live == live[0]).all()
+        assert bool(store._sorted_index()) == uniform
+        rows, cols = store.matches(keys)
+        want_rows, want_cols = flat_scan(store, keys)
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
+
+
+@given(program=store_programs())
+@settings(max_examples=300 if _DEEP else 60, deadline=None)
+def test_group_store_matches_equal_the_flat_scan(program):
+    """Searches interleaved with every write: a uniform-care store's
+    sorted index answers exactly like the XOR scan, so no write may
+    leave a stale index behind."""
+    config, steps, probes = program
+    session = open_session(config, engine="batch")
+    keys = np.asarray(probes, dtype=np.int64) & mask_for(DSP_WIDTH)
+    saved = session.snapshot()
+    check_stores(session, keys)
+    for step in steps:
+        op = step[0]
+        if op == "update":
+            independent = not config.replicate_updates
+            group = step[2] % session.num_groups if independent else None
+            with suppress(CapacityError):  # the fitting beats land
+                session.update(step[1], group=group)
+        elif op == "delete":
+            session.delete(step[1])
+        elif op == "reset":
+            session.reset()
+        elif op == "snapshot":
+            saved = session.snapshot()
+        elif op == "restore":
+            session.restore(saved)
+        else:
+            session.set_groups(step[1])
+        check_stores(session, keys)
+        session.search(probes)
+
+
+@st.composite
+def sorted_matches(draw, parts):
+    """``parts`` disjoint ``(rows, cols)`` arrays over up to 8 keys,
+    each sorted by row, then column, plus a strictly ascending table."""
+    steps = draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    table = np.cumsum(steps)
+    owner = draw(st.lists(st.integers(0, parts - 1), min_size=8,
+                          max_size=8))
+    pairs = draw(st.sets(st.tuples(st.integers(0, 7),
+                                   st.integers(0, len(steps) - 1))))
+    matches = []
+    for part in range(parts):
+        mine = sorted(p for p in pairs if owner[p[0]] == part)
+        matches.append((np.asarray([r for r, _ in mine], dtype=np.int64),
+                        np.asarray([c for _, c in mine], dtype=np.int64)))
+    return matches, table
+
+
+@given(program=sorted_matches(parts=3))
+@settings(max_examples=200 if _DEEP else 50, deadline=None)
+def test_fast_paths_equal_the_sorted_paths(program):
+    """An ascending rebase table and disjoint gathers skip their
+    re-sort and must still give the fully sorted answer."""
+    matches, table = program
+    keys = np.arange(8) + 100
+    merged = SearchBatch.gather(keys, matches, Encoding.PRIORITY)
+    assert SearchBatch.gather(keys, matches, Encoding.PRIORITY,
+                              disjoint=True) == merged
+    assert merged.rebase(table, ascending=True) == merged.rebase(table)
+    for rows, cols in matches:
+        part = SearchBatch(keys, rows, cols)
+        assert part.rebase(table, ascending=True) == part.rebase(table)
+
+
+# ----------------------------------------------------------------------
 # sharded facade
 # ----------------------------------------------------------------------
 SHARDED = [
@@ -202,11 +339,18 @@ def test_cross_shard_duplicates_take_the_lowest_global_address():
 def test_priority_is_the_lowest_global_address_not_the_first_local():
     cam = open_session(sharded_config(), engine="batch", shards=2,
                        policy="round_robin")
-    cam.update_shard(0, [7, 7, 8], addresses=[5, 2, 0])  # bound out of order
+    cam.update_shard(0, [7], addresses=[5])
+    assert cam.search_shard(0, [7]).addresses.tolist() == [5]
+    cam.update_shard(0, [7, 8], addresses=[2, 0])  # bound out of order
     part = cam.search_shard(0, [7, 8])
     assert part.addresses.tolist() == [2, 0]
     assert part[0].match_vector == (1 << 5) | (1 << 2)
     assert cam.search([8, 7]).addresses.tolist() == [0, 2]
+    twin = open_session(sharded_config(), engine="batch", shards=2,
+                        policy="round_robin")
+    assert not twin.search_shard(0, [7]).hits[0]
+    twin.restore(cam.snapshot())  # the restored table is out of order too
+    assert twin.search_shard(0, [7, 8]).addresses.tolist() == [2, 0]
 
 
 def test_ternary_round_robin_shards_match_reference():
