@@ -2,12 +2,17 @@
 
 :class:`CamClient` multiplexes concurrent requests over a small pool
 of TCP connections: every request gets a connection-local request id,
-the frame is written immediately (no lock-step request/response), and
-a reader task per connection resolves the matching future when the
-response arrives -- so hundreds of requests can be in flight at once
-over one socket, which is what buys the >= 5x throughput over a naive
-one-request-per-round-trip client (``benchmarks/
-bench_net_throughput.py``).
+its frame joins the connection's write buffer (no lock-step
+request/response), and a reader task per connection resolves the
+matching future when the response arrives -- so hundreds of requests
+can be in flight at once over one socket, which is what buys the >= 5x
+throughput over a naive one-request-per-round-trip client
+(``benchmarks/bench_net_throughput.py``). The buffer is written once
+per event-loop turn, in the order the frames were encoded, so a burst
+of requests costs one socket write; a caller that finds more than
+64 KiB buffered writes it at once and awaits ``drain``, which keeps the
+transport's backpressure. Callers racing to use a pool slot that has
+no connection yet share one connect.
 
 Failure handling:
 
@@ -21,9 +26,10 @@ Failure handling:
 - **server drain** -- ``RETRY_LATER`` error frames are retried the
   same way (the server is restarting or handing off);
 - **timeouts** -- a response not seen within ``request_timeout_s``
-  fails the attempt with
+  (one timer per attempt) fails the attempt with
   :class:`~repro.errors.RequestTimeoutError` and is retried
-  (idempotency makes this safe for mutations too).
+  (idempotency makes this safe for mutations too); the late response,
+  if it still comes, matches no pending id and is dropped.
 
 Responses are surfaced as the *same*
 :class:`~repro.service.scheduler.ServiceResponse` dataclass the
@@ -63,6 +69,9 @@ from repro.service.scheduler import ServiceResponse
 from repro.service.snapshot import CamSnapshot
 
 _READ_CHUNK = 64 * 1024
+#: Buffered request bytes above which a caller flushes at once and
+#: awaits ``drain`` (asyncio's default transport high-water mark).
+_HIGH_WATER = 64 * 1024
 #: First retry delay; each further retry doubles it up to the cap.
 _BACKOFF_S = 0.02
 _BACKOFF_MAX_S = 0.5
@@ -73,7 +82,8 @@ _RETRYABLE = (ConnectionLostError, RequestTimeoutError,
 
 
 class _Connection:
-    """One pooled socket plus its demultiplexing reader task."""
+    """One pooled socket, its write buffer and its demultiplexing
+    reader task."""
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter) -> None:
@@ -84,6 +94,38 @@ class _Connection:
         self.ids = itertools.count(1)
         self.task: Optional[asyncio.Task] = None
         self.closed = False
+        #: encoded request frames not yet handed to the transport.
+        self.outbox: List[bytes] = []
+        self.outbox_bytes = 0
+
+    def send(self, blob: bytes) -> None:
+        """Queue one frame; the first frame of a loop turn schedules
+        the flush that writes the turn's frames at once."""
+        if not self.outbox:
+            asyncio.get_running_loop().call_soon(self.flush)
+        self.outbox.append(blob)
+        self.outbox_bytes += len(blob)
+
+    def flush(self) -> None:
+        if self.closed or not self.outbox:
+            return
+        data = b"".join(self.outbox)
+        self.outbox.clear()
+        self.outbox_bytes = 0
+        try:
+            self.writer.write(data)
+        except (ConnectionError, OSError, RuntimeError):
+            self.close()
+
+    def expire(self, request_id: int, opcode: Opcode,
+               timeout_s: float) -> None:
+        """Timer callback: fail a request whose answer is late; the
+        answer, if it still comes, finds no pending id and is dropped."""
+        future = self.pending.pop(request_id, None)
+        if future is not None and not future.done():
+            future.set_exception(RequestTimeoutError(
+                f"no response to {opcode.name} within {timeout_s}s"
+            ))
 
     def fail_all(self, exc: BaseException) -> None:
         for future in self.pending.values():
@@ -145,6 +187,8 @@ class CamClient:
         self.retries = 0
         self.kills = 0
         self._pool: List[Optional[_Connection]] = [None] * pool_size
+        #: pool slot -> its in-flight connect, shared by racing callers.
+        self._connecting: Dict[int, asyncio.Task] = {}
         self._turn = itertools.count()
         self._serial = asyncio.Lock() if not pipelined else None
         self._closed = False
@@ -274,11 +318,28 @@ class CamClient:
         return results
 
     async def _connection(self, index: int) -> _Connection:
+        """The slot's open connection; callers racing on a slot with
+        none share one connect instead of opening a socket each."""
         conn = self._pool[index]
         if conn is not None and not conn.closed:
             return conn
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+        connecting = self._connecting.get(index)
+        if connecting is None:
+            connecting = asyncio.ensure_future(self._open(index))
+            self._connecting[index] = connecting
+        # shield: one cancelled caller must not cancel the others' connect.
+        return await asyncio.shield(connecting)
+
+    async def _open(self, index: int) -> _Connection:
+        try:
+            reader, writer = await asyncio.open_connection(self.host,
+                                                           self.port)
+        finally:
+            self._connecting.pop(index, None)
         conn = _Connection(reader, writer)
+        if self._closed:  # closed while the connect was in flight
+            conn.close()
+            raise NetError("client is closed")
         conn.task = asyncio.ensure_future(self._reader_loop(conn))
         self._reader_tasks.add(conn.task)
         conn.task.add_done_callback(self._reader_tasks.discard)
@@ -352,26 +413,24 @@ class CamClient:
                 f"cannot connect to {self.host}:{self.port}: {exc}"
             ) from exc
         request_id = next(conn.ids) & 0xFFFFFFFF
-        future: "asyncio.Future[Frame]" = (
-            asyncio.get_running_loop().create_future()
-        )
+        loop = asyncio.get_running_loop()
+        future: "asyncio.Future[Frame]" = loop.create_future()
         conn.pending[request_id] = future
-        blob = protocol.encode_frame(opcode, request_id, payload)
+        conn.send(protocol.encode_frame(opcode, request_id, payload))
+        timer = loop.call_later(self.request_timeout_s, conn.expire,
+                                request_id, opcode, self.request_timeout_s)
         try:
-            conn.writer.write(blob)
-            await conn.writer.drain()
-        except (ConnectionError, OSError) as exc:
-            conn.pending.pop(request_id, None)
-            conn.close()
-            raise ConnectionLostError(str(exc)) from exc
-        try:
-            frame = await asyncio.wait_for(future, self.request_timeout_s)
-        except asyncio.TimeoutError:
-            conn.pending.pop(request_id, None)
-            raise RequestTimeoutError(
-                f"no response to {opcode.name} within "
-                f"{self.request_timeout_s}s"
-            ) from None
+            if conn.outbox_bytes > _HIGH_WATER:
+                conn.flush()
+                try:
+                    await conn.writer.drain()
+                except (ConnectionError, OSError) as exc:
+                    conn.pending.pop(request_id, None)
+                    conn.close()
+                    raise ConnectionLostError(str(exc)) from exc
+            frame = await future
+        finally:
+            timer.cancel()
         if frame.opcode is Opcode.ERROR:
             code, message = protocol.decode_error(frame.payload)
             raise protocol.exception_for(code, message)

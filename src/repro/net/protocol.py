@@ -277,53 +277,61 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> List[Frame]:
-        self._buffer.extend(data)
-        frames: List[Frame] = []
-        while True:
-            frame = self._try_decode_one()
-            if frame is None:
-                return frames
-            frames.append(frame)
-
-    def _try_decode_one(self) -> Optional[Frame]:
+        """Every frame ``data`` completes, parsed in one pass: one
+        offset walks the buffer, the CRC reads a view of it, and the
+        consumed prefix is trimmed once at the end."""
         buffer = self._buffer
-        if len(buffer) < _HEADER.size:
-            return None
-        magic, version, opcode, request_id, length = _HEADER.unpack_from(
-            buffer, 0
-        )
-        if magic != PROTOCOL_MAGIC:
-            raise ProtocolError(
-                f"bad magic {bytes(magic)!r} (expected {PROTOCOL_MAGIC!r})"
-            )
-        if version != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"unsupported protocol version {version} "
-                f"(this build speaks version {PROTOCOL_VERSION})"
-            )
-        if length > self.max_frame_size:
-            raise FrameTooLargeError(
-                f"frame payload of {length} bytes exceeds the "
-                f"{self.max_frame_size}-byte limit"
-            )
-        total = _HEADER.size + length + _CRC.size
-        if len(buffer) < total:
-            return None
-        body_end = _HEADER.size + length
-        (crc,) = _CRC.unpack_from(buffer, body_end)
-        actual = zlib.crc32(bytes(buffer[:body_end])) & 0xFFFFFFFF
-        if crc != actual:
-            raise ProtocolError(
-                f"CRC mismatch (frame says {crc:#010x}, "
-                f"computed {actual:#010x})"
-            )
+        buffer.extend(data)
+        frames: List[Frame] = []
+        size = len(buffer)
+        offset = 0
+        view = memoryview(buffer)
         try:
-            op = Opcode(opcode)
-        except ValueError:
-            raise ProtocolError(f"unknown opcode {opcode:#04x}") from None
-        payload = bytes(buffer[_HEADER.size:body_end])
-        del buffer[:total]
-        return Frame(opcode=op, request_id=request_id, payload=payload)
+            while size - offset >= _HEADER.size:
+                magic, version, opcode, request_id, length = (
+                    _HEADER.unpack_from(buffer, offset)
+                )
+                if magic != PROTOCOL_MAGIC:
+                    raise ProtocolError(
+                        f"bad magic {bytes(magic)!r} "
+                        f"(expected {PROTOCOL_MAGIC!r})"
+                    )
+                if version != PROTOCOL_VERSION:
+                    raise ProtocolError(
+                        f"unsupported protocol version {version} "
+                        f"(this build speaks version {PROTOCOL_VERSION})"
+                    )
+                if length > self.max_frame_size:
+                    raise FrameTooLargeError(
+                        f"frame payload of {length} bytes exceeds the "
+                        f"{self.max_frame_size}-byte limit"
+                    )
+                body_end = offset + _HEADER.size + length
+                if size < body_end + _CRC.size:
+                    break
+                (crc,) = _CRC.unpack_from(buffer, body_end)
+                actual = zlib.crc32(view[offset:body_end]) & 0xFFFFFFFF
+                if crc != actual:
+                    raise ProtocolError(
+                        f"CRC mismatch (frame says {crc:#010x}, "
+                        f"computed {actual:#010x})"
+                    )
+                try:
+                    op = Opcode(opcode)
+                except ValueError:
+                    raise ProtocolError(
+                        f"unknown opcode {opcode:#04x}"
+                    ) from None
+                frames.append(Frame(
+                    opcode=op, request_id=request_id,
+                    payload=bytes(view[offset + _HEADER.size:body_end]),
+                ))
+                offset = body_end + _CRC.size
+        finally:
+            # The view must go before the bytearray can shrink.
+            view.release()
+            del buffer[:offset]
+        return frames
 
 
 # ----------------------------------------------------------------------

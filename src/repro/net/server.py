@@ -6,7 +6,9 @@ incrementally, executes each request against the wrapped
 :class:`~repro.service.scheduler.CamService` (batch frames fan out to
 concurrent service calls) and streams responses back through a
 per-connection writer task -- requests from one connection are served
-*pipelined*, never lock-step.
+*pipelined*, never lock-step. The writer hands every response queued
+on the connection to the transport in one write; the frame and byte
+counters still count frames.
 
 Operational guarantees:
 
@@ -300,19 +302,29 @@ class CamServer:
                 self._dispatch(conn, frame)
 
     async def _writer_loop(self, conn: _Connection) -> None:
-        while True:
-            blob = await conn.outgoing.get()
-            if blob is None:
-                break
+        """Write every response queued on the connection in one
+        ``transport.write``; frames stay the unit the counters count."""
+        outgoing = conn.outgoing
+        stopping = False
+        while not stopping:
+            blobs = [await outgoing.get()]
+            while not outgoing.empty():
+                blobs.append(outgoing.get_nowait())
+            if None in blobs:  # the stop sentinel: flush what precedes it
+                blobs = blobs[:blobs.index(None)]
+                stopping = True
+            if not blobs:
+                continue
+            data = b"".join(blobs)
             try:
-                conn.writer.write(blob)
+                conn.writer.write(data)
                 await conn.writer.drain()
             except (ConnectionError, OSError):
                 break
-            self.stats.frames_out += 1
-            self.stats.bytes_out += len(blob)
-            obs.inc("net_frames_total", direction="out")
-            obs.inc("net_bytes_total", len(blob), direction="out")
+            self.stats.frames_out += len(blobs)
+            self.stats.bytes_out += len(data)
+            obs.inc("net_frames_total", len(blobs), direction="out")
+            obs.inc("net_bytes_total", len(data), direction="out")
         self._close_connection(conn)
 
     # ------------------------------------------------------------------
@@ -325,9 +337,7 @@ class CamServer:
                 "requests only"
             ))
             return
-        task = asyncio.ensure_future(self._handle(conn, frame))
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
+        conn.tasks.add(asyncio.ensure_future(self._handle(conn, frame)))
 
     async def _handle(self, conn: _Connection, frame: Frame) -> None:
         self.stats.requests += 1
@@ -339,13 +349,15 @@ class CamServer:
         except Exception as exc:  # typed ReproErrors map to their codes
             status = "error"
             self._send_error(conn, frame.request_id, exc)
+        finally:
+            conn.tasks.discard(asyncio.current_task())
+        opcode = frame.opcode.name.lower()
         obs.inc("net_requests_total", help="requests by opcode and outcome",
-                opcode=frame.opcode.name.lower(), status=status)
+                opcode=opcode, status=status)
         obs.observe("net_request_latency_seconds",
                     time.perf_counter() - started,
                     help="server-side request latency",
-                    buckets=obs.SECONDS_BUCKETS,
-                    opcode=frame.opcode.name.lower())
+                    buckets=obs.SECONDS_BUCKETS, opcode=opcode)
 
     async def _execute(self, conn: _Connection, frame: Frame) -> None:
         opcode = frame.opcode

@@ -54,6 +54,12 @@ from repro.service.sharded import ShardedCam, merge_results
 
 #: Sentinel that flows through the admission queue to stop the dispatcher.
 _STOP = object()
+#: Loop turns the dispatcher gives up per request it routes inside a
+#: micro-batch window -- the turns the per-request ``wait_for`` task of
+#: the earlier dispatcher took. Routing faster holds back the answers
+#: and frames that share the loop: wire-churn lookup p50 rose 11% with
+#: no turn and 2% with one.
+_ROUTE_TURNS = 3
 #: Auto-repair retries a shard after this delay, doubling to the cap.
 _REPAIR_BACKOFF_S = 0.05
 _REPAIR_BACKOFF_MAX_S = 2.0
@@ -190,6 +196,9 @@ class CamService:
         self._draining = False
         self._inflight = 0
         self._idle: Optional[asyncio.Event] = None
+        #: the dispatcher's wait for more work in an open micro-batch,
+        #: resolved by the next admission or the batch's deadline.
+        self._waiter: Optional[asyncio.Future] = None
         #: shard -> (next attempt time, current backoff delay).
         self._repair_schedule: Dict[int, Tuple[float, float]] = {}
 
@@ -215,6 +224,7 @@ class CamService:
             return
         self._running = False
         await self._queue.put(_STOP)
+        self._wake()
         await asyncio.gather(*self._tasks)
         self._tasks = []
 
@@ -364,6 +374,8 @@ class CamService:
     async def lookup_many(self, keys: Sequence[int]) -> List[ServiceResponse]:
         """Search a batch of keys, one admitted :meth:`lookup` per key;
         the answers come back in key order."""
+        if len(keys) == 1:  # no task for a single-key batch
+            return [await self.lookup(keys[0])]
         return await asyncio.gather(*[self.lookup(key) for key in keys])
 
     async def insert(self, words: Sequence[RawWord]) -> ServiceResponse:
@@ -391,6 +403,7 @@ class CamService:
         request.admitted_t = loop.time()
         request.deadline = request.admitted_t + self.request_timeout_s
         await self._queue.put(request)
+        self._wake()
         self._track_admit()
         self.stats.admitted += 1
         depth = self._queue.qsize()
@@ -407,11 +420,14 @@ class CamService:
 
         A micro-batch opens with the first request that routes to a
         shard and closes when ``max_delay_s`` has passed since then or
-        when one shard holds ``max_batch`` of its requests.
+        when one shard holds ``max_batch`` of its requests. The batch
+        keeps one timer for its deadline; waiting for the next request
+        costs a future, not a task.
         """
         loop = asyncio.get_running_loop()
+        queue = self._queue
         while True:
-            first = await self._queue.get()
+            first = await queue.get()
             if first is _STOP:
                 return
             if not self._route(first):
@@ -419,26 +435,39 @@ class CamService:
             batch = [first]
             load = Counter(first.targets)
             flush_at = loop.time() + self.max_delay_s
+            deadline: Optional[asyncio.TimerHandle] = None
             stopping = False
             while max(load.values()) < self.max_batch:
-                remaining = flush_at - loop.time()
-                try:
-                    if remaining <= 0:
-                        item = self._queue.get_nowait()
+                if loop.time() < flush_at:
+                    if not queue.empty():
+                        for _ in range(_ROUTE_TURNS):
+                            await asyncio.sleep(0)
                     else:
-                        item = await asyncio.wait_for(self._queue.get(),
-                                                      remaining)
-                except (asyncio.QueueEmpty, asyncio.TimeoutError):
+                        if deadline is None:
+                            deadline = loop.call_at(flush_at, self._wake)
+                        self._waiter = loop.create_future()
+                        await self._waiter
+                        self._waiter = None
+                if queue.empty():
                     break
+                item = queue.get_nowait()
                 if item is _STOP:
                     stopping = True
                     break
                 if self._route(item):
                     batch.append(item)
                     load.update(item.targets)
+            if deadline is not None:
+                deadline.cancel()
             self._flush(batch)
             if stopping:
                 return
+
+    def _wake(self) -> None:
+        """Resume the dispatcher's wait in an open micro-batch."""
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
     def _route(self, request: _Request) -> bool:
         """Bind the shards a request touches; False if it resolved here."""

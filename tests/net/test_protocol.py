@@ -117,6 +117,17 @@ def test_crc_corruption_rejected():
         FrameDecoder().feed(bytes(blob))
 
 
+@pytest.mark.parametrize("good", [0, 1, 5])
+def test_crc_corruption_after_good_frames_in_one_feed_rejected(good):
+    """The one-pass decoder checks every frame of a feed, not only the
+    first: a corrupt frame behind ``good`` valid ones still raises."""
+    stream = b"".join(encode_frame(Opcode.PING, i, b"ok") for i in range(good))
+    bad = bytearray(encode_frame(Opcode.PING, good, b"payload"))
+    bad[-6] ^= 0x40
+    with pytest.raises(ProtocolError, match="CRC"):
+        FrameDecoder().feed(stream + bytes(bad))
+
+
 def test_unknown_opcode_rejected():
     head = struct.Struct("<4sBBII").pack(PROTOCOL_MAGIC, PROTOCOL_VERSION,
                                          0x70, 1, 0)

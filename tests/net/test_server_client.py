@@ -9,12 +9,14 @@ import asyncio
 
 import pytest
 
+from repro import obs
 from repro.core import unit_for_entries
 from repro.errors import (
     ConfigError,
     FrameTooLargeError,
     NetError,
     ProtocolError,
+    RequestTimeoutError,
     ServiceOverloadError,
 )
 from repro.net import CamClient, CamServer, protocol
@@ -388,4 +390,177 @@ def test_expired_insert_is_not_applied_and_its_resend_is_deduped():
             assert server.stats.dedupe_hits == 1
             assert server.service.stats.timeouts == 1
             assert server.service.cam.occupancy == 0  # applied never
+    run(scenario())
+
+
+# ----------------------------------------------------------------------
+# coalesced writes: one socket write per loop turn, frames still counted
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("pool_size", [1, 2])
+def test_racing_lazy_connects_open_one_socket_per_slot(pool_size):
+    """A burst on a client that never called ``connect()`` shares one
+    connect per pool slot, before and after a kill."""
+
+    async def until(condition):
+        for _ in range(2000):
+            if condition():
+                return
+            await asyncio.sleep(0.001)
+        raise AssertionError("condition never held")
+
+    async def scenario():
+        async with serving() as server:
+            host, port = server.address
+            client = CamClient(host, port, pool_size=pool_size)
+            try:
+                for burst in (1, 2):
+                    responses = await asyncio.gather(*[
+                        client.lookup(key) for key in range(16)
+                    ])
+                    assert all(r.ok for r in responses)
+                    assert server.stats.connections_opened == \
+                        burst * pool_size
+                    await until(
+                        lambda: server.active_connections == pool_size)
+                    client.kill_connections()
+            finally:
+                await client.close()
+    run(scenario())
+
+
+def test_coalesced_responses_still_count_frames(monkeypatch):
+    """Responses queued together leave in fewer writes than frames, and
+    ``frames_out``/``bytes_out`` and ``net_frames_total`` count frames."""
+    writes = []
+    original = asyncio.StreamWriter.write
+
+    def counting(writer, data):
+        writes.append(len(data))
+        return original(writer, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", counting)
+    frames = 32
+
+    async def scenario():
+        async with serving() as server:
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(protocol.encode_frame(Opcode.PING, i, b"p")
+                                  for i in range(frames)))
+            await writer.drain()
+            decoder = protocol.FrameDecoder()
+            answers, received = [], 0
+            while len(answers) < frames:
+                data = await reader.read(4096)
+                assert data
+                received += len(data)
+                answers.extend(decoder.feed(data))
+            writer.close()
+            assert [f.request_id for f in answers] == list(range(frames))
+            assert server.stats.frames_out == frames
+            assert server.stats.bytes_out == received
+            registry = obs.metrics()
+            assert registry.counter("net_frames_total").value(
+                direction="out") == frames
+            assert registry.counter("net_bytes_total").value(
+                direction="out") == received
+
+    obs.reset()
+    obs.enable(tracing=False)
+    try:
+        run(scenario())
+    finally:
+        obs.disable()
+        obs.reset()
+    server_writes = len(writes) - 1  # the one client write
+    assert 1 <= server_writes < frames
+
+
+def test_deep_pipelined_burst_answers_like_the_in_process_service():
+    stored = list(range(1, 65)) + [3, 9]  # duplicates: priority ties
+    probes = [(key * 7) % 90 for key in range(128)]
+
+    def signature(response):
+        return (response.status, response.result.hit,
+                response.result.address, response.result.match_vector)
+
+    async def over_the_wire():
+        async with serving() as server:
+            async with CamClient(*server.address, pool_size=1) as client:
+                await client.insert(stored)
+                responses = await asyncio.gather(*[
+                    client.lookup(key) for key in probes
+                ])
+            assert server.stats.connections_opened == 1
+            return [signature(r) for r in responses]
+
+    async def in_process():
+        async with CamService(make_cam()) as service:
+            await service.insert(stored)
+            responses = await asyncio.gather(*[
+                service.lookup(key) for key in probes
+            ])
+            return [signature(r) for r in responses]
+
+    wire = run(over_the_wire())
+    assert wire == run(in_process())
+    assert any(hit for _, hit, _, _ in wire)
+    assert not all(hit for _, hit, _, _ in wire)
+
+
+def test_late_answer_times_out_and_is_dropped():
+    """An answer later than ``request_timeout_s`` fails its request with
+    RequestTimeoutError; the late frame, when it comes, matches nothing
+    and the connection keeps serving."""
+
+    async def scenario():
+        async with serving() as server:
+            service = server.service
+            gate = asyncio.Event()
+            answer = service.lookup_many
+
+            async def held(keys):
+                await gate.wait()
+                return await answer(keys)
+
+            async with CamClient(*server.address, request_timeout_s=0.05,
+                                 max_retries=0) as client:
+                await client.insert([5])
+                service.lookup_many = held
+                with pytest.raises(NetError) as info:
+                    await client.lookup(5)
+                assert isinstance(info.value.__cause__, RequestTimeoutError)
+                del service.lookup_many
+                sent = server.stats.frames_out
+                gate.set()
+                while server.stats.frames_out == sent:
+                    await asyncio.sleep(0.001)
+                # The late RESULT is on the wire ahead of this PONG, so
+                # the client has read (and dropped) it once PING returns.
+                await client.ping()
+                assert not client._pool[0].pending
+                response = await client.lookup(5)
+                assert response.ok and response.result.hit
+    run(scenario())
+
+
+def test_kill_with_frames_still_buffered_applies_each_mutation_once():
+    async def scenario():
+        async with serving() as server:
+            async with CamClient(*server.address, max_retries=5) as client:
+                waves = [[wave * 10 + i for i in range(1, 4)]
+                         for wave in range(8)]
+                pending = [asyncio.ensure_future(client.insert(words))
+                           for words in waves]
+                await asyncio.sleep(0)  # each insert buffers its frame
+                assert len(client._pool[0].outbox) == len(waves)
+                client.kill_connections()
+                responses = await asyncio.gather(*pending)
+                assert all(r.ok and r.stats.words == 3 for r in responses)
+                assert client.retries == len(waves)
+                stats = await client.stats()
+                assert stats["cam"]["occupancy"] == 3 * len(waves)
+            # the buffered frames never reached the server
+            assert server.stats.dedupe_hits == 0
+            assert server.stats.decode_errors == 0
     run(scenario())
