@@ -100,10 +100,6 @@ class LpmRouter:
         return self.session.capacity
 
     @property
-    def num_routes(self) -> int:
-        return len(self._routes)
-
-    @property
     def lookup_cycles(self) -> int:
         """Simulated cycles of one lookup (the unit's search latency)."""
         return self.session.search_latency

@@ -7,11 +7,10 @@ from repro.apps.tc.intersect import (
     merge_intersect,
     numpy_intersect_count,
 )
-from repro.apps.tc.system import SystemRun, check_against_reference, simulate_system
+from repro.apps.tc.system import SystemRun, simulate_system
 from repro.apps.tc.runner import (
     TcRow,
     arithmetic_mean_speedup,
-    geometric_mean_speedup,
     run_all,
     run_dataset,
     verify_functional_equivalence,
@@ -25,10 +24,8 @@ __all__ = [
     "SystemRun",
     "TcCost",
     "TcRow",
-    "check_against_reference",
     "simulate_system",
     "arithmetic_mean_speedup",
-    "geometric_mean_speedup",
     "merge_intersect",
     "numpy_intersect_count",
     "run_all",

@@ -97,14 +97,6 @@ def run_all(
     return [run_dataset(name, max_edges=max_edges, seed=seed) for name in names]
 
 
-def geometric_mean_speedup(rows: Iterable[TcRow]) -> float:
-    """Aggregate speedup the way crossover-heavy tables should be read."""
-    speedups = [row.speedup for row in rows]
-    if not speedups:
-        raise DatasetError("no rows to aggregate")
-    return float(np.exp(np.mean(np.log(speedups))))
-
-
 def arithmetic_mean_speedup(rows: Iterable[TcRow]) -> float:
     """The paper's headline aggregation (it reports the plain average)."""
     speedups = [row.speedup for row in rows]

@@ -21,7 +21,6 @@ from typing import Optional
 
 from repro import obs
 from repro.apps.tc.intersect import CamIntersector
-from repro.errors import CapacityError
 from repro.graph.csr import CSRGraph
 from repro.mem.bus import StreamBus
 from repro.mem.ddr import U250_SINGLE_CHANNEL, DdrChannel
@@ -130,26 +129,3 @@ def simulate_system(
         edges_skipped=skipped,
         frequency_mhz=frequency_mhz,
     )
-
-
-def check_against_reference(graph: CSRGraph, **kwargs) -> SystemRun:
-    """Run the system and assert its count equals the reference count.
-
-    Raises :class:`CapacityError` if any edge had to be skipped (pick a
-    larger ``total_entries`` or a smaller graph) and ``AssertionError``
-    on a count mismatch. Returns the run on success.
-    """
-    from repro.graph.triangles import count_triangles
-
-    run = simulate_system(graph, **kwargs)
-    if run.edges_skipped:
-        raise CapacityError(
-            f"{run.edges_skipped} edges exceeded the CAM capacity; the "
-            "reference comparison needs full coverage"
-        )
-    expected = count_triangles(graph)
-    assert run.triangles == expected, (
-        f"system counted {run.triangles} triangles, reference says "
-        f"{expected}"
-    )
-    return run

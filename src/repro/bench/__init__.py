@@ -13,7 +13,7 @@ from repro.bench.experiments import (
     table08_unit_perf,
     table09_triangle_counting,
 )
-from repro.bench.tables import TableData, compare_columns, fmt, ratio, within
+from repro.bench.tables import TableData, fmt, ratio, within
 
 __all__ = [
     "ALL_EXHIBITS",
@@ -21,7 +21,6 @@ __all__ = [
     "PAPER_TABLE_VII",
     "PAPER_TABLE_VIII",
     "TableData",
-    "compare_columns",
     "fig01_characteristics",
     "fmt",
     "ratio",

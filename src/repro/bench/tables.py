@@ -73,17 +73,3 @@ def within(measured: float, paper: float, tolerance: float) -> bool:
     if paper == 0:
         return measured == 0
     return abs(measured - paper) / abs(paper) <= tolerance
-
-
-def compare_columns(
-    headers: List[str],
-    labels: Sequence[str],
-    measured: Sequence[Cell],
-    paper: Sequence[Cell],
-    title: str,
-) -> TableData:
-    """Three-column comparison table: label, measured, paper."""
-    rows: List[List[Cell]] = []
-    for label, ours, theirs in zip(labels, measured, paper):
-        rows.append([label, ours, theirs])
-    return TableData(title=title, headers=headers, rows=rows)

@@ -66,7 +66,6 @@ from repro.core.types import (
     Encoding,
     SearchBatch,
     SearchResult,
-    UpdateReceipt,
 )
 from repro.core.unit import CamUnit
 from repro.core.verification import (
@@ -116,7 +115,6 @@ __all__ = [
     "UnitPerfReport",
     "UnitStats",
     "UnitScalingReport",
-    "UpdateReceipt",
     "UpdateStats",
     "WideCamSession",
     "WideEntry",

@@ -398,22 +398,8 @@ class BatchSession(_SessionBase):
     def _group_slots(self, group: int) -> List[Optional[CamEntry]]:
         return self._stores[group].entries(self.config.data_width)
 
-    def _restore(self, snapshot) -> None:
-        """Load a snapshot at exactly what the cycle engine's replay
-        costs (one flush plus one bulk update per non-empty group), so
-        audit-mode differential checks stay bit-exact across a restore.
-        """
-        self._set_groups(int(snapshot.meta.get("num_groups", 1)))
-        per_beat = self.config.words_per_beat
-        for store, slots in zip(self._distinct_stores(), snapshot.groups):
-            if not slots:
-                continue
-            values = np.asarray([e.value for e in slots], dtype=np.int64)
-            cares = np.asarray([e.care for e in slots], dtype=np.int64)
-            store.append(values, cares)
-            store.kill([addr for addr, e in enumerate(slots) if not e.live])
-            beats = -(-len(slots) // per_beat)
-            self._cycle += beats + self.config.update_latency - 1
+    def _invalidate(self, group: int, addresses: List[int]) -> None:
+        self._stores[group].kill(addresses)
 
 
 # ----------------------------------------------------------------------

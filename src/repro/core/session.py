@@ -107,11 +107,11 @@ class _SessionBase:
     with :func:`repro.open_session`).
 
     Subclasses provide the engine primitives ``_update``, ``_search``,
-    ``_delete``, ``_set_groups``, ``_reset``, ``_restore`` and
+    ``_delete``, ``_set_groups``, ``_reset``, ``_invalidate`` and
     ``_group_slots`` plus the ``cycle``, ``num_groups`` and
     ``occupancy`` views; this base wraps them in the public
-    transaction API, so the span/timing/metrics contract is defined
-    once for every engine.
+    transaction API, so the span/timing/metrics contract and the
+    snapshot replay are defined once for every engine.
     """
 
     engine_name: str
@@ -296,6 +296,35 @@ class _SessionBase:
         obs.inc("cam_restores_total", help="snapshot restores applied",
                 engine=self.engine_name)
 
+    def _restore(self, snapshot) -> None:
+        """Replay a snapshot as real transactions.
+
+        A regroup flush, then one bulk update per non-empty group with
+        zero-valued placeholders standing in for dead slots, which
+        :meth:`_invalidate` then kills by address (a delete-by-content
+        replay could not target a single slot: for ternary content the
+        dead entry's value may still match *live* entries). The replay
+        leaves fill pointers, hole positions and priority order
+        bit-identical to the snapshotted unit, at the same cycle cost on
+        every engine. It calls the engine primitives, not the public
+        calls, so a wrapper such as the audit engine's sees one restore.
+        """
+        self._set_groups(int(snapshot.meta.get("num_groups", 1)))
+        width = self.config.data_width
+        hole = binary_entry(0, width)
+        replicated = self.config.replicate_updates
+        for index, slots in enumerate(snapshot.groups):
+            if not slots:
+                continue
+            self._update(
+                [slot.to_entry(width) if slot.live else hole for slot in slots],
+                None if replicated else index,
+            )
+            dead = [address for address, slot in enumerate(slots)
+                    if not slot.live]
+            if dead:
+                self._invalidate(index, dead)
+
 
 class CamSession(_SessionBase):
     """Blocking transaction API over a cycle-accurate CAM unit.
@@ -446,34 +475,14 @@ class CamSession(_SessionBase):
             slots.extend(self.unit.blocks[block_id].slots())
         return slots
 
-    def _restore(self, snapshot) -> None:
-        """Replay a snapshot as real transactions.
-
-        A regroup flush, then one bulk update per group with zero-valued
-        placeholders standing in for dead slots. The placeholders are
-        then invalidated directly at the cells (a
-        delete-by-content replay could not target a single slot: for
-        ternary content the dead entry's value may still match *live*
-        final entries). The replay leaves the fill pointers, hole
-        positions and priority order bit-identical to the snapshotted
-        unit.
-        """
-        from repro.service.snapshot import restore_payload
-
-        num_groups = int(snapshot.meta.get("num_groups", 1))
-        self.set_groups(num_groups)
-        replicated = self.config.replicate_updates
+    def _invalidate(self, group: int, addresses: List[int]) -> None:
+        """Kill the slots at ``addresses`` of ``group`` (every group when
+        updates are replicated) directly at the cells, in no cycle."""
+        groups = (range(self.num_groups) if self.config.replicate_updates
+                  else [group])
         block_size = self.unit.block_size
-        for index, slots in enumerate(snapshot.groups):
-            if not slots:
-                continue
-            entries, dead = restore_payload(slots, self.config.data_width)
-            self.update(entries, group=None if replicated else index)
-            if not dead:
-                continue
-            poke_groups = range(num_groups) if replicated else [index]
-            for g in poke_groups:
-                block_ids = self.unit.table.blocks_in_group(g)
-                for address in dead:
-                    block = self.unit.blocks[block_ids[address // block_size]]
-                    block.invalidate(address % block_size)
+        for g in groups:
+            block_ids = self.unit.table.blocks_in_group(g)
+            for address in addresses:
+                block = self.unit.blocks[block_ids[address // block_size]]
+                block.invalidate(address % block_size)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 from collections import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import (
     Any,
@@ -319,17 +319,3 @@ class CamBackend(CamStore, Protocol):
     def idle(self, cycles: int = 1) -> None: ...
 
     def resources(self) -> Any: ...
-
-
-@dataclass(frozen=True)
-class UpdateReceipt:
-    """Outcome of one update beat: where each word was stored."""
-
-    #: (block_id, cell_id) per stored word, in word order.
-    locations: Tuple[Tuple[int, int], ...] = field(default_factory=tuple)
-    #: Number of words written by the beat.
-    words_written: int = 0
-
-    @classmethod
-    def for_words(cls, locations: List[Tuple[int, int]]) -> "UpdateReceipt":
-        return cls(locations=tuple(locations), words_written=len(locations))

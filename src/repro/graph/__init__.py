@@ -20,14 +20,12 @@ from repro.graph.metrics import (
     degree_profile,
     estimate_tail_exponent,
     gini_coefficient,
-    profile_report,
     sample_clustering_coefficient,
 )
 from repro.graph.triangles import (
     clustering_summary,
     count_triangles,
     count_triangles_matrix,
-    per_edge_list_lengths,
 )
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "degree_profile",
     "estimate_tail_exponent",
     "gini_coefficient",
-    "profile_report",
     "sample_clustering_coefficient",
     "OrientedCSR",
     "StandIn",
@@ -49,7 +46,6 @@ __all__ = [
     "erdos_renyi",
     "get_dataset",
     "load_edge_list",
-    "per_edge_list_lengths",
     "power_law",
     "preferential_attachment",
     "road_network",

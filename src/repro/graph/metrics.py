@@ -103,18 +103,3 @@ def sample_clustering_coefficient(
             ))
         total += links / (degree * (degree - 1))
     return float(total / picks.size)
-
-
-def profile_report(graph: CSRGraph) -> str:
-    """Human-readable structural profile."""
-    profile = degree_profile(graph)
-    clustering = sample_clustering_coefficient(graph)
-    tail = (f"{profile.tail_exponent:.2f}"
-            if profile.tail_exponent is not None else "n/a")
-    return (
-        f"|V|={profile.vertices} |E|={profile.edges} "
-        f"deg mean={profile.mean:.1f} median={profile.median:.0f} "
-        f"p99={profile.p99:.0f} max={profile.maximum} "
-        f"(hub ratio {profile.hub_ratio:.1f}) gini={profile.gini:.2f} "
-        f"tail alpha={tail} clustering~{clustering:.3f}"
-    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, OrientedCSR
+from repro.graph.csr import CSRGraph
 
 
 def _intersect_sorted_count(a: np.ndarray, b: np.ndarray) -> int:
@@ -56,21 +56,6 @@ def count_triangles_matrix(graph: CSRGraph) -> int:
     )
     paths = (adjacency @ adjacency).multiply(adjacency)
     return int(paths.sum()) // 6
-
-
-def per_edge_list_lengths(oriented: OrientedCSR) -> "tuple[np.ndarray, np.ndarray]":
-    """(longer, shorter) oriented-list lengths per oriented edge.
-
-    Used by the forward-algorithm analysis; see
-    :func:`per_edge_full_lengths` for the accelerator cost model.
-    """
-    out_deg = oriented.out_degrees
-    src, dst = oriented.edge_endpoints()
-    len_src = out_deg[src]
-    len_dst = out_deg[dst]
-    longer = np.maximum(len_src, len_dst)
-    shorter = np.minimum(len_src, len_dst)
-    return longer, shorter
 
 
 def id_oriented_out_degrees(graph: CSRGraph) -> np.ndarray:

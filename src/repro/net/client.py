@@ -41,7 +41,9 @@ directly.
 
 Set ``pipelined=False`` for the deliberately naive baseline: one
 request per round trip per connection (used by the benchmark and the
-loadgen's closed-loop baseline mode).
+loadgen's closed-loop baseline mode). Each attempt picks its pool slot
+first and then waits for that slot's lock, so a naive pool of N
+connections has up to N requests in flight.
 """
 
 from __future__ import annotations
@@ -190,7 +192,9 @@ class CamClient:
         #: pool slot -> its in-flight connect, shared by racing callers.
         self._connecting: Dict[int, asyncio.Task] = {}
         self._turn = itertools.count()
-        self._serial = asyncio.Lock() if not pipelined else None
+        #: naive mode: one lock per pool slot, held for one round trip.
+        self._slot_locks = (None if pipelined
+                            else [asyncio.Lock() for _ in range(pool_size)])
         self._closed = False
         self._reader_tasks: set = set()
 
@@ -377,13 +381,6 @@ class CamClient:
         exception)."""
         if self._closed:
             raise NetError("client is closed")
-        if self._serial is not None:
-            async with self._serial:
-                return await self._request_with_retries(opcode, payload)
-        return await self._request_with_retries(opcode, payload)
-
-    async def _request_with_retries(self, opcode: Opcode,
-                                    payload: bytes) -> Frame:
         delay = _BACKOFF_S
         last: Optional[BaseException] = None
         for attempt in range(self.max_retries + 1):
@@ -406,6 +403,14 @@ class CamClient:
 
     async def _attempt(self, opcode: Opcode, payload: bytes) -> Frame:
         index = next(self._turn) % self.pool_size
+        if self._slot_locks is None:
+            return await self._exchange(index, opcode, payload)
+        async with self._slot_locks[index]:
+            return await self._exchange(index, opcode, payload)
+
+    async def _exchange(self, index: int, opcode: Opcode,
+                        payload: bytes) -> Frame:
+        """One attempt's round trip on pool slot ``index``."""
         try:
             conn = await self._connection(index)
         except (ConnectionError, OSError) as exc:

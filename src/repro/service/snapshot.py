@@ -47,8 +47,9 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
+from repro.core.mask import CamEntry
 from repro.dsp.primitives import DSP_WIDTH, mask_for
 from repro.errors import SnapshotError
 
@@ -102,8 +103,6 @@ class SnapshotEntry:
         """Rebuild a :class:`~repro.core.mask.CamEntry` (None if dead)."""
         if not self.live:
             return None
-        from repro.core.mask import CamEntry
-
         return CamEntry(value=self.value, mask=_FULL ^ self.care,
                         width=data_width)
 
@@ -423,40 +422,11 @@ def check_unit_compatible(snapshot: CamSnapshot, config,
         )
 
 
-def restore_payload(group: List[SnapshotEntry], data_width: int):
-    """Split one group's slots into ``(entries, dead_addresses)``.
-
-    ``entries`` is the full slot list with dead slots materialised as
-    zero-valued binary placeholders (so the replayed update reproduces
-    the original fill-pointer positions); ``dead_addresses`` are the
-    slot indexes to invalidate afterwards.
-    """
-    from repro.core.mask import binary_entry
-
-    entries = []
-    dead: List[int] = []
-    for address, slot in enumerate(group):
-        if slot.live:
-            entries.append(slot.to_entry(data_width))
-        else:
-            entries.append(binary_entry(0, data_width))
-            dead.append(address)
-    return entries, dead
-
-
-def content_hash_of(backend) -> str:
-    """Convenience: the canonical content hash of any snapshotting
-    backend."""
-    return backend.snapshot().content_hash()
-
-
 __all__ = [
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
     "CamSnapshot",
     "SnapshotEntry",
     "check_unit_compatible",
-    "content_hash_of",
-    "restore_payload",
     "unit_meta",
 ]

@@ -4,30 +4,22 @@ Public surface:
 
 - :class:`Component` -- two-phase (compute/commit) hardware model base.
 - :class:`Simulator` -- single-clock cycle driver.
-- :class:`Register`, :class:`ShiftRegister`, :class:`Fifo`,
-  :class:`ValidPipe` -- sequential building blocks.
-- :class:`ClockDomain` -- cycle/time conversions.
+- :class:`ValidPipe` -- the fixed-latency pipe of the CAM datapaths.
 - :class:`Trace`, :class:`TraceEvent` -- signal tracing.
 """
 
-from repro.sim.clock import ClockDomain
 from repro.sim.component import Component
-from repro.sim.pipeline import Fifo, Register, ShiftRegister, ValidPipe
-from repro.sim.simulator import Simulator, elapse
+from repro.sim.pipeline import ValidPipe
+from repro.sim.simulator import Simulator
 from repro.sim.trace import Trace, TraceEvent
 from repro.sim.vcd import trace_to_vcd, write_vcd
 
 __all__ = [
-    "ClockDomain",
     "Component",
-    "Fifo",
-    "Register",
-    "ShiftRegister",
     "Simulator",
     "Trace",
     "TraceEvent",
     "ValidPipe",
-    "elapse",
     "trace_to_vcd",
     "write_vcd",
 ]

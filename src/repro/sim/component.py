@@ -130,10 +130,5 @@ class Component:
         if self._tracer is not None:
             self._tracer.record(self._name, signals)
 
-    def attach_tracer(self, tracer) -> None:
-        """Attach a :class:`repro.sim.trace.Trace` to the whole subtree."""
-        for component in self.iter_tree():
-            component._tracer = tracer
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self._name!r}>"

@@ -1,8 +1,8 @@
-"""Reusable sequential building blocks: registers, shift chains, FIFOs.
+"""The fixed-latency pipe the CAM datapaths are built from.
 
-These are all :class:`repro.sim.Component` subclasses and follow the
-two-phase protocol: pushes performed during a compute phase become
-visible after the commit (clock edge), exactly like flip-flop chains.
+:class:`ValidPipe` is a :class:`repro.sim.Component` and follows the
+two-phase protocol: a payload sent during a compute phase enters the
+pipe at the commit (clock edge), exactly like a flip-flop chain.
 """
 
 from __future__ import annotations
@@ -11,147 +11,6 @@ from typing import Any, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.component import Component
-
-
-class Register(Component):
-    """A single clocked register with enable.
-
-    Drive :attr:`d` (and :attr:`enable`) during the parent's compute
-    phase; :attr:`q` updates at the edge.
-    """
-
-    def __init__(self, init: Any = 0, name: Optional[str] = None) -> None:
-        super().__init__(name)
-        self._init = init
-        self.reset_state()
-
-    def reset_state(self) -> None:
-        self.d = self._init
-        self.q = self._init
-        self.enable = True
-
-    def compute(self) -> None:
-        if self.enable:
-            self.schedule(q=self.d)
-
-
-class ShiftRegister(Component):
-    """Fixed-depth shift chain; models a multi-cycle pipeline delay.
-
-    ``push(value)`` during compute; after ``depth`` edges that value
-    appears at :attr:`out`. When nothing is pushed a configurable
-    ``bubble`` (default ``None``) enters the chain instead.
-    """
-
-    def __init__(self, depth: int, bubble: Any = None, name: Optional[str] = None) -> None:
-        super().__init__(name)
-        if depth < 1:
-            raise SimulationError(f"ShiftRegister depth must be >= 1, got {depth}")
-        self._depth = depth
-        self._bubble = bubble
-        self.reset_state()
-
-    @property
-    def depth(self) -> int:
-        return self._depth
-
-    def reset_state(self) -> None:
-        self._stages: List[Any] = [self._bubble] * self._depth
-        self._next_in: Any = self._bubble
-        self.out: Any = self._bubble
-
-    def push(self, value: Any) -> None:
-        """Insert ``value`` into the chain at the upcoming edge."""
-        self._next_in = value
-
-    def compute(self) -> None:
-        shifted = [self._next_in] + self._stages[:-1]
-        self.schedule(_stages=shifted, out=self._stages[-1], _next_in=self._bubble)
-
-    def peek(self, stage: int) -> Any:
-        """Inspect an in-flight stage (0 = most recently pushed)."""
-        if not 0 <= stage < self._depth:
-            raise SimulationError(
-                f"stage {stage} out of range for depth {self._depth}"
-            )
-        return self._stages[stage]
-
-    def occupancy(self) -> int:
-        """Number of non-bubble values currently in flight."""
-        return sum(1 for stage in self._stages if stage != self._bubble)
-
-
-class Fifo(Component):
-    """Synchronous FIFO with registered occupancy.
-
-    ``push``/``pop`` are called during compute phases; both take effect
-    at the edge. Simultaneous push and pop on a non-empty FIFO is
-    allowed (flow-through is not modelled; the popped value is the old
-    head).
-    """
-
-    def __init__(self, capacity: int, name: Optional[str] = None) -> None:
-        super().__init__(name)
-        if capacity < 1:
-            raise SimulationError(f"Fifo capacity must be >= 1, got {capacity}")
-        self._capacity = capacity
-        self.reset_state()
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def reset_state(self) -> None:
-        self._items: List[Any] = []
-        self._push_value: Any = None
-        self._push_pending = False
-        self._pop_pending = False
-        self.head: Any = None
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def empty(self) -> bool:
-        return not self._items
-
-    @property
-    def full(self) -> bool:
-        return len(self._items) >= self._capacity
-
-    def push(self, value: Any) -> None:
-        if self._push_pending:
-            raise SimulationError(f"{self.name}: double push in one cycle")
-        if self.full and not self._pop_pending:
-            raise SimulationError(f"{self.name}: push to full FIFO")
-        self._push_value = value
-        self._push_pending = True
-
-    def pop(self) -> Any:
-        """Request a pop; returns the current head (old value)."""
-        if self.empty:
-            raise SimulationError(f"{self.name}: pop from empty FIFO")
-        if self._pop_pending:
-            raise SimulationError(f"{self.name}: double pop in one cycle")
-        self._pop_pending = True
-        return self._items[0]
-
-    def compute(self) -> None:
-        items = list(self._items)
-        if self._pop_pending:
-            items.pop(0)
-        if self._push_pending:
-            items.append(self._push_value)
-        if len(items) > self._capacity:
-            raise SimulationError(f"{self.name}: overflow ({len(items)} items)")
-        self.schedule(
-            _items=items,
-            _push_pending=False,
-            _pop_pending=False,
-            _push_value=None,
-            head=items[0] if items else None,
-        )
 
 
 class ValidPipe(Component):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.component import Component
@@ -126,14 +126,3 @@ class Simulator:
             f"condition not met within {max_cycles} cycles "
             f"(started at cycle {start})"
         )
-
-    def drain(self, idle: Callable[[], bool], max_cycles: int = 10_000) -> int:
-        """Alias of :meth:`run_until` with pipeline-drain phrasing."""
-        return self.run_until(idle, max_cycles=max_cycles)
-
-
-def elapse(components: Iterable[Component], cycles: int) -> Simulator:
-    """Convenience: build a simulator over ``components`` and step it."""
-    sim = Simulator(*components)
-    sim.step(cycles)
-    return sim

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import TableData, compare_columns, fmt, ratio, within
+from repro.bench import TableData, fmt, ratio, within
 
 
 def test_fmt():
@@ -53,15 +53,3 @@ def test_within():
     assert not within(100, 120, 0.1)
     assert within(0, 0, 0.05)
     assert not within(1, 0, 0.05)
-
-
-def test_compare_columns():
-    table = compare_columns(
-        ["metric", "measured", "paper"],
-        ["latency", "throughput"],
-        [6, 4800],
-        [6, 4800],
-        title="cmp",
-    )
-    assert len(table.rows) == 2
-    assert table.rows[0] == ["latency", 6, 6]

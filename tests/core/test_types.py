@@ -1,6 +1,6 @@
 """Unit tests for core result types."""
 
-from repro.core import Encoding, SearchResult, UpdateReceipt
+from repro.core import Encoding, SearchResult
 
 
 def test_from_vector_miss():
@@ -46,9 +46,3 @@ def test_encoded_binary_multi_flag():
     multi = SearchResult.from_vector(9, 0b0110, Encoding.BINARY)
     assert single.encoded(16) == (1 << 4) | 2
     assert multi.encoded(16) == (1 << 5) | (1 << 4) | 1
-
-
-def test_update_receipt():
-    receipt = UpdateReceipt.for_words([(0, 0), (0, 1), (1, 0)])
-    assert receipt.words_written == 3
-    assert receipt.locations[2] == (1, 0)

@@ -10,7 +10,6 @@ from repro.graph import (
     estimate_tail_exponent,
     gini_coefficient,
     power_law,
-    profile_report,
     road_network,
     sample_clustering_coefficient,
 )
@@ -81,10 +80,3 @@ def test_clustering_of_clique_is_one():
 def test_clustering_of_star_is_zero():
     star = CSRGraph.from_edges([(0, i) for i in range(1, 8)])
     assert sample_clustering_coefficient(star) == pytest.approx(0.0)
-
-
-def test_profile_report_renders():
-    report = profile_report(power_law(300, 900, seed=4))
-    assert "|V|=300" in report
-    assert "hub ratio" in report
-    assert "clustering~" in report

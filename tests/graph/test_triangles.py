@@ -8,7 +8,6 @@ from repro.graph import (
     count_triangles,
     count_triangles_matrix,
     erdos_renyi,
-    per_edge_list_lengths,
     power_law,
 )
 from repro.graph.triangles import (
@@ -62,13 +61,6 @@ def test_per_edge_full_lengths_shapes():
     # K4 id-oriented out-degrees are 3,2,1,0.
     assert longer.max() == 3
     assert shorter.min() == 0
-
-
-def test_per_edge_oriented_lengths():
-    graph = k4()
-    longer, shorter = per_edge_list_lengths(graph.oriented())
-    assert longer.size == graph.num_edges
-    assert (longer >= shorter).all()
 
 
 def test_lengths_drive_hub_asymmetry():

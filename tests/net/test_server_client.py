@@ -358,6 +358,43 @@ def test_naive_client_serializes_requests():
     run(scenario())
 
 
+def test_naive_pool_keeps_one_request_in_flight_per_connection():
+    """A naive client serialises per pool slot, not client-wide: two
+    concurrent lookups on a two-slot pool are in flight at once, one on
+    each connection, against a listener that never answers."""
+
+    async def scenario():
+        arrived = []
+        both = asyncio.Event()
+        hold = asyncio.Event()
+
+        async def silent(reader, writer):
+            await reader.read(1)
+            arrived.append(writer)
+            if len(arrived) == 2:
+                both.set()
+            await hold.wait()
+            writer.close()
+
+        listener = await asyncio.start_server(silent, "127.0.0.1", 0)
+        port = listener.sockets[0].getsockname()[1]
+        client = CamClient("127.0.0.1", port, pool_size=2, pipelined=False)
+        lookups = [asyncio.ensure_future(client.lookup(key))
+                   for key in (1, 2)]
+        try:
+            await asyncio.wait_for(both.wait(), timeout=10)
+            assert all(conn.pending for conn in client._pool)
+        finally:
+            for lookup in lookups:
+                lookup.cancel()
+            await asyncio.gather(*lookups, return_exceptions=True)
+            await client.close()
+            hold.set()
+            listener.close()
+            await listener.wait_closed()
+    run(scenario())
+
+
 def test_expired_insert_is_not_applied_and_its_resend_is_deduped():
     """The service's admission deadline is the only request deadline:
     an INSERT parked in a batch window longer than that deadline is

@@ -13,16 +13,19 @@ format against accidental change.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (
     CamSession,
+    CamType,
     ReferenceCam,
     WideCamSession,
     binary_entry,
     open_session,
+    ternary_entry,
     unit_for_entries,
 )
 from repro.errors import SnapshotError
@@ -141,17 +144,51 @@ def test_deleted_slot_reuse_order_survives_restore():
     assert_equivalent(restored, original)
 
 
+def masked_entry(key):
+    """A ternary entry that ignores the key's low ``key % 3`` bits."""
+    dont_care = (1 << key % 3) - 1
+    return ternary_entry(key & ~dont_care, dont_care, WIDTH)
+
+
+#: mode -> (unit config, word builder); independent mode has two groups.
+RESTORE_MODES = {
+    "replicated": (small_config(), int),
+    "independent": (replace(small_config(default_groups=2),
+                            replicate_updates=False), int),
+    "ternary": (small_config(cam_type=CamType.TERNARY), masked_entry),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(RESTORE_MODES))
 @given(workload=ops)
 @common_settings
-def test_restore_cycle_cost_is_engine_independent(workload):
-    sessions = {}
+def test_restore_cycle_cost_is_engine_independent(mode, workload):
+    """Both engines replay a snapshot at the same cycle cost and into
+    the same content, whatever the group mode and CAM type."""
+    config, word = RESTORE_MODES[mode]
+    groups = ([None] if config.replicate_updates
+              else list(range(config.default_groups)))
+    cycles, hashes = {}, {}
     for engine in ("cycle", "batch"):
-        original = open_session(small_config(), engine)
-        apply(original, workload, original.capacity - 1)
-        restored = open_session(small_config(), engine)
+        original = open_session(config, engine)
+        for group in groups:  # a hole at the front of every group
+            original.update([word(KEYSPACE - 1)], group=group)
+        original.delete(KEYSPACE - 1)
+        fill = dict.fromkeys(groups, 1)
+        for turn, (op, payload) in enumerate(workload):
+            if op == "delete":
+                original.delete(payload)
+                continue
+            group = groups[turn % len(groups)]
+            if fill[group] + len(payload) < original.capacity:
+                original.update([word(key) for key in payload], group=group)
+                fill[group] += len(payload)
+        restored = open_session(config, engine)
         restored.restore(original.snapshot())
-        sessions[engine] = restored.cycle
-    assert sessions["cycle"] == sessions["batch"]
+        cycles[engine] = restored.cycle
+        hashes[engine] = restored.snapshot().content_hash()
+    assert cycles["cycle"] == cycles["batch"]
+    assert hashes["cycle"] == hashes["batch"]
 
 
 # ----------------------------------------------------------------------

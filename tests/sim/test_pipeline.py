@@ -1,135 +1,11 @@
-"""Unit tests for registers, shift chains, FIFOs and valid pipes."""
+"""Unit tests for the valid pipe."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Fifo, Register, ShiftRegister, Simulator, ValidPipe
+from repro.sim import Simulator, ValidPipe
 
 
-# ----------------------------------------------------------------------
-# Register
-# ----------------------------------------------------------------------
-def test_register_latches_on_edge():
-    reg = Register(init=7)
-    sim = Simulator(reg)
-    assert reg.q == 7
-    reg.d = 42
-    sim.step()
-    assert reg.q == 42
-
-
-def test_register_enable_holds_value():
-    reg = Register()
-    sim = Simulator(reg)
-    reg.d = 5
-    sim.step()
-    reg.d = 9
-    reg.enable = False
-    sim.step()
-    assert reg.q == 5
-
-
-# ----------------------------------------------------------------------
-# ShiftRegister
-# ----------------------------------------------------------------------
-def test_shift_register_depth_validation():
-    with pytest.raises(SimulationError):
-        ShiftRegister(0)
-
-
-def test_shift_register_delay():
-    sr = ShiftRegister(depth=3, bubble=None)
-    sim = Simulator(sr)
-    sr.push("x")
-    sim.step(3)
-    # After depth edges the value sits in the final stage (peek), and
-    # appears on the registered `out` one edge later.
-    assert sr.peek(2) == "x"
-    sim.step()
-    assert sr.out == "x"
-
-
-def test_shift_register_streams_in_order():
-    sr = ShiftRegister(depth=2)
-    sim = Simulator(sr)
-    seen = []
-    for value in ["a", "b", "c", None, None, None]:
-        if value is not None:
-            sr.push(value)
-        sim.step()
-        if sr.out is not None:
-            seen.append(sr.out)
-    assert seen == ["a", "b", "c"]
-
-
-def test_shift_register_occupancy_and_peek_bounds():
-    sr = ShiftRegister(depth=2)
-    sim = Simulator(sr)
-    sr.push(1)
-    sim.step()
-    assert sr.occupancy() == 1
-    with pytest.raises(SimulationError):
-        sr.peek(2)
-
-
-# ----------------------------------------------------------------------
-# Fifo
-# ----------------------------------------------------------------------
-def test_fifo_capacity_validation():
-    with pytest.raises(SimulationError):
-        Fifo(0)
-
-
-def test_fifo_push_pop_order():
-    fifo = Fifo(4)
-    sim = Simulator(fifo)
-    for value in (1, 2, 3):
-        fifo.push(value)
-        sim.step()
-    assert len(fifo) == 3
-    assert fifo.head == 1
-    popped = [fifo.pop()]
-    sim.step()
-    popped.append(fifo.pop())
-    sim.step()
-    assert popped == [1, 2]
-    assert fifo.head == 3
-
-
-def test_fifo_simultaneous_push_pop():
-    fifo = Fifo(2)
-    sim = Simulator(fifo)
-    fifo.push("a")
-    sim.step()
-    fifo.push("b")
-    assert fifo.pop() == "a"
-    sim.step()
-    assert len(fifo) == 1
-    assert fifo.head == "b"
-
-
-def test_fifo_overflow_and_underflow():
-    fifo = Fifo(1)
-    sim = Simulator(fifo)
-    with pytest.raises(SimulationError, match="pop from empty"):
-        fifo.pop()
-    fifo.push(1)
-    sim.step()
-    with pytest.raises(SimulationError, match="push to full"):
-        fifo.push(2)
-
-
-def test_fifo_double_push_rejected():
-    fifo = Fifo(4)
-    Simulator(fifo)
-    fifo.push(1)
-    with pytest.raises(SimulationError, match="double push"):
-        fifo.push(2)
-
-
-# ----------------------------------------------------------------------
-# ValidPipe
-# ----------------------------------------------------------------------
 def test_valid_pipe_latency_via_registered_output():
     pipe = ValidPipe(depth=2)
     sim = Simulator(pipe)

@@ -1,13 +1,13 @@
 """Property-based tests for the simulation kernel primitives.
 
 The CAM's cycle-exactness rests on these invariants: pipes deliver
-payloads in order after exactly their depth, FIFOs never reorder, and
-the two-phase protocol is deterministic under any interleaving.
+payloads in order after exactly their depth, and the two-phase
+protocol is deterministic under any interleaving.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Component, Fifo, Simulator, ValidPipe
+from repro.sim import Component, Simulator, ValidPipe
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -37,36 +37,6 @@ def test_valid_pipe_preserves_order_and_latency(depth, schedule):
     # tail() sees each payload exactly depth cycles after its send.
     for send_cycle, (_, stamped) in zip(sent, received):
         assert stamped == send_cycle
-
-
-@SETTINGS
-@given(
-    capacity=st.integers(min_value=1, max_value=6),
-    operations=st.lists(st.sampled_from(["push", "pop"]), max_size=50),
-)
-def test_fifo_matches_list_model(capacity, operations):
-    """The FIFO agrees with a plain list under any legal op sequence."""
-    fifo = Fifo(capacity)
-    sim = Simulator(fifo)
-    model = []
-    counter = 0
-    for op in operations:
-        if op == "push":
-            if len(model) >= capacity:
-                continue
-            fifo.push(counter)
-            model.append(counter)
-            counter += 1
-        else:
-            if not model:
-                continue
-            assert fifo.pop() == model.pop(0)
-        sim.step()
-        assert len(fifo) == len(model)
-        if model:
-            assert fifo.head == model[0]
-        else:
-            assert fifo.empty
 
 
 class Accumulator(Component):

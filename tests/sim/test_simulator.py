@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Component, Simulator, Trace, elapse
+from repro.sim import Component, Simulator, Trace
 
 
 class Counter(Component):
@@ -85,13 +85,6 @@ def test_trace_attached_to_tree():
     values = [e.value for e in trace.events("Counter", "value")]
     assert values == [0, 1, 2]
     assert sim.trace is trace
-
-
-def test_elapse_helper():
-    counter = Counter()
-    sim = elapse([counter], 6)
-    assert sim.cycle == 6
-    assert counter.value == 6
 
 
 class Holder(Component):
