@@ -54,7 +54,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import UnitConfig
-from repro.core.mask import CamEntry, binary_entry
 from repro.core.session import (
     CamSession,
     RawWord,
@@ -62,18 +61,14 @@ from repro.core.session import (
     UpdateStats,
     _SessionBase,
 )
-from repro.core.types import CamType, SearchBatch, SearchResult, key_array
-from repro.dsp.primitives import DSP_WIDTH, mask_for
+from repro.core.types import SearchBatch, SearchResult, key_array
+from repro.dsp import ALL_ONES
 from repro.errors import (
     AuditError,
     CapacityError,
     ConfigError,
     RoutingError,
 )
-
-#: Full comparison width of one DSP cell (the pattern-detector window).
-_FULL = mask_for(DSP_WIDTH)
-
 
 class _GroupStore:
     """Content of one logical CAM group as flat NumPy arrays.
@@ -100,11 +95,11 @@ class _GroupStore:
         self.live = np.zeros(capacity, dtype=bool)
         self._index = None
 
-    def append(self, values: np.ndarray, cares: np.ndarray) -> None:
-        count = values.size
-        stop = self.fill + count
-        self.values[self.fill:stop] = values
-        self.cares[self.fill:stop] = cares
+    def append(self, rows: np.ndarray) -> None:
+        """Store ``(value, care)`` rows from the fill pointer on."""
+        stop = self.fill + len(rows)
+        self.values[self.fill:stop] = rows[:, 0]
+        self.cares[self.fill:stop] = rows[:, 1]
         self.live[self.fill:stop] = True
         self.fill = stop
         self._index = None
@@ -129,7 +124,7 @@ class _GroupStore:
             if cares.size and (cares != cares[0]).any():
                 self._index = ()  # mixed cares: only the XOR scan fits
             else:
-                care = int(cares[0]) if cares.size else _FULL
+                care = int(cares[0]) if cares.size else ALL_ONES
                 masked = self.values[live] & care
                 order = np.argsort(masked, kind="stable")
                 self._index = (care, masked[order], live[order])
@@ -162,19 +157,6 @@ class _GroupStore:
         # rank inside the run
         skew = (first - counts.cumsum() + counts).repeat(counts)
         return rows, addresses[skew + np.arange(rows.size)]
-
-    def entries(self, width: int) -> List[Optional[CamEntry]]:
-        """Golden view (holes as ``None``), same order as the hardware,
-        as ``width``-bit entries like the cycle engine's cells hold."""
-        out: List[Optional[CamEntry]] = []
-        for index in range(self.fill):
-            if not self.live[index]:
-                out.append(None)
-                continue
-            care = int(self.cares[index])
-            out.append(CamEntry(value=int(self.values[index]),
-                                mask=_FULL ^ care, width=width))
-        return out
 
 
 class BatchSession(_SessionBase):
@@ -230,83 +212,49 @@ class BatchSession(_SessionBase):
         return self._stores[0].fill
 
     # ------------------------------------------------------------------
-    # word coercion (vectorized fast path for raw binary integers)
-    # ------------------------------------------------------------------
-    def _coerce_arrays(self, words: Sequence[RawWord]):
-        """Return (values, cares) int64 arrays for an update batch."""
-        width = self.config.data_width
-        if all(isinstance(word, (int, np.integer)) for word in words):
-            if self.config.block.cell.cam_type is not CamType.BINARY:
-                raise ConfigError(
-                    "raw integers are only accepted for binary CAMs; build "
-                    "CamEntry values for ternary/range configurations"
-                )
-            values = np.asarray([int(word) for word in words], dtype=np.int64)
-            bad = (values < 0) | (values >> width != 0)
-            if bad.any():
-                # Reproduce the exact scalar-path error for the first
-                # offending word.
-                binary_entry(int(values[np.argmax(bad)]), width)
-            cares = np.full(values.shape, mask_for(width), dtype=np.int64)
-            return values, cares
-        values = np.empty(len(words), dtype=np.int64)
-        cares = np.empty(len(words), dtype=np.int64)
-        for index, word in enumerate(words):
-            entry = self._coerce(word)
-            values[index] = entry.value & _FULL
-            cares[index] = ~entry.mask & _FULL
-        return values, cares
-
-    # ------------------------------------------------------------------
     # transactions
     # ------------------------------------------------------------------
-    def _update_targets(self, group: Optional[int]) -> List[int]:
+    def _update_target(self, group: Optional[int]) -> int:
+        """The store an update writes (the shared one when replicated)."""
         if self.config.replicate_updates:
             if group is not None:
                 raise RoutingError(
                     f"{self.name}: replicated mode updates every group; "
                     "do not pass a group id"
                 )
-            return [0]  # shared store
+            return 0
         if group is None:
             raise RoutingError(
                 f"{self.name}: independent mode requires a target group"
             )
         self._check_group(group)
-        return [group]
+        return group
 
-    def _update(
-        self, words: List[RawWord], group: Optional[int]
-    ) -> UpdateStats:
-        targets = self._update_targets(group)
-        values, cares = self._coerce_arrays(words)
+    def _update(self, rows: np.ndarray, group: Optional[int]) -> UpdateStats:
+        index = self._update_target(group)
+        store = self._stores[index]
+        count = len(rows)
         per_beat = self.config.words_per_beat
-        beats = -(-len(words) // per_beat)
+        beats = -(-count // per_beat)
         capacity = self.capacity
-        for store_index in targets:
-            store = self._stores[store_index]
-            if store.fill + len(words) > capacity:
-                # Mirror the cycle engine's partial-failure semantics:
-                # full beats that fit are issued (one cycle each) before
-                # the overflowing beat raises at issue time.
-                fitting_beats = (capacity - store.fill) // per_beat
-                fitting_words = fitting_beats * per_beat
-                for si in targets:
-                    self._stores[si].append(values[:fitting_words],
-                                            cares[:fitting_words])
-                self._cycle += fitting_beats
-                overflow = min(per_beat, len(words) - fitting_words)
-                raise CapacityError(
-                    f"{self.name}: group {store_index} cannot take "
-                    f"{overflow} more words "
-                    f"({store.fill}/{capacity} used)"
-                )
+        if store.fill + count > capacity:
+            # Mirror the cycle engine's partial-failure semantics: full
+            # beats that fit are issued (one cycle each) before the
+            # overflowing beat raises at issue time.
+            fitting_beats = (capacity - store.fill) // per_beat
+            fitting_words = fitting_beats * per_beat
+            store.append(rows[:fitting_words])
+            self._cycle += fitting_beats
+            overflow = min(per_beat, count - fitting_words)
+            raise CapacityError(
+                f"{self.name}: group {index} cannot take {overflow} more "
+                f"words ({store.fill}/{capacity} used)"
+            )
         with obs.span("unit.update", beats=beats):
-            for store_index in targets:
-                self._stores[store_index].append(values, cares)
+            store.append(rows)
         cycles = beats + self.config.update_latency - 1
         self._cycle += cycles
-        return UpdateStats(words=len(words), beats=beats, cycles=cycles)
+        return UpdateStats(words=count, beats=beats, cycles=cycles)
 
     def _validate_groups(self, groups: Sequence[int]) -> List[int]:
         group_ids = [int(g) for g in groups]
@@ -329,7 +277,7 @@ class BatchSession(_SessionBase):
         else:
             group_ids = self._validate_groups(groups)
         per_beat = len(group_ids)
-        masked = keys & _FULL
+        masked = keys & ALL_ONES
         encoding = self.config.block.encoding
 
         with obs.span("unit.search", keys=len(keys)):
@@ -353,7 +301,7 @@ class BatchSession(_SessionBase):
         return batch, SearchStats(keys=len(keys), beats=beats, cycles=cycles)
 
     def _delete(self, key: int) -> SearchResult:
-        masked = np.asarray([key], dtype=np.int64) & _FULL
+        masked = np.asarray([key], dtype=np.int64) & ALL_ONES
         result = None
         for store in self._distinct_stores():
             rows, cols = store.matches(masked)
@@ -387,18 +335,14 @@ class BatchSession(_SessionBase):
     # snapshot / restore
     # ------------------------------------------------------------------
     def _distinct_stores(self) -> List[_GroupStore]:
-        seen = set()
-        out: List[_GroupStore] = []
-        for store in self._stores:
-            if id(store) not in seen:
-                seen.add(id(store))
-                out.append(store)
-        return out
+        return list({id(store): store for store in self._stores}.values())
 
-    def _group_slots(self, group: int) -> List[Optional[CamEntry]]:
-        return self._stores[group].entries(self.config.data_width)
+    def _group_arrays(self, group: int):
+        store = self._stores[group]
+        fill = store.fill
+        return store.values[:fill], store.cares[:fill], store.live[:fill]
 
-    def _invalidate(self, group: int, addresses: List[int]) -> None:
+    def _invalidate(self, group: int, addresses: np.ndarray) -> None:
         self._stores[group].kill(addresses)
 
 
@@ -543,9 +487,9 @@ class AuditSession(BatchSession):
     def update(
         self, words: Sequence[RawWord], group: Optional[int] = None
     ) -> UpdateStats:
-        words = list(words)
+        rows = self._rows(words)
         try:
-            stats = super().update(words, group=group)
+            stats = super().update(rows, group=group)
         except Exception:
             # The shadow never saw the failed beat; stop auditing this
             # episode rather than reporting a false divergence later.
@@ -553,7 +497,7 @@ class AuditSession(BatchSession):
             raise
         if self._tally():
             self._compare_costs("update", stats,
-                                self.shadow.update(words, group=group))
+                                self.shadow.update(rows, group=group))
         return stats
 
     def search(

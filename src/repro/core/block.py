@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.config import BlockConfig
 from repro.core.cell import CellArray
 from repro.core.encoder import ResultEncoder
-from repro.core.mask import CamEntry
+from repro.core.mask import CamEntry, entry_views
 from repro.core.types import SearchResult
 from repro.dsp import DspColumn
 from repro.errors import CapacityError, ConfigError
@@ -284,7 +284,7 @@ class CamBlock(CellArray):
     def slots(self) -> List[Optional[CamEntry]]:
         """Golden-model view of the consumed cells, in address order:
         each stored entry, or ``None`` for a delete-by-content hole."""
-        return self._entries(self._fill)
+        return entry_views(*self.slot_arrays(self._fill), self.data_width)
 
     def stored_entries(self) -> List[CamEntry]:
         """Golden-model view of the block contents, in fill order."""

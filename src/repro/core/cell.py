@@ -21,11 +21,11 @@ Timing (Table V): update latency 1 cycle, search latency 2 cycles
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.mask import CamEntry, width_mask
+from repro.core.mask import CamEntry, entry_views, width_mask
 from repro.core.types import CamType
 from repro.dsp import (
     ALL_ONES,
@@ -186,16 +186,14 @@ class CellArray(Component):
         return match_lines(self.column.p[self._cells], self.occupied_bits,
                            self.entry_masks)
 
-    def _entries(self, stop: int) -> List[Optional[CamEntry]]:
-        """Golden-model view of cells ``[0, stop)``: each stored entry,
-        or ``None`` for an empty cell."""
+    def slot_arrays(self, stop: int):
+        """Cells ``[0, stop)`` as int64 ``values`` (the A:B words) and
+        ``cares`` (the compared bits, ``~mask``) plus the occupancy
+        flip-flops."""
         start = self.offset
-        values = self.column.stored_ab[start:start + stop].tolist()
-        masks = self.entry_masks[:stop].tolist()
-        occupied = self.occupied_bits[:stop].tolist()
-        width = self.data_width
-        return [CamEntry(value=value, mask=mask, width=width) if live else None
-                for value, mask, live in zip(values, masks, occupied)]
+        values = self.column.stored_ab[start:start + stop].astype(np.int64)
+        cares = (ALL_ONES ^ self.entry_masks[:stop]).astype(np.int64)
+        return values, cares, self.occupied_bits[:stop]
 
     def registers(self, cell: int) -> SliceRegisters:
         """The DSP registers of cell ``cell`` as plain Python values."""
@@ -275,7 +273,7 @@ class CamCell(CellArray):
     @property
     def stored_entry(self) -> Optional[CamEntry]:
         """Golden-model view of the stored entry, if occupied."""
-        return self._entries(1)[0]
+        return entry_views(*self.slot_arrays(1), self.data_width)[0]
 
     @staticmethod
     def resources() -> ResourceVector:

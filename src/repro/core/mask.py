@@ -16,9 +16,14 @@ also used for the data bit width control").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional
 
+import numpy as np
+
+from repro.core.types import CamType
+from repro.dsp import ALL_ONES
 from repro.dsp.primitives import DSP_WIDTH, check_fits, is_power_of_two, mask_for
-from repro.errors import MaskError
+from repro.errors import ConfigError, MaskError
 
 
 def width_mask(data_width: int) -> int:
@@ -43,8 +48,7 @@ class CamEntry:
 
     def matches(self, key: int) -> bool:
         """Golden-model comparison: masked equality against ``key``."""
-        full = mask_for(DSP_WIDTH)
-        return ((self.value ^ key) & ~self.mask & full) == 0
+        return ((self.value ^ key) & ~self.mask & ALL_ONES) == 0
 
     @property
     def care_bits(self) -> int:
@@ -56,6 +60,75 @@ def binary_entry(value: int, data_width: int) -> CamEntry:
     """Exact-match (BCAM) entry: every data bit is compared."""
     check_fits(value, data_width, "BCAM value")
     return CamEntry(value=value, mask=width_mask(data_width), width=data_width)
+
+
+def entry_rows(words, data_width: int, cam_type: CamType) -> np.ndarray:
+    """A write as one int64 ``(n, 2)`` array of ``(value, care)`` rows,
+    ``care`` being the compared bits (``~mask`` at the DSP width).
+
+    Takes ints or ``np.integer`` values (binary CAMs only; full care,
+    range-checked in one vectorized pass that raises
+    :func:`binary_entry`'s error for the first word that does not fit),
+    a 1-D integer array, :class:`CamEntry` values, or ``(n, 2)`` int64
+    rows, which come back as they are: the form every layer below the
+    public edge passes down.
+    """
+    values = None
+    if isinstance(words, np.ndarray) and words.ndim == 1:
+        words = words.tolist()  # exact ints: a cast could wrap silently
+    if not isinstance(words, np.ndarray):
+        words = words if isinstance(words, (list, tuple)) else list(words)
+        if not all(issubclass(kind, (int, np.integer))
+                   for kind in set(map(type, words))):
+            words = np.array([_entry_row(word, data_width, cam_type)
+                              for word in words], dtype=np.int64)
+        else:
+            try:
+                values = np.array(words, dtype=np.int64)
+            except OverflowError:  # a word at or above 2^63
+                values = np.array([-1])
+    elif words.shape[1:] != (2,) or words.dtype != np.int64:
+        raise ConfigError(
+            "update words must be ints, entries or (n, 2) int64 rows, "
+            f"got a {words.dtype} array of shape {words.shape}"
+        )
+    if not len(words):
+        raise ConfigError("update needs at least one word")
+    if values is None:
+        return words
+    if cam_type is not CamType.BINARY:
+        raise ConfigError(
+            "raw integers are only accepted for binary CAMs; build "
+            "CamEntry values for ternary/range configurations"
+        )
+    if np.count_nonzero(values >> data_width):  # negative or too wide
+        for word in words:
+            binary_entry(int(word), data_width)
+    rows = np.empty((values.size, 2), dtype=np.int64)
+    rows[:, 0] = values
+    rows[:, 1] = mask_for(data_width)
+    return rows
+
+
+def _entry_row(word, data_width: int, cam_type: CamType):
+    if isinstance(word, CamEntry):
+        return word.value & ALL_ONES, ~word.mask & ALL_ONES
+    if isinstance(word, (int, np.integer)):
+        return entry_rows([word], data_width, cam_type).tolist()[0]
+    raise ConfigError(
+        f"update words must be int or CamEntry, got {type(word).__name__}"
+    )
+
+
+def entry_views(values: np.ndarray, cares: np.ndarray, live: np.ndarray,
+                data_width: int) -> List[Optional[CamEntry]]:
+    """Golden view of stored slots: a ``data_width``-bit
+    :class:`CamEntry` per live ``(value, care)`` slot, ``None`` for a
+    hole."""
+    return [CamEntry(value=value, mask=ALL_ONES ^ care, width=data_width)
+            if alive else None
+            for value, care, alive in zip(values.tolist(), cares.tolist(),
+                                          live.tolist())]
 
 
 def ternary_entry(value: int, dont_care: int, data_width: int) -> CamEntry:
@@ -128,8 +201,6 @@ def range_entry(start: int, end: int, data_width: int) -> CamEntry:
 
 def entry_for(cam_type, data_width: int, *args) -> CamEntry:
     """Dispatch an entry constructor by :class:`repro.core.CamType`."""
-    from repro.core.types import CamType
-
     if cam_type is CamType.BINARY:
         (value,) = args
         return binary_entry(value, data_width)

@@ -27,9 +27,10 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import UnitConfig
-from repro.core.mask import CamEntry, binary_entry
-from repro.core.types import CamType, SearchBatch, SearchResult, key_array
+from repro.core.mask import CamEntry, entry_rows, entry_views
+from repro.core.types import SearchBatch, SearchResult, key_array
 from repro.core.unit import CamUnit
+from repro.dsp import ALL_ONES, mask_for
 from repro.fabric.area import unit_resources
 from repro.errors import ConfigError, RoutingError, SimulationError
 from repro.sim import Simulator, Trace
@@ -108,7 +109,7 @@ class _SessionBase:
 
     Subclasses provide the engine primitives ``_update``, ``_search``,
     ``_delete``, ``_set_groups``, ``_reset``, ``_invalidate`` and
-    ``_group_slots`` plus the ``cycle``, ``num_groups`` and
+    ``_group_arrays`` plus the ``cycle``, ``num_groups`` and
     ``occupancy`` views; this base wraps them in the public
     transaction API, so the span/timing/metrics contract and the
     snapshot replay are defined once for every engine.
@@ -160,19 +161,10 @@ class _SessionBase:
                 f"(0..{self.num_groups - 1})"
             )
 
-    def _coerce(self, word: RawWord) -> CamEntry:
-        if isinstance(word, CamEntry):
-            return word
-        if isinstance(word, int):
-            if self.config.block.cell.cam_type is not CamType.BINARY:
-                raise ConfigError(
-                    "raw integers are only accepted for binary CAMs; build "
-                    "CamEntry values for ternary/range configurations"
-                )
-            return binary_entry(word, self.config.data_width)
-        raise ConfigError(
-            f"update words must be int or CamEntry, got {type(word).__name__}"
-        )
+    def _rows(self, words) -> np.ndarray:
+        """``words`` as checked rows (:func:`~repro.core.mask.entry_rows`)."""
+        return entry_rows(words, self.config.data_width,
+                          self.config.block.cell.cam_type)
 
     # ------------------------------------------------------------------
     def update(
@@ -183,13 +175,11 @@ class _SessionBase:
         Returns once the final beat has landed, so content is
         searchable when this returns.
         """
-        words = list(words)
-        if not words:
-            raise ConfigError("update needs at least one word")
+        rows = self._rows(words)
         t0 = time.perf_counter() if obs.enabled() else 0.0
         with obs.span("session.update", engine=self.engine_name,
-                      words=len(words)):
-            stats = self._update(words, group)
+                      words=len(rows)):
+            stats = self._update(rows, group)
         self.last_update_stats = stats
         if obs.enabled():
             publish_update_metrics(self, stats,
@@ -261,7 +251,7 @@ class _SessionBase:
         """Golden-model view of one group's content, in write order
         (deleted holes preserved as ``None``)."""
         self._check_group(group)
-        return self._group_slots(group)
+        return entry_views(*self._group_arrays(group), self.config.data_width)
 
     # ------------------------------------------------------------------
     # snapshot / restore
@@ -269,18 +259,16 @@ class _SessionBase:
     def snapshot(self):
         """Capture stored content (holes included) as a
         :class:`~repro.service.snapshot.CamSnapshot`."""
-        from repro.service.snapshot import (
-            CamSnapshot,
-            SnapshotEntry,
-            unit_meta,
-        )
+        from repro.service.snapshot import CamSnapshot, SnapshotEntry, unit_meta
 
-        group_ids = ([0] if self.config.replicate_updates
-                     else range(self.num_groups))
-        groups = [
-            [SnapshotEntry.from_entry(slot) for slot in self._group_slots(g)]
-            for g in group_ids
-        ]
+        groups = []
+        for group in ([0] if self.config.replicate_updates
+                      else range(self.num_groups)):
+            # canonical slots: value & care, and (0, 0) for a hole
+            values, cares, live = self._group_arrays(group)
+            cares = np.where(live, cares & ALL_ONES, 0)
+            groups.append(list(map(SnapshotEntry, (values & cares).tolist(),
+                                   cares.tolist(), live.tolist())))
         return CamSnapshot(
             kind="unit",
             meta=unit_meta(self.config, self.engine_name, self.num_groups),
@@ -299,31 +287,33 @@ class _SessionBase:
     def _restore(self, snapshot) -> None:
         """Replay a snapshot as real transactions.
 
-        A regroup flush, then one bulk update per non-empty group with
-        zero-valued placeholders standing in for dead slots, which
-        :meth:`_invalidate` then kills by address (a delete-by-content
-        replay could not target a single slot: for ternary content the
-        dead entry's value may still match *live* entries). The replay
-        leaves fill pointers, hole positions and priority order
-        bit-identical to the snapshotted unit, at the same cycle cost on
-        every engine. It calls the engine primitives, not the public
-        calls, so a wrapper such as the audit engine's sees one restore.
+        A regroup flush, then one bulk update of each non-empty group's
+        ``(value, care)`` rows, zero-valued binary placeholders standing
+        in for dead slots, which :meth:`_invalidate` then kills by
+        address (a delete-by-content replay could not target a single
+        slot: for ternary content the dead entry's value may still match
+        *live* entries). The replay leaves fill pointers, hole positions
+        and priority order bit-identical to the snapshotted unit, at the
+        same cycle cost on every engine. It calls the engine primitives,
+        not the public calls, so a wrapper such as the audit engine's
+        sees one restore. A malformed slot raises
+        :class:`~repro.errors.SnapshotError` before anything changed.
         """
+        from repro.service.snapshot import slot_table
+
+        tables = [slot_table(slots) for slots in snapshot.groups]
         self._set_groups(int(snapshot.meta.get("num_groups", 1)))
-        width = self.config.data_width
-        hole = binary_entry(0, width)
         replicated = self.config.replicate_updates
-        for index, slots in enumerate(snapshot.groups):
-            if not slots:
+        for index, table in enumerate(tables):
+            if not table.size:
                 continue
-            self._update(
-                [slot.to_entry(width) if slot.live else hole for slot in slots],
-                None if replicated else index,
-            )
-            dead = [address for address, slot in enumerate(slots)
-                    if not slot.live]
-            if dead:
-                self._invalidate(index, dead)
+            live = table["live"] != 0
+            rows = np.stack([table["value"], table["care"]], axis=1)
+            rows = (rows & ALL_ONES).astype(np.int64)
+            rows[~live] = 0, mask_for(self.config.data_width)
+            self._update(rows, None if replicated else index)
+            if not live.all():
+                self._invalidate(index, np.flatnonzero(~live))
 
 
 class CamSession(_SessionBase):
@@ -365,11 +355,10 @@ class CamSession(_SessionBase):
         return self.unit.num_groups
 
     # ------------------------------------------------------------------
-    def _update(
-        self, words: List[RawWord], group: Optional[int]
-    ) -> UpdateStats:
+    def _update(self, rows: np.ndarray, group: Optional[int]) -> UpdateStats:
         # Blocks until every beat's ``update_done`` pulse has landed.
-        entries = [self._coerce(word) for word in words]
+        entries = entry_views(rows[:, 0], rows[:, 1], np.ones(len(rows), bool),
+                              self.config.data_width)
         start = self.cycle
         per_beat = self.unit.words_per_beat
         beats = 0
@@ -461,21 +450,18 @@ class CamSession(_SessionBase):
     # ------------------------------------------------------------------
     # snapshot / restore
     # ------------------------------------------------------------------
-    def _group_slots(self, group: int):
-        """Stored slots of one group in address order, holes as None.
-
-        Reads the cell registers directly rather than
-        ``unit.stored_entries`` (which drops deleted holes): the slot
+    def _group_arrays(self, group: int):
+        """``(values, cares, live)`` of one group's consumed slots in
+        address order, read from the cell registers: the slot
         *positions* are part of the architectural state -- the fill
         pointer never rewinds, so hole placement decides which address
-        a future insert lands on.
-        """
-        slots = []
-        for block_id in self.unit.table.blocks_in_group(group):
-            slots.extend(self.unit.blocks[block_id].slots())
-        return slots
+        a future insert lands on."""
+        blocks = [self.unit.blocks[block_id]
+                  for block_id in self.unit.table.blocks_in_group(group)]
+        parts = [block.slot_arrays(block.occupancy) for block in blocks]
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
-    def _invalidate(self, group: int, addresses: List[int]) -> None:
+    def _invalidate(self, group: int, addresses: np.ndarray) -> None:
         """Kill the slots at ``addresses`` of ``group`` (every group when
         updates are replicated) directly at the cells, in no cycle."""
         groups = (range(self.num_groups) if self.config.replicate_updates
@@ -483,6 +469,6 @@ class CamSession(_SessionBase):
         block_size = self.unit.block_size
         for g in groups:
             block_ids = self.unit.table.blocks_in_group(g)
-            for address in addresses:
+            for address in addresses.tolist():
                 block = self.unit.blocks[block_ids[address // block_size]]
                 block.invalidate(address % block_size)

@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.batch import open_session
 from repro.core.config import unit_for_entries
-from repro.core.mask import CamEntry
 from repro.core.types import CamBackend, CamType, Encoding, SearchResult
 from repro.dsp.primitives import DSP_WIDTH, check_fits, mask_for
 from repro.errors import ConfigError
@@ -148,21 +149,17 @@ class WideCamSession:
         return wide_binary(int(word), self.key_width)
 
     def update(self, words: Sequence[Union[int, WideEntry]]) -> None:
-        """Store wide words (same address in every lane)."""
+        """Store wide words (same address in every lane), each lane's
+        fragments as one ``(value, care)`` row array."""
         entries = [self._coerce(word) for word in words]
+        values = [self._fragments(entry.value) for entry in entries]
+        masks = [self._fragments(entry.mask) for entry in entries]
         for lane_index, lane in enumerate(self.lanes):
-            lane_width = self._lane_widths[lane_index]
-            lane_entries = []
-            for entry in entries:
-                value_fragment = self._fragments(entry.value)[lane_index]
-                mask_fragment = self._fragments(entry.mask)[lane_index]
-                lane_entries.append(CamEntry(
-                    value=value_fragment,
-                    mask=mask_fragment | (mask_for(DSP_WIDTH)
-                                          ^ mask_for(lane_width)),
-                    width=lane_width,
-                ))
-            lane.update(lane_entries)
+            care = mask_for(self._lane_widths[lane_index])
+            lane.update(np.array(
+                [(value[lane_index], ~mask[lane_index] & care)
+                 for value, mask in zip(values, masks)],
+                dtype=np.int64).reshape(-1, 2))
 
     def search(self, keys: Sequence[int]) -> List[SearchResult]:
         """Search wide keys; a hit requires every lane to agree."""

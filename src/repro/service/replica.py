@@ -104,6 +104,7 @@ class ReplicaSet:
         #: (aborted) log.
         self._rebuilding: Dict[int, Optional[List[tuple]]] = {}
         self._rebuild_src: Dict[int, object] = {}
+        self._refresh()
         self._ops_since_beat = 0
         self.last_update_stats = None
         self.last_search_stats = None
@@ -131,34 +132,33 @@ class ReplicaSet:
                 f"(0..{self.num_replicas - 1})"
             )
         self._preferred = index
+        self._refresh()
 
     def replica_healthy(self, index: int) -> bool:
         return index not in self._failed and index not in self._rebuilding
 
-    def _healthy_indexes(self) -> List[int]:
-        return [i for i in range(self.num_replicas) if self.replica_healthy(i)]
-
-    def _serving_index(self, fault: Optional[BaseException] = None) -> int:
-        if self.replica_healthy(self._preferred):
-            return self._preferred
-        for index in range(self.num_replicas):
-            if self.replica_healthy(index):
-                return index
-        raise ReplicaExhaustedError(
-            f"{self.name}: no healthy replica "
-            f"(failed: {dict(self._failed)})"
-        ) from fault
+    def _refresh(self) -> None:
+        """After any change of health or preference: the healthy
+        replicas writes fan out to, and the one that serves reads and
+        the session properties (the preferred one unless another is
+        healthy and it is not). Publishes the healthy count."""
+        self._healthy = tuple(i for i in range(self.num_replicas)
+                              if self.replica_healthy(i))
+        obs.set_gauge("svc_replicas_healthy", len(self._healthy),
+                      help="healthy replicas per set", set=self.name)
+        keep = self._preferred in self._healthy or not self._healthy
+        self._serving = self._preferred if keep else self._healthy[0]
+        self._reporter = self.replicas[self._serving]
 
     def _mark_failed(self, index: int, reason: str) -> None:
         if index in self._failed:
             return
         self._failed[index] = reason
+        self._refresh()
         self.stats.failures += 1
         obs.inc("svc_replica_failures_total",
                 help="replica sessions fenced off after faults",
                 set=self.name)
-        obs.set_gauge("svc_replicas_healthy", len(self._healthy_indexes()),
-                      help="healthy replicas per set", set=self.name)
 
     # ------------------------------------------------------------------
     # reads: preferred replica, failover on fault
@@ -166,7 +166,12 @@ class ReplicaSet:
     def _read(self, op, fn):
         fault = None
         while True:
-            index = self._serving_index(fault)
+            if not self._healthy:
+                raise ReplicaExhaustedError(
+                    f"{self.name}: no healthy replica "
+                    f"(failed: {dict(self._failed)})"
+                ) from fault
+            index = self._serving
             session = self.replicas[index]
             try:
                 result = fn(session)
@@ -196,10 +201,6 @@ class ReplicaSet:
     def contains(self, key) -> bool:
         return self.search_one(key).hit
 
-    def stored_entries(self, group: int = 0):
-        return self._read("stored_entries",
-                          lambda s: s.stored_entries(group))
-
     def snapshot(self):
         """A healthy replica's snapshot (writes keep them identical)."""
         return self._read("snapshot", lambda s: s.snapshot())
@@ -210,35 +211,26 @@ class ReplicaSet:
     def _write(self, op, *args, **kwargs):
         """Call session method ``op`` on every healthy replica and log
         the write for in-flight rebuilds; returns the first result."""
-        healthy = self._healthy_indexes()
-        if not healthy:
+        if not self._healthy:
             raise ReplicaExhaustedError(
                 f"{self.name}: no healthy replica for {op} "
                 f"(failed: {dict(self._failed)})"
             )
-        first_result = None
-        have_result = False
+        results = []
         client_error: Optional[BaseException] = None
         fault: Optional[BaseException] = None
-        landed = 0
-        for index in healthy:
+        for index in self._healthy:
             try:
-                result = getattr(self.replicas[index], op)(*args, **kwargs)
+                results.append(getattr(self.replicas[index], op)(*args,
+                                                                 **kwargs))
             except CLIENT_ERRORS as exc:
                 # Deterministic partial landing: every replica takes the
                 # same beats before raising, so content stays identical.
                 client_error = exc
-                landed += 1
-                continue
             except Exception as exc:
                 fault = exc
                 self._mark_failed(index, f"{type(exc).__name__}: {exc}")
-                continue
-            landed += 1
-            if not have_result:
-                first_result = result
-                have_result = True
-        if landed == 0:
+        if not results and client_error is None:
             raise ReplicaExhaustedError(
                 f"{self.name}: every replica faulted during {op} "
                 f"(failed: {dict(self._failed)})"
@@ -247,10 +239,10 @@ class ReplicaSet:
         self._maybe_beat()
         if client_error is not None:
             raise client_error
-        return first_result
+        return results[0]
 
     def update(self, words, group=None):
-        stats = self._write("update", list(words), group=group)
+        stats = self._write("update", words, group=group)
         self.last_update_stats = stats
         return stats
 
@@ -261,7 +253,7 @@ class ReplicaSet:
         self._write("set_groups", num_groups)
 
     def idle(self, cycles: int = 1) -> None:
-        for index in self._healthy_indexes():
+        for index in self._healthy:
             self.replicas[index].idle(cycles)
 
     def reset(self) -> None:
@@ -299,6 +291,7 @@ class ReplicaSet:
             self._failed.pop(index, None)
         self._rebuilding.clear()
         self._rebuild_src.clear()
+        self._refresh()
         self._ops_since_beat = 0
         fault = None
         for index, fault in errors.items():
@@ -307,8 +300,6 @@ class ReplicaSet:
             raise ReplicaExhaustedError(
                 f"{self.name}: every replica faulted during {op}"
             ) from fault
-        obs.set_gauge("svc_replicas_healthy", len(self._healthy_indexes()),
-                      help="healthy replicas per set", set=self.name)
 
     # ------------------------------------------------------------------
     # divergence beats
@@ -329,11 +320,10 @@ class ReplicaSet:
         content hash wins; a tie breaks toward the group containing the
         preferred replica, then toward the lowest replica index.
         """
-        healthy = self._healthy_indexes()
-        if len(healthy) < 2:
+        if len(self._healthy) < 2:
             return []
         by_hash: Dict[str, List[int]] = {}
-        for index in healthy:
+        for index in self._healthy:
             try:
                 digest = self.replicas[index].snapshot().content_hash()
             except Exception as exc:
@@ -395,6 +385,7 @@ class ReplicaSet:
             )
         self._rebuild_src[index] = self.snapshot()  # raises if no donor
         self._rebuilding[index] = []
+        self._refresh()
 
     def finish_rebuild(self, index: int) -> int:
         """Restore the donor snapshot, replay the catch-up log, reinstate.
@@ -408,7 +399,7 @@ class ReplicaSet:
             raise ServiceError(
                 f"{self.name}: no rebuild in progress for replica {index}"
             )
-        log = self._rebuilding.pop(index)
+        log = self._rebuilding.pop(index)  # still fenced: it is failed
         src = self._rebuild_src.pop(index)
         if log is None:
             self.stats.repairs_failed += 1
@@ -435,22 +426,15 @@ class ReplicaSet:
                 f"{self.name}: replica {index} rebuild failed: {exc}"
             ) from exc
         self._failed.pop(index, None)
+        self._refresh()
         self.stats.repairs += 1
         obs.inc("svc_replica_repairs_total",
                 help="replicas rebuilt and reinstated", set=self.name)
-        obs.set_gauge("svc_replicas_healthy", len(self._healthy_indexes()),
-                      help="healthy replicas per set", set=self.name)
         return len(log)
 
     # ------------------------------------------------------------------
     # session-protocol properties (reported from a healthy replica)
     # ------------------------------------------------------------------
-    def _reporter(self):
-        try:
-            return self.replicas[self._serving_index()]
-        except ReplicaExhaustedError:
-            return self.replicas[self._preferred]
-
     @property
     def engine_name(self) -> str:
         base = getattr(self.replicas[0], "engine_name", "?")
@@ -464,27 +448,27 @@ class ReplicaSet:
     @property
     def capacity(self) -> int:
         """One replica's capacity: copies add fault tolerance, not room."""
-        return self._reporter().capacity
+        return self._reporter.capacity
 
     @property
     def occupancy(self) -> int:
-        return self._reporter().occupancy
+        return self._reporter.occupancy
 
     @property
     def num_groups(self) -> int:
-        return self._reporter().num_groups
+        return self._reporter.num_groups
 
     @property
     def search_latency(self) -> int:
-        return self._reporter().search_latency
+        return self._reporter.search_latency
 
     @property
     def update_latency(self) -> int:
-        return self._reporter().update_latency
+        return self._reporter.update_latency
 
     @property
     def words_per_beat(self) -> int:
-        return self._reporter().words_per_beat
+        return self._reporter.words_per_beat
 
     @property
     def trace(self):

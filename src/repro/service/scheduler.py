@@ -119,13 +119,12 @@ class _Request:
                  "admitted_t", "targets", "answers", "degraded", "error")
 
     def __init__(self, kind: str, *, key: int = 0,
-                 words: Optional[List[RawWord]] = None,
-                 parts: Optional[Dict[int, Tuple[List[RawWord],
-                                            List[int]]]] = None) -> None:
+                 words: Optional[List[RawWord]] = None) -> None:
         self.kind = kind
         self.key = key
         self.words = words
-        self.parts = parts
+        #: an insert's ``ShardedCam.partition_update``, bound at routing
+        self.parts: Dict[int, Tuple] = {}
         self.future: "asyncio.Future[ServiceResponse]" = (
             asyncio.get_running_loop().create_future()
         )

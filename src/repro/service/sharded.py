@@ -43,7 +43,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import UnitConfig
-from repro.core.mask import CamEntry
+from repro.core.mask import entry_rows
 from repro.core.session import (
     RawWord,
     SearchStats,
@@ -59,7 +59,6 @@ from repro.core.types import (
     SearchResult,
     key_array,
 )
-from repro.dsp.primitives import mask_for
 from repro.errors import (
     CLIENT_ERRORS,
     CapacityError,
@@ -262,6 +261,11 @@ class ShardedCam:
     # ------------------------------------------------------------------
     # routing helpers
     # ------------------------------------------------------------------
+    def _rows(self, words) -> np.ndarray:
+        """``words`` as checked ``(value, care)`` rows (rows pass as is)."""
+        return entry_rows(words, self.config.data_width,
+                          self.config.block.cell.cam_type)
+
     def _assign_addresses(self, shard: int, addresses: Sequence[int]) -> None:
         self._global_addrs[shard] = np.concatenate(
             [self._global_addrs[shard], np.asarray(addresses, dtype=np.int64)])
@@ -289,22 +293,23 @@ class ShardedCam:
         """Store ``words`` on one shard, binding them to global
         addresses (freshly allocated unless ``addresses`` preassigns
         them, which the batched front door uses to keep interleaved
-        input order)."""
-        words = list(words)
+        input order). ``words`` may be the ``(value, care)`` rows
+        :meth:`partition_update` returns; they go down as they are."""
         self._check_shard(shard)
+        rows = self._rows(words)
         if addresses is None:
-            addresses = range(self._global_count, self._global_count + len(words))
-            self._global_count += len(words)
+            addresses = range(self._global_count, self._global_count + len(rows))
+            self._global_count += len(rows)
         session = self.sessions[shard]
-        with obs.span("svc.shard.update", shard=shard, words=len(words)):
+        with obs.span("svc.shard.update", shard=shard, words=len(rows)):
             try:
-                stats = self._fenced(shard, session.update, words)
+                stats = self._fenced(shard, session.update, rows)
             except CLIENT_ERRORS:
                 # The batch engine lands the beats that fit before the
                 # overflowing beat raises; keep the address map (one
                 # entry per stored word) in sync with what landed.
                 landed = session.occupancy - len(self._global_addrs[shard])
-                self._assign_addresses(shard, list(addresses)[:landed])
+                self._assign_addresses(shard, addresses[:landed])
                 raise
         self._assign_addresses(shard, addresses)
         obs.inc("svc_shard_ops_total", help="operations executed per shard",
@@ -332,32 +337,33 @@ class ShardedCam:
 
     def partition_update(
         self, words: Sequence[RawWord]
-    ) -> Dict[int, Tuple[List[RawWord], List[int]]]:
+    ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
         """Route an update across shards, binding each word to a global
         address in **input order** (the reference model's insertion
-        numbering). Returns ``{shard: (words, addresses)}``; pass each
-        entry to :meth:`update_shard`. Every word consumes its global
-        index at partition time, so addressing stays deterministic even
-        if a later per-shard dispatch fails or never runs."""
-        words = list(words)
-        if not words:
-            raise ConfigError("update needs at least one word")
-        if self.occupancy + len(words) > self.capacity:
+        numbering). Returns ``{shard: (words, addresses)}``, each shard's
+        words as checked ``(value, care)`` rows in input order; pass each
+        entry to :meth:`update_shard`. A bad word raises here, before any
+        address is bound. Every word consumes its global index at
+        partition time, so addressing stays deterministic even if a
+        later per-shard dispatch fails or never runs."""
+        rows = self._rows(words)
+        count = len(rows)
+        if self.occupancy + count > self.capacity:
             raise CapacityError(
-                f"{self.name}: {len(words)} words exceed aggregate capacity "
+                f"{self.name}: {count} words exceed aggregate capacity "
                 f"({self.occupancy}/{self.capacity} used)"
             )
         base = self._global_count
-        mask = mask_for(self.policy.data_width)
-        values = [(word.value if isinstance(word, CamEntry) else int(word))
-                  & mask for word in words]
-        owners = self.policy.shards_for(values, base)
-        parts: Dict[int, Tuple[List[RawWord], List[int]]] = {}
-        for shard in np.unique(owners).tolist():
-            picks = np.flatnonzero(owners == shard).tolist()
-            parts[shard] = ([words[i] for i in picks],
-                            [base + i for i in picks])
-        self._global_count = base + len(words)
+        owners = self.policy.shards_for(rows[:, 0], base)
+        # one stable sort groups the words by shard, input order kept
+        order = owners.argsort(kind="stable")
+        bounds = [0] + np.bincount(owners, minlength=self.num_shards
+                                   ).cumsum().tolist()
+        rows, addresses = rows[order], order + base
+        parts = {shard: (rows[start:stop], addresses[start:stop])
+                 for shard, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+                 if stop > start}
+        self._global_count = base + count
         return parts
 
     def shards_for_key(self, key: int) -> List[int]:
@@ -384,18 +390,14 @@ class ShardedCam:
                 f"{self.name}: the sharded service routes storage itself; "
                 "per-call group targeting is not supported"
             )
-        words = list(words)
         parts = self.partition_update(words)
-        with obs.span("svc.update", engine=self.engine_name,
-                      words=len(words)):
-            beats = cycles = 0
-            for shard in sorted(parts):
-                shard_words, shard_addresses = parts[shard]
-                stats = self.update_shard(shard, shard_words,
-                                          addresses=shard_addresses)
-                beats = max(beats, stats.beats)
-                cycles = max(cycles, stats.cycles)
-            stats = UpdateStats(words=len(words), beats=beats, cycles=cycles)
+        count = sum(len(rows) for rows, _ in parts.values())
+        with obs.span("svc.update", engine=self.engine_name, words=count):
+            done = [self.update_shard(shard, rows, addresses=addresses)
+                    for shard, (rows, addresses) in sorted(parts.items())]
+            stats = UpdateStats(words=count,
+                                beats=max(s.beats for s in done),
+                                cycles=max(s.cycles for s in done))
         self.last_update_stats = stats
         if obs.enabled():
             publish_update_metrics(self, stats)

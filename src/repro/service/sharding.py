@@ -91,13 +91,22 @@ class ShardPolicy(abc.ABC):
 _M64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _splitmix64(value):
+#: splitmix64's add, multiply and shift constants, with the 64-bit wrap
+_SPLITMIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
+             30, 27, 31, _M64)
+#: ... and as ``uint64`` scalars, so the array form converts no Python
+#: int per call
+_SPLITMIX_U64 = tuple(np.uint64(c) for c in _SPLITMIX)
+
+
+def _splitmix64(value, constants=_SPLITMIX):
     """The splitmix64 finaliser: cheap, well-mixed 64-bit hash (of an
-    int, or elementwise of a ``uint64`` array, which wraps mod 2^64)."""
-    value = (value + 0x9E3779B97F4A7C15) & _M64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _M64
-    return value ^ (value >> 31)
+    int, or elementwise of a ``uint64`` array with ``_SPLITMIX_U64``)."""
+    gamma, mix1, mix2, shift1, shift2, shift3, wrap = constants
+    value = (value + gamma) & wrap
+    value = ((value ^ (value >> shift1)) * mix1) & wrap
+    value = ((value ^ (value >> shift2)) * mix2) & wrap
+    return value ^ (value >> shift3)
 
 
 class HashShardPolicy(ShardPolicy):
@@ -108,6 +117,10 @@ class HashShardPolicy(ShardPolicy):
     def __init__(self, num_shards: int, data_width: int, seed: int = 0) -> None:
         super().__init__(num_shards, data_width)
         self.seed = seed
+        # splitmix64 works mod 2^64: the seed's low 64 bits are all of it
+        self._u_mask, self._u_seed, self._u_shards = (
+            np.uint64(self._mask), np.uint64(seed & _M64),
+            np.uint64(num_shards))
 
     def shard_for_insert(self, value: int, index: int) -> int:
         return _splitmix64(self.mask_key(value) ^ self.seed) % self.num_shards
@@ -115,10 +128,9 @@ class HashShardPolicy(ShardPolicy):
     def shards_for(self, values, first_index):
         if len(values) < 16:  # NumPy's per-call cost loses to the loop
             return super().shards_for(values, first_index)
-        # splitmix64 works mod 2^64: the seed's low 64 bits are all of it
-        values = np.asarray(values, dtype=np.uint64) & np.uint64(self._mask)
-        mixed = _splitmix64(values ^ np.uint64(self.seed & _M64))
-        return (mixed % np.uint64(self.num_shards)).astype(np.int64)
+        values = np.asarray(values, dtype=np.uint64) & self._u_mask
+        mixed = _splitmix64(values ^ self._u_seed, _SPLITMIX_U64)
+        return (mixed % self._u_shards).astype(np.int64)
 
 
 class RangeShardPolicy(ShardPolicy):

@@ -47,10 +47,12 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, NamedTuple
+
+import numpy as np
 
 from repro.core.mask import CamEntry
-from repro.dsp.primitives import DSP_WIDTH, mask_for
+from repro.dsp import ALL_ONES
 from repro.errors import SnapshotError
 
 #: Format version written into every snapshot; bumped on layout changes.
@@ -59,17 +61,29 @@ SNAPSHOT_VERSION = 1
 #: Magic prefix of the binary framing.
 SNAPSHOT_MAGIC = b"DSPCAMSNAP"
 
-#: Full comparison width of one DSP cell.
-_FULL = mask_for(DSP_WIDTH)
-
 #: Recognised node kinds.
 KINDS = ("unit", "reference", "wide", "sharded")
 
-_ENTRY = struct.Struct("<QQB")
+#: One slot in the binary framing and the content hash: value, care,
+#: live flag, little-endian and packed (17 bytes).
+_ENTRY = np.dtype([("value", "<u8"), ("care", "<u8"), ("live", "u1")])
 
 
-@dataclass(frozen=True)
-class SnapshotEntry:
+def slot_table(slots: List["SnapshotEntry"]) -> np.ndarray:
+    """One group's slots as a structured array in the binary framing's
+    entry layout (``value``, ``care``, ``live`` columns)."""
+    count = len(slots)
+    table = np.empty(count, dtype=_ENTRY)
+    try:
+        table["value"] = np.fromiter([e.value for e in slots], np.uint64, count)
+        table["care"] = np.fromiter([e.care for e in slots], np.uint64, count)
+    except (OverflowError, TypeError) as exc:
+        raise SnapshotError(f"malformed snapshot slot: {exc}") from exc
+    table["live"] = np.fromiter([e.live for e in slots], bool, count)
+    return table
+
+
+class SnapshotEntry(NamedTuple):
     """One CAM slot: canonical ``(value, care, live)`` triple.
 
     ``care`` holds the compared bit positions at the 48-bit DSP width
@@ -89,7 +103,7 @@ class SnapshotEntry:
 
     @classmethod
     def from_value_care(cls, value: int, care: int) -> "SnapshotEntry":
-        care &= _FULL
+        care &= ALL_ONES
         return cls(value=value & care, care=care, live=True)
 
     @classmethod
@@ -97,13 +111,13 @@ class SnapshotEntry:
         """Canonicalise a :class:`~repro.core.mask.CamEntry` (or None)."""
         if entry is None:
             return cls.dead()
-        return cls.from_value_care(entry.value, ~entry.mask & _FULL)
+        return cls.from_value_care(entry.value, ~entry.mask & ALL_ONES)
 
     def to_entry(self, data_width: int):
         """Rebuild a :class:`~repro.core.mask.CamEntry` (None if dead)."""
         if not self.live:
             return None
-        return CamEntry(value=self.value, mask=_FULL ^ self.care,
+        return CamEntry(value=self.value, mask=ALL_ONES ^ self.care,
                         width=data_width)
 
 
@@ -172,9 +186,7 @@ class CamSnapshot:
                                   len(self.children)))
         for group in self.groups:
             digest.update(struct.pack("<I", len(group)))
-            for entry in group:
-                digest.update(_ENTRY.pack(entry.value, entry.care,
-                                          1 if entry.live else 0))
+            digest.update(slot_table(group).tobytes())
         for child in self.children:
             child._hash_into(digest)
 
@@ -251,9 +263,7 @@ class CamSnapshot:
         out.append(struct.pack("<I", len(self.groups)))
         for group in self.groups:
             out.append(struct.pack("<I", len(group)))
-            for entry in group:
-                out.append(_ENTRY.pack(entry.value, entry.care,
-                                       1 if entry.live else 0))
+            out.append(slot_table(group).tobytes())
         out.append(struct.pack("<I", len(self.children)))
         for child in self.children:
             child._encode_node(out)
@@ -263,17 +273,14 @@ class CamSnapshot:
         if not blob.startswith(SNAPSHOT_MAGIC):
             raise SnapshotError("not a binary CAM snapshot (bad magic)")
         offset = len(SNAPSHOT_MAGIC)
-        try:
-            (version,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            if version != SNAPSHOT_VERSION:
-                raise SnapshotError(
-                    f"snapshot version {version} not supported "
-                    f"(this build reads version {SNAPSHOT_VERSION})"
-                )
-            snapshot, offset = cls._decode_node(blob, offset, version)
-        except struct.error as exc:
-            raise SnapshotError(f"truncated binary snapshot: {exc}") from exc
+        cls._need(blob, offset, 2, "version")
+        (version,) = struct.unpack_from("<H", blob, offset)
+        if version != SNAPSHOT_VERSION:
+            raise SnapshotError(
+                f"snapshot version {version} not supported "
+                f"(this build reads version {SNAPSHOT_VERSION})"
+            )
+        snapshot, offset = cls._decode_node(blob, offset + 2, version)
         if offset != len(blob):
             raise SnapshotError(
                 f"trailing bytes after snapshot ({len(blob) - offset})"
@@ -292,35 +299,32 @@ class CamSnapshot:
             )
 
     @classmethod
+    def _u32(cls, blob: bytes, offset: int, what: str):
+        """A guarded little-endian u32 and the offset past it."""
+        cls._need(blob, offset, 4, what)
+        return struct.unpack_from("<I", blob, offset)[0], offset + 4
+
+    @classmethod
     def _decode_node(cls, blob: bytes, offset: int, version: int):
-        cls._need(blob, offset, 4, "node header length")
-        (header_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
+        header_len, offset = cls._u32(blob, offset, "node header length")
         cls._need(blob, offset, header_len, "node header")
         try:
             header = json.loads(blob[offset:offset + header_len])
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SnapshotError(f"malformed snapshot header: {exc}") from exc
         offset += header_len
-        cls._need(blob, offset, 4, "group count")
-        (num_groups,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
+        num_groups, offset = cls._u32(blob, offset, "group count")
         groups: List[List[SnapshotEntry]] = []
         for _ in range(num_groups):
-            cls._need(blob, offset, 4, "entry count")
-            (count,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            cls._need(blob, offset, count * _ENTRY.size, "entries")
-            group = []
-            for _ in range(count):
-                value, care, live = _ENTRY.unpack_from(blob, offset)
-                offset += _ENTRY.size
-                group.append(SnapshotEntry(value=value, care=care,
-                                           live=bool(live)))
-            groups.append(group)
-        cls._need(blob, offset, 4, "child count")
-        (num_children,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
+            count, offset = cls._u32(blob, offset, "entry count")
+            cls._need(blob, offset, count * _ENTRY.itemsize, "entries")
+            table = np.frombuffer(blob, dtype=_ENTRY, count=count,
+                                  offset=offset)
+            offset += count * _ENTRY.itemsize
+            groups.append(list(map(SnapshotEntry, table["value"].tolist(),
+                                   table["care"].tolist(),
+                                   (table["live"] != 0).tolist())))
+        num_children, offset = cls._u32(blob, offset, "child count")
         children = []
         for _ in range(num_children):
             child, offset = cls._decode_node(blob, offset, version)
@@ -428,5 +432,6 @@ __all__ = [
     "CamSnapshot",
     "SnapshotEntry",
     "check_unit_compatible",
+    "slot_table",
     "unit_meta",
 ]

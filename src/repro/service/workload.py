@@ -122,7 +122,6 @@ class FaultyBackend:
         if self._mode == "diverge" and self._faulting():
             # Silently lose the write but report plausible stats: the
             # replica now disagrees without ever raising.
-            words = list(words)
             per_beat = self._session.words_per_beat
             beats = -(-len(words) // per_beat)
             from repro.core.session import UpdateStats

@@ -28,6 +28,7 @@ from repro.core import (
     unit_for_entries,
 )
 from repro.core.batch import AuditSession, BatchSession
+from repro.errors import ConfigError
 from repro.service import ReplicaSet, ShardedCam
 
 
@@ -99,6 +100,9 @@ def test_shared_surface_behaves(backend):
     assert backend.occupancy == 0
     assert backend.capacity >= 64
     backend.update([0x11, 0x22, 0x33])
+    with pytest.raises(ConfigError):  # a word past int64 lands nothing
+        backend.update([0x44, 1 << 70])
+    assert backend.occupancy == 3
     assert backend.contains(0x22)
     assert not backend.contains(0x44)
     result = backend.search_one(0x33)

@@ -601,3 +601,31 @@ def test_kill_with_frames_still_buffered_applies_each_mutation_once():
             assert server.stats.dedupe_hits == 0
             assert server.stats.decode_errors == 0
     run(scenario())
+
+
+# ----------------------------------------------------------------------
+# the write edge: a bad word is the client's error, never a shard fault
+# ----------------------------------------------------------------------
+def test_insert_of_a_word_past_int64_is_an_error_not_a_shard_fault():
+    """INSERT [2^63] at R = 2 answers ``error`` with no shard touched;
+    the shard it would route to keeps taking writes."""
+    config = unit_for_entries(64, block_size=16, data_width=WIDTH,
+                              bus_width=128)
+    cam = ShardedCam(config, shards=4, engine="batch", replicas=2)
+    shard = cam.shards_for_key(1 << 63)[0]
+
+    async def scenario():
+        async with serving(cam) as server:
+            host, port = server.address
+            async with CamClient(host, port) as client:
+                bad = await client.insert([1 << 63])
+                assert bad.status == "error"
+                assert cam.poisoned_shards == () == cam.degraded_shards
+                assert cam.occupancy == 0
+                # 0 routes where 2^63 does (both mask to 0)
+                good = await client.insert([0, 1])
+                assert good.ok and good.stats.words == 2
+                assert (await client.lookup(0)).result.hit
+            assert server.service.stats.shard_failures == 0
+        assert cam.shards_for_key(0) == [shard]
+    run(scenario())

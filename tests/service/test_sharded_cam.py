@@ -258,6 +258,53 @@ def test_partial_landing_keeps_address_map_consistent(shard_config):
     assert result.hit and result.address == 0
 
 
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_a_bad_word_lands_none_of_its_batch(shard_config, replicas):
+    """Words are checked once, before any shard stores a word of the
+    batch: occupancy, the address space and the content stay as they
+    were, so a retry cannot store the good words twice."""
+    cam = ShardedCam(shard_config, shards=4, engine="batch",
+                     replicas=replicas)
+    cam.update([7, 8, 9])
+    before = (cam.occupancy, cam._global_count,
+              cam.snapshot().content_hash())
+    with pytest.raises(ConfigError, match="does not fit"):
+        cam.update(list(range(1, 40)) + [1 << 20])
+    assert (cam.occupancy, cam._global_count,
+            cam.snapshot().content_hash()) == before
+    assert not cam.search(list(range(1, 7))).hits.any()
+    assert cam.poisoned_shards == () == cam.degraded_shards
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_a_word_past_int64_is_a_client_error(shard_config, replicas):
+    """2^63 and wider are bad words like any other: ConfigError at every
+    edge, no replica fenced, every shard still takes writes."""
+    cam = ShardedCam(shard_config, shards=4, engine="batch",
+                     replicas=replicas)
+    for words in ([1 << 63], [5, 1 << 70], [-1]):
+        with pytest.raises(ConfigError):
+            cam.update(words)
+        with pytest.raises(ConfigError):
+            cam.update_shard(3, words)
+    assert cam.poisoned_shards == () == cam.degraded_shards
+    assert cam.occupancy == 0 and cam._global_count == 0
+    cam.update(list(range(40)))
+    assert cam.search(list(range(40))).addresses.tolist() == list(range(40))
+
+
+def test_partition_update_returns_rows_in_input_order(shard_config):
+    cam = ShardedCam(shard_config, shards=3, policy="round_robin")
+    cam.update([1])
+    parts = cam.partition_update(range(10, 17))
+    assert sorted(parts) == [0, 1, 2]
+    rows, addresses = parts[1]  # insertion indexes 1, 4 and 7
+    assert rows.tolist() == [[10, 0xFFFF], [13, 0xFFFF], [16, 0xFFFF]]
+    assert addresses.tolist() == [1, 4, 7]
+    assert [len(words) for words, _ in parts.values()] == [2, 3, 2]
+    assert cam._global_count == 8
+
+
 def test_merge_results_ors_global_vectors():
     from repro.core.types import SearchResult
 

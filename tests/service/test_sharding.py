@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.service.sharding import _splitmix64
 from repro.service import (
     POLICIES,
     HashShardPolicy,
@@ -139,3 +140,19 @@ def test_base_policy_routes_arrays_through_the_scalar_hook():
 
     policy = ParityPolicy(2, 8)
     assert policy.shards_for([4, 7, 9, 0], 10).tolist() == [0, 1, 1, 0]
+
+
+@pytest.mark.parametrize("seed", [0, 0x5EED_CAFE_F00D, (1 << 64) + 7, -3])
+def test_hash_array_routing_equals_scalar_splitmix64(seed):
+    """The NumPy body (uint64 constants) routes exactly like the scalar
+    finaliser, for any uint64 value -- 2^63 and above included."""
+    rng = np.random.default_rng(abs(seed) % 1000)
+    values = rng.integers(0, 1 << 64, 300, dtype=np.uint64)
+    values[:3] = [0, 1 << 63, (1 << 64) - 1]
+    for width in (16, 48):
+        for shards in (1, 3, 4, 7):
+            policy = HashShardPolicy(shards, width, seed=seed)
+            assert policy.shards_for(values, 0).tolist() == [
+                _splitmix64((value & ((1 << width) - 1)) ^ seed) % shards
+                for value in values.tolist()
+            ], (width, shards)
