@@ -34,10 +34,10 @@ Failure handling:
 Responses are surfaced as the *same*
 :class:`~repro.service.scheduler.ServiceResponse` dataclass the
 in-process service returns, rebuilt bit-identically from the wire
-(raw match vectors travel whole), so code written against
-:class:`CamService` ports to the network client by changing only the
-constructor -- and the equivalence suite can diff the two paths
-directly.
+(each key's matched addresses travel, not its whole match vector), so
+code written against :class:`CamService` ports to the network client by
+changing only the constructor -- and the equivalence suite can diff the
+two paths directly.
 
 Set ``pipelined=False`` for the deliberately naive baseline: one
 request per round trip per connection (used by the benchmark and the
@@ -251,7 +251,7 @@ class CamClient:
             Opcode.LOOKUP, protocol.encode_lookup([int(k) for k in keys])
         )
         return [
-            ServiceResponse(kind="lookup", status=status, result=result)
+            ServiceResponse("lookup", status, result)
             for status, result in self._expect_results(frame, len(keys))
         ]
 
@@ -265,8 +265,9 @@ class CamClient:
             raise ProtocolError(
                 f"expected UPDATED, got {frame.opcode.name}"
             )
-        status, stats = protocol.decode_update_ack(frame.payload)
-        return ServiceResponse(kind="insert", status=status, stats=stats)
+        status, stats, error = protocol.decode_update_ack(frame.payload)
+        return ServiceResponse(kind="insert", status=status, stats=stats,
+                               error=error)
 
     async def delete(self, key: int) -> ServiceResponse:
         """Delete-by-content; exactly-once across retries."""

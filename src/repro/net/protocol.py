@@ -4,7 +4,7 @@ Every message is one **frame**::
 
     offset  size  field
     0       4     magic  b"RCAM"
-    4       1     protocol version (1)
+    4       1     protocol version (2)
     5       1     opcode
     6       4     request id (LE u32, chosen by the sender of a request,
                   echoed by the matching response)
@@ -30,13 +30,15 @@ STATS      empty -- asks for a JSON stats document
 PING       arbitrary payload, echoed back verbatim
 =========  ====================================================
 
-Response opcodes: ``RESULT`` (lookup/delete answers: per key a status
-byte, the key, an encoding byte and the raw match vector -- the client
-rebuilds :class:`~repro.core.types.SearchResult` bit-identically via
-``from_vector``), ``UPDATED`` (insert ack with
-:class:`~repro.core.session.UpdateStats`), ``SNAPSHOT_DATA`` (the
-binary snapshot blob), ``STATS_DATA`` (UTF-8 JSON), ``PONG`` (echo)
-and ``ERROR`` (``u16`` :class:`ErrorCode` + UTF-8 message).
+Response opcodes: ``RESULT`` (lookup and delete answers as columns:
+``u32 n``, ``u8 encoding``, ``status u8[n]``, ``key u64[n]``,
+``count u32[n]``, ``first i64[n]``, then the ``u32`` extra addresses of
+keys that matched more than once -- the client rebuilds each
+:class:`~repro.core.types.SearchResult` bit-identically from them),
+``UPDATED`` (insert ack: status, :class:`~repro.core.session.UpdateStats`
+and the error message), ``SNAPSHOT_DATA`` (the binary snapshot blob),
+``STATS_DATA`` (UTF-8 JSON), ``PONG`` (echo) and ``ERROR`` (``u16``
+:class:`ErrorCode` + UTF-8 message).
 
 Mutating requests (INSERT/DELETE) carry a 16-byte **idempotency
 token**: the server remembers recent token -> response mappings and
@@ -57,6 +59,8 @@ import zlib
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.session import UpdateStats
 from repro.core.types import Encoding, SearchResult
@@ -80,8 +84,9 @@ from repro.errors import (
 #: First four bytes of every frame.
 PROTOCOL_MAGIC = b"RCAM"
 
-#: Wire format version; bumped on any layout change.
-PROTOCOL_VERSION = 1
+#: Wire format version; bumped on any layout change (2: columnar
+#: RESULT, UPDATED with an error message).
+PROTOCOL_VERSION = 2
 
 #: Default cap on one frame's payload (4 MiB) -- a snapshot of a very
 #: large CAM is the only payload that approaches it.
@@ -94,7 +99,8 @@ _HEADER = struct.Struct("<4sBBII")
 _CRC = struct.Struct("<I")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_UPDATE = struct.Struct("<BIIQ")
+_UPDATE = struct.Struct("<BIIQI")
+_RESULT_HEAD = struct.Struct("<IB")
 
 #: Bytes of framing around the payload (header + trailing CRC).
 FRAME_OVERHEAD = _HEADER.size + _CRC.size
@@ -337,11 +343,17 @@ class FrameDecoder:
 # ----------------------------------------------------------------------
 # payload codecs
 # ----------------------------------------------------------------------
+def _key_column(keys: Sequence[int]) -> bytes:
+    """Keys as ``u64`` little-endian (wrapped modulo 2**64)."""
+    try:
+        return np.array(keys, dtype="<i8").tobytes()
+    except OverflowError:
+        return np.array([int(key) & 0xFFFFFFFFFFFFFFFF for key in keys],
+                        dtype="<u8").tobytes()
+
+
 def _pack_keys(keys: Sequence[int]) -> bytes:
-    out = [_U32.pack(len(keys))]
-    for key in keys:
-        out.append(_U64.pack(int(key) & 0xFFFFFFFFFFFFFFFF))
-    return b"".join(out)
+    return _U32.pack(len(keys)) + _key_column(keys)
 
 
 def _unpack_keys(payload: bytes, offset: int) -> Tuple[List[int], int]:
@@ -355,10 +367,7 @@ def _unpack_keys(payload: bytes, offset: int) -> Tuple[List[int], int]:
             f"truncated key batch ({count} keys declared, "
             f"{len(payload) - offset} bytes left)"
         )
-    keys = [
-        _U64.unpack_from(payload, offset + i * _U64.size)[0]
-        for i in range(count)
-    ]
+    keys = np.frombuffer(payload, "<u8", count, offset).tolist()
     return keys, offset + need
 
 
@@ -401,88 +410,156 @@ def decode_mutation(payload: bytes) -> Tuple[bytes, List[int]]:
     return token, words
 
 
-_ENCODING_WIRE = {encoding: index
-                  for index, encoding in enumerate(Encoding)}
-_ENCODING_UNWIRE = {index: encoding
-                    for index, encoding in enumerate(Encoding)}
-
-
-def _vector_bytes(vector: int) -> bytes:
-    length = max(1, (vector.bit_length() + 7) // 8)
-    return vector.to_bytes(length, "little")
+#: Encodings by wire code (the byte after a RESULT's count).
+_ENCODINGS = tuple(Encoding)
+_ENCODING_WIRE = {encoding: code for code, encoding in enumerate(_ENCODINGS)}
+#: Status strings by wire code.
+_STATUS_NAMES = tuple(_STATUS_STRINGS[code] for code in Status)
+#: Bytes per key of a RESULT's fixed columns: status, key, count, first.
+_RESULT_COLUMNS = 1 + 8 + 4 + 8
+#: Most match-vector bits one RESULT may decode to, summed over its keys
+#: (each key counts its highest address + 1): the bits of a largest frame
+#: filled with raw vectors. It keeps a hostile frame from making the
+#: decoder build gigantic ints.
+_MAX_VECTOR_BITS = 8 * MAX_FRAME_SIZE
 
 
 def encode_results(
     results: Sequence[Tuple[str, SearchResult]],
 ) -> bytes:
-    """RESULT payload: ``u32 count`` then per entry ``u8 status``,
-    ``u64 key``, ``u8 encoding``, ``u32 vector_len``, vector bytes
-    (little-endian raw match vector -- the full per-cell hit bitmap,
-    so the client-side result is bit-identical to the in-process
-    one)."""
-    out = [_U32.pack(len(results))]
-    for status, result in results:
-        vector = _vector_bytes(result.match_vector)
-        out.append(struct.pack(
-            "<BQBI", status_to_wire(status),
-            int(result.key) & 0xFFFFFFFFFFFFFFFF,
-            _ENCODING_WIRE[result.encoding], len(vector),
-        ))
-        out.append(vector)
-    return b"".join(out)
+    """RESULT payload: ``u32 n``, ``u8 encoding``, then the columns
+    ``status u8[n]``, ``key u64[n]``, ``count u32[n]``, ``first i64[n]``
+    (``-1`` on a miss), then as ``u32`` the other addresses of every key
+    that matched more than once, in key order, each key's ascending.
+    Every result must share one encoding (they come from one CAM)."""
+    statuses = bytes([_STATUS_CODES.get(status, Status.ERROR)
+                      for status, _ in results])
+    found = [result for _, result in results]
+    encoding = found[0].encoding if found else Encoding.PRIORITY
+    for result in found:
+        if result.encoding is not encoding:
+            raise ConfigError("one RESULT frame carries one result encoding")
+    counts = [result.match_count for result in found]
+    firsts = [-1 if result.address is None else result.address
+              for result in found]
+    extras: List[int] = []
+    for result, matched, first in zip(found, counts, firsts):
+        if matched > 1:
+            rest = result.match_vector ^ (1 << first)
+            while rest:
+                low = rest & -rest
+                extras.append(low.bit_length() - 1)
+                rest ^= low
+    return b"".join((
+        _RESULT_HEAD.pack(len(found), _ENCODING_WIRE[encoding]),
+        statuses,
+        _key_column([result.key for result in found]),
+        np.array(counts, dtype="<u4").tobytes(),
+        np.array(firsts, dtype="<i8").tobytes(),
+        np.array(extras, dtype="<u4").tobytes() if extras else b"",
+    ))
 
 
 def decode_results(payload: bytes) -> List[Tuple[str, SearchResult]]:
-    if len(payload) < _U32.size:
+    """Each ``(status, SearchResult)`` of a RESULT payload, the result
+    bit-identical to the one encoded (``match_vector`` rebuilt from the
+    first and extra addresses). Any malformed payload -- truncated,
+    trailing bytes, unknown status or encoding, addresses out of order
+    or beyond ``_MAX_VECTOR_BITS`` -- raises :class:`ProtocolError`."""
+    size = len(payload)
+    if size < _RESULT_HEAD.size:
         raise ProtocolError("truncated RESULT payload")
-    (count,) = _U32.unpack_from(payload, 0)
-    offset = _U32.size
-    entry = struct.Struct("<BQBI")
-    results: List[Tuple[str, SearchResult]] = []
-    for _ in range(count):
-        if len(payload) < offset + entry.size:
-            raise ProtocolError("truncated RESULT entry")
-        status_code, key, encoding_code, vector_len = entry.unpack_from(
-            payload, offset
+    count, encoding_code = _RESULT_HEAD.unpack_from(payload)
+    if encoding_code >= len(_ENCODINGS):
+        raise ProtocolError(f"unknown result encoding {encoding_code}")
+    encoding = _ENCODINGS[encoding_code]
+    offset = _RESULT_HEAD.size
+    columns_end = offset + count * _RESULT_COLUMNS
+    if size < columns_end:
+        raise ProtocolError(
+            f"truncated RESULT columns ({count} keys declared, "
+            f"{size - offset} bytes left)"
         )
-        offset += entry.size
-        if len(payload) < offset + vector_len:
-            raise ProtocolError("truncated RESULT match vector")
-        vector = int.from_bytes(payload[offset:offset + vector_len],
-                                "little")
-        offset += vector_len
-        try:
-            encoding = _ENCODING_UNWIRE[encoding_code]
-        except KeyError:
-            raise ProtocolError(
-                f"unknown result encoding {encoding_code}"
-            ) from None
-        results.append((
-            status_from_wire(status_code),
-            SearchResult.from_vector(key, vector, encoding),
-        ))
-    if offset != len(payload):
-        raise ProtocolError("trailing bytes after RESULT entries")
+    try:
+        statuses = [_STATUS_NAMES[code]
+                    for code in payload[offset:offset + count]]
+    except IndexError:
+        raise ProtocolError(
+            f"unknown status code {max(payload[offset:offset + count])}"
+        ) from None
+    offset += count
+    keys = np.frombuffer(payload, "<u8", count, offset).tolist()
+    offset += 8 * count
+    counts = np.frombuffer(payload, "<u4", count, offset).tolist()
+    offset += 4 * count
+    firsts = np.frombuffer(payload, "<i8", count, offset).tolist()
+    # Each key past its first match adds one extra address.
+    extra = sum(counts) - count + counts.count(0)
+    if size != columns_end + 4 * extra:
+        raise ProtocolError(
+            f"RESULT of {size} bytes, expected {columns_end + 4 * extra} "
+            f"for {count} keys with {extra} extra addresses"
+        )
+    extras = (np.frombuffer(payload, "<u4", extra, columns_end).tolist()
+              if extra else [])
+    results: List[Tuple[str, SearchResult]] = []
+    append = results.append
+    bits = at = 0
+    for status, key, matched, first in zip(statuses, keys, counts, firsts):
+        if not matched:
+            if first != -1:
+                raise ProtocolError(f"miss of key {key} has address {first}")
+            append((status, SearchResult(key, False, None, 0, 0, encoding)))
+            continue
+        tail = extras[at:at + matched - 1]
+        at += matched - 1
+        if tail and (tail[0] <= first
+                     or any(a >= b for a, b in zip(tail, tail[1:]))):
+            raise ProtocolError(f"addresses of key {key} are not ascending")
+        bits += (tail[-1] if tail else first) + 1
+        if first < 0 or bits > _MAX_VECTOR_BITS:
+            raise ProtocolError(f"match addresses of key {key} out of range")
+        vector = 1 << first
+        for address in tail:
+            vector |= 1 << address
+        append((status, SearchResult(key, True, first, vector, matched,
+                                     encoding)))
     return results
 
 
-def encode_update_ack(status: str, stats: Optional[UpdateStats]) -> bytes:
-    """UPDATED payload: ``u8 status, u32 words, u32 beats, u64 cycles``."""
+def encode_update_ack(status: str, stats: Optional[UpdateStats],
+                      error: Optional[str] = None) -> bytes:
+    """UPDATED payload: ``u8 status, u32 words, u32 beats, u64 cycles,
+    u32 length`` and the UTF-8 error message (empty for none)."""
     stats = stats or UpdateStats(words=0, beats=0, cycles=0)
+    message = (error or "").encode("utf-8")
     return _UPDATE.pack(status_to_wire(status), stats.words, stats.beats,
-                        stats.cycles)
+                        stats.cycles, len(message)) + message
 
 
-def decode_update_ack(payload: bytes) -> Tuple[str, UpdateStats]:
-    if len(payload) != _UPDATE.size:
+def decode_update_ack(
+    payload: bytes,
+) -> Tuple[str, UpdateStats, Optional[str]]:
+    """``(status, stats, error)`` of an UPDATED payload; an empty
+    message decodes as ``None``."""
+    if len(payload) < _UPDATE.size:
         raise ProtocolError(
-            f"UPDATED payload must be {_UPDATE.size} bytes, "
+            f"UPDATED payload must be at least {_UPDATE.size} bytes, "
             f"got {len(payload)}"
         )
-    status_code, words, beats, cycles = _UPDATE.unpack(payload)
+    status_code, words, beats, cycles, length = _UPDATE.unpack_from(payload)
+    if len(payload) != _UPDATE.size + length:
+        raise ProtocolError(
+            f"UPDATED message of {len(payload) - _UPDATE.size} bytes, "
+            f"header says {length}"
+        )
+    try:
+        error = payload[_UPDATE.size:].decode("utf-8") or None
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"malformed UPDATED message: {exc}") from exc
     return status_from_wire(status_code), UpdateStats(
         words=words, beats=beats, cycles=cycles
-    )
+    ), error
 
 
 def encode_error(code: int, message: str) -> bytes:

@@ -377,7 +377,7 @@ class CamServer:
             async def apply_insert() -> Tuple[int, bytes]:
                 response = await self.service.insert(words)
                 return int(Opcode.UPDATED), protocol.encode_update_ack(
-                    response.status, response.stats
+                    response.status, response.stats, response.error
                 )
 
             out, payload = await self._mutate_once(token, apply_insert)
@@ -386,8 +386,7 @@ class CamServer:
             token, keys = protocol.decode_mutation(frame.payload)
 
             async def apply_delete() -> Tuple[int, bytes]:
-                responses = [await self.service.delete(key)
-                             for key in keys]
+                responses = await self.service.delete_many(keys)
                 return int(Opcode.RESULT), protocol.encode_results([
                     (response.status, response.result)
                     for response in responses

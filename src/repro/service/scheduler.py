@@ -38,7 +38,8 @@ import asyncio
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Awaitable, Callable, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro import obs
 from repro.core.session import RawWord, UpdateStats
@@ -83,6 +84,22 @@ class ServiceResponse:
     shards: Tuple[int, ...] = ()
     latency_s: float = 0.0
     error: Optional[str] = None
+
+    def __init__(self, kind: str, status: str,
+                 result: Optional[SearchResult] = None,
+                 stats: Optional[UpdateStats] = None,
+                 shards: Tuple[int, ...] = (), latency_s: float = 0.0,
+                 error: Optional[str] = None) -> None:
+        # Fills the frozen fields in place, as SearchResult does: every
+        # key of a lookup frame gets one response on each end.
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["status"] = status
+        fields["result"] = result
+        fields["stats"] = stats
+        fields["shards"] = shards
+        fields["latency_s"] = latency_s
+        fields["error"] = error
 
     @property
     def ok(self) -> bool:
@@ -139,6 +156,15 @@ class _Request:
         self.degraded: Optional[str] = None
         #: detail of a client error a shard raised, if any.
         self.error: Optional[str] = None
+
+
+async def _each(call: Callable[[int], Awaitable[ServiceResponse]],
+                keys: Sequence[int]) -> List[ServiceResponse]:
+    """``call(key)`` for every key, admitted in key order and awaited
+    together; no task for a single key."""
+    if len(keys) == 1:
+        return [await call(keys[0])]
+    return await asyncio.gather(*[call(key) for key in keys])
 
 
 class CamService:
@@ -373,9 +399,7 @@ class CamService:
     async def lookup_many(self, keys: Sequence[int]) -> List[ServiceResponse]:
         """Search a batch of keys, one admitted :meth:`lookup` per key;
         the answers come back in key order."""
-        if len(keys) == 1:  # no task for a single-key batch
-            return [await self.lookup(keys[0])]
-        return await asyncio.gather(*[self.lookup(key) for key in keys])
+        return await _each(self.lookup, keys)
 
     async def insert(self, words: Sequence[RawWord]) -> ServiceResponse:
         """Store a batch of words (routed per shard by the dispatcher)."""
@@ -387,6 +411,12 @@ class CamService:
     async def delete(self, key: int) -> ServiceResponse:
         """Delete-by-content wherever the key may live."""
         return await self._admit(_Request("delete", key=int(key)))
+
+    async def delete_many(self, keys: Sequence[int]) -> List[ServiceResponse]:
+        """Delete a batch of keys, one admitted :meth:`delete` per key
+        in key order, so they can share a micro-batch; the answers are
+        those of the same deletes made one after another."""
+        return await _each(self.delete, keys)
 
     # ------------------------------------------------------------------
     # admission

@@ -25,7 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import ReferenceCam, binary_entry, unit_for_entries
-from repro.net import CamClient, CamServer
+from repro.net import CamClient, CamServer, protocol
+from repro.net.protocol import Opcode
 from repro.service import CamService, ShardedCam
 
 WIDTH = 12
@@ -213,3 +214,59 @@ def test_kill_during_every_insert_never_duplicates():
             await service.stop()
 
     asyncio.run(scenario())
+
+
+def test_multi_key_delete_frame_equals_sequential_deletes():
+    """A 4-key DELETE frame (one key repeated) answers and leaves the
+    CAM exactly as four sequential deletes and the reference model do,
+    in fewer shard dispatches than four."""
+    stored = [5, 9, 5, 17, 33, 9, 40]
+    keys = [5, 9, 5, 21]
+
+    async def framed():
+        service = CamService(make_cam(), max_delay_s=0.001, max_batch=64)
+        await service.start()
+        server = CamServer(service, port=0)
+        await server.start()
+        try:
+            host, port = server.address
+            async with CamClient(host, port) as client:
+                assert (await client.insert(stored)).ok
+            before = service.stats.dispatches
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(protocol.encode_frame(
+                Opcode.DELETE, 1,
+                protocol.encode_mutation(b"k" * protocol.TOKEN_SIZE, keys),
+            ))
+            decoder = protocol.FrameDecoder()
+            frames = []
+            while not frames:
+                frames = decoder.feed(await reader.read(4096))
+            writer.close()
+            dispatches = service.stats.dispatches - before
+            assert frames[0].opcode is Opcode.RESULT
+            answers = protocol.decode_results(frames[0].payload)
+            return answers, service.cam.snapshot().content_hash(), dispatches
+        finally:
+            await server.stop()
+            await service.stop()
+
+    async def sequential():
+        service = CamService(make_cam(), max_delay_s=0.001, max_batch=64)
+        async with service:
+            assert (await service.insert(stored)).ok
+            before = service.stats.dispatches
+            answers = [await service.delete(key) for key in keys]
+            dispatches = service.stats.dispatches - before
+            return ([(a.status, a.result) for a in answers],
+                    service.cam.snapshot().content_hash(), dispatches)
+
+    framed_answers, framed_hash, framed_dispatches = asyncio.run(framed())
+    answers, content, dispatches = asyncio.run(sequential())
+    assert framed_answers == answers
+    assert framed_hash == content
+    assert framed_dispatches < 4 <= dispatches
+    gold = ReferenceCam(64)
+    gold.update([binary_entry(v, WIDTH) for v in stored])
+    assert [result for _, result in framed_answers] \
+        == [gold.delete(key) for key in keys]

@@ -5,6 +5,7 @@ chunking; the rest are adversarial decode paths -- the bytes a hostile
 or broken peer could send.
 """
 
+import os
 import struct
 import zlib
 
@@ -34,6 +35,9 @@ from repro.net.protocol import (
     decode_frame,
     encode_frame,
 )
+
+#: The CI "deep" job sets HYPOTHESIS_PROFILE=deep for a longer soak.
+_DEEP = os.environ.get("HYPOTHESIS_PROFILE", "") == "deep"
 
 key_lists = st.lists(
     st.integers(min_value=0, max_value=(1 << 64) - 1),
@@ -221,12 +225,135 @@ def test_results_round_trip_bit_identical(entries):
             == (want.hit, want.address, want.match_vector, want.key)
 
 
+addresses = st.one_of(st.integers(min_value=0, max_value=4095),
+                      st.integers(min_value=4096, max_value=1 << 16))
+
+
+@st.composite
+def result_lists(draw):
+    """Results of one CAM: one encoding, each key with 0, 1 or many
+    matches, any status."""
+    encoding = draw(st.sampled_from(list(Encoding)))
+    entries = draw(st.lists(st.tuples(
+        st.sampled_from(["ok", "timeout", "shard_failed", "error"]),
+        st.integers(min_value=0, max_value=(1 << 64) - 1),
+        st.one_of(st.just([]), st.lists(addresses, min_size=1, max_size=1),
+                  st.lists(addresses, min_size=2, max_size=12)),
+    ), max_size=10))
+    return [
+        (status, SearchResult.from_vector(
+            key, sum(1 << a for a in set(hits)), encoding))
+        for status, key, hits in entries
+    ]
+
+
+@given(results=result_lists(), size=st.sampled_from([2, 64, 4096, 70000]))
+@settings(max_examples=1500 if _DEEP else 150, deadline=None)
+def test_columnar_results_round_trip_every_encoding(results, size):
+    decoded = protocol.decode_results(protocol.encode_results(results))
+    assert [status for status, _ in decoded] \
+        == [status for status, _ in results]
+    for (_, want), (_, got) in zip(results, decoded):
+        assert (got.key, got.hit, got.address, got.match_vector,
+                got.match_count, got.encoding) \
+            == (want.key, want.hit, want.address, want.match_vector,
+                want.match_count, want.encoding)
+        assert got.encoded(size) == want.encoded(size)
+    assert decoded == results
+
+
+def test_results_of_two_encodings_are_not_one_frame():
+    with pytest.raises(ConfigError, match="encoding"):
+        protocol.encode_results([
+            ("ok", SearchResult.from_vector(1, 2, Encoding.PRIORITY)),
+            ("ok", SearchResult.from_vector(1, 2, Encoding.COUNT)),
+        ])
+
+
+def _sample_results():
+    return protocol.encode_results([
+        ("ok", SearchResult.from_vector(7, 0b1011, Encoding.BINARY)),
+        ("timeout", SearchResult.from_vector(8, 0, Encoding.BINARY)),
+        ("error", SearchResult.from_vector(9, 1 << 5000, Encoding.BINARY)),
+        ("ok", SearchResult.from_vector(10, 0b110, Encoding.BINARY)),
+    ])
+
+
+def _results_payload(statuses, keys, counts, firsts, extras, encoding=0):
+    """A RESULT payload assembled column by column, valid or not."""
+    return (struct.pack("<IB", len(keys), encoding) + bytes(statuses)
+            + struct.pack(f"<{len(keys)}Q", *keys)
+            + struct.pack(f"<{len(keys)}I", *counts)
+            + struct.pack(f"<{len(keys)}q", *firsts)
+            + struct.pack(f"<{len(extras)}I", *extras))
+
+
+def test_every_truncated_prefix_and_trailing_bytes_are_rejected():
+    blob = _sample_results()
+    assert protocol.decode_results(blob)
+    for end in range(len(blob)):
+        with pytest.raises(ProtocolError):
+            protocol.decode_results(blob[:end])
+    with pytest.raises(ProtocolError, match="expected"):
+        protocol.decode_results(blob + b"\0")
+    with pytest.raises(ProtocolError, match="expected"):
+        protocol.decode_results(blob + b"\0" * 4)
+
+
+@pytest.mark.parametrize("payload, match", [
+    # u32 max keys declared, none present: no allocation, no NumPy error
+    (struct.pack("<IB", 0xFFFFFFFF, 0), "truncated"),
+    (struct.pack("<IB", 0xFFFFFFFF, 0) + b"\0" * 64, "truncated"),
+    # u32 max matches on one key: the extra addresses are missing
+    (_results_payload([0], [1], [0xFFFFFFFF], [3], []), "expected"),
+    (_results_payload([4], [1], [0], [-1], []), "status"),
+    (_results_payload([0], [1], [0], [-1], [], encoding=len(Encoding)),
+     "encoding"),
+    (_results_payload([0], [1], [0], [3], []), "miss"),
+    (_results_payload([0], [1], [1], [-1], []), "range"),
+    (_results_payload([0], [1], [1], [-7], []), "range"),
+    (_results_payload([0], [1], [3], [4], [9, 9]), "ascending"),
+    (_results_payload([0], [1], [2], [4], [4]), "ascending"),
+    (_results_payload([0], [1], [2], [4], [2]), "ascending"),
+    # addresses that would make the decoder build gigantic ints
+    (_results_payload([0], [1], [1], [(1 << 63) - 1], []), "range"),
+    (_results_payload([0], [1], [2], [1], [0xFFFFFFFF]), "range"),
+    (_results_payload([0] * 64, list(range(64)), [1] * 64,
+                      [1 << 20] * 64, []), "range"),
+])
+def test_hostile_results_raise_protocol_errors(payload, match):
+    with pytest.raises(ProtocolError, match=match):
+        protocol.decode_results(payload)
+
+
+def test_version_1_frame_is_rejected():
+    head = struct.Struct("<4sBBII").pack(PROTOCOL_MAGIC, 1,
+                                         int(Opcode.RESULT), 1, 0)
+    blob = head + struct.pack("<I", zlib.crc32(head) & 0xFFFFFFFF)
+    assert PROTOCOL_VERSION == 2
+    with pytest.raises(ProtocolError, match="unsupported protocol version 1"):
+        FrameDecoder().feed(blob)
+
+
+def test_update_ack_carries_the_error_message():
+    payload = protocol.encode_update_ack("error", None,
+                                         "word 2^63 is too wide: ünïcode")
+    status, stats, error = protocol.decode_update_ack(payload)
+    assert (status, stats.words, error) \
+        == ("error", 0, "word 2^63 is too wide: ünïcode")
+    head = len(protocol.encode_update_ack("ok", None))
+    for bad in (payload[:-1], payload + b"x",
+                payload[:head] + b"\xff" * (len(payload) - head)):
+        with pytest.raises(ProtocolError):
+            protocol.decode_update_ack(bad)
+
+
 def test_update_ack_round_trip():
     stats = UpdateStats(words=7, beats=3, cycles=12345)
-    status, got = protocol.decode_update_ack(
+    status, got, error = protocol.decode_update_ack(
         protocol.encode_update_ack("ok", stats)
     )
-    assert status == "ok"
+    assert status == "ok" and error is None
     assert (got.words, got.beats, got.cycles) == (7, 3, 12345)
     with pytest.raises(ProtocolError):
         protocol.decode_update_ack(b"\0\0")

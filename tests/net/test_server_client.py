@@ -421,7 +421,7 @@ def test_expired_insert_is_not_applied_and_its_resend_is_deduped():
                     frames.extend(decoder.feed(await reader.read(4096)))
             writer.close()
             assert [f.opcode for f in frames] == [Opcode.UPDATED] * 2
-            status, stats = protocol.decode_update_ack(frames[0].payload)
+            status, stats, _ = protocol.decode_update_ack(frames[0].payload)
             assert status == "timeout" and stats.words == 0
             assert frames[1].payload == frames[0].payload
             assert server.stats.dedupe_hits == 1
@@ -629,3 +629,23 @@ def test_insert_of_a_word_past_int64_is_an_error_not_a_shard_fault():
             assert server.service.stats.shard_failures == 0
         assert cam.shards_for_key(0) == [shard]
     run(scenario())
+
+
+def test_rejected_insert_carries_the_service_error_message():
+    """A rejected INSERT reaches the client with the same ``error`` the
+    in-process service gives, not ``None``."""
+    bad_words = [3, 1 << WIDTH]
+
+    async def in_process():
+        async with CamService(make_cam()) as service:
+            return await service.insert(bad_words)
+
+    async def over_the_wire():
+        async with serving() as server:
+            host, port = server.address
+            async with CamClient(host, port) as client:
+                return await client.insert(bad_words)
+
+    local, remote = run(in_process()), run(over_the_wire())
+    assert local.status == remote.status == "error"
+    assert local.error and remote.error == local.error
