@@ -102,6 +102,9 @@ def test_shared_surface_behaves(backend):
     backend.update([0x11, 0x22, 0x33])
     with pytest.raises(ConfigError):  # a word past int64 lands nothing
         backend.update([0x44, 1 << 70])
+    for call in (backend.delete, backend.search_one):  # nor a key
+        with pytest.raises(ConfigError):
+            call(1 << 63)
     assert backend.occupancy == 3
     assert backend.contains(0x22)
     assert not backend.contains(0x44)

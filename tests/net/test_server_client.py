@@ -10,7 +10,7 @@ import asyncio
 import pytest
 
 from repro import obs
-from repro.core import unit_for_entries
+from repro.core import ReferenceCam, binary_entry, unit_for_entries
 from repro.errors import (
     ConfigError,
     FrameTooLargeError,
@@ -430,6 +430,92 @@ def test_expired_insert_is_not_applied_and_its_resend_is_deduped():
     run(scenario())
 
 
+def test_kill_during_every_insert_never_duplicates():
+    """Deterministic worst case: sever the connection immediately
+    after *every* insert hits the wire."""
+
+    async def scenario():
+        service = CamService(make_cam(), max_delay_s=0.001)
+        await service.start()
+        server = CamServer(service, port=0)
+        await server.start()
+        try:
+            host, port = server.address
+            async with CamClient(host, port, max_retries=6) as client:
+                expected = 0
+                for wave in range(8):
+                    words = [wave * 4 + i for i in range(1, 4)]
+                    pending = asyncio.ensure_future(client.insert(words))
+                    for _ in range(wave % 3):
+                        await asyncio.sleep(0)
+                    client.kill_connections()
+                    response = await pending
+                    assert response.ok and response.stats.words == 3
+                    expected += 3
+                assert service.cam.occupancy == expected
+        finally:
+            await server.stop()
+            await service.stop()
+
+    asyncio.run(scenario())
+
+
+def test_multi_key_delete_frame_equals_sequential_deletes():
+    """A 4-key DELETE frame (one key repeated) answers and leaves the
+    CAM exactly as four sequential deletes and the reference model do,
+    in fewer shard dispatches than four."""
+    stored = [5, 9, 5, 17, 33, 9, 40]
+    keys = [5, 9, 5, 21]
+
+    async def framed():
+        service = CamService(make_cam(), max_delay_s=0.001, max_batch=64)
+        await service.start()
+        server = CamServer(service, port=0)
+        await server.start()
+        try:
+            host, port = server.address
+            async with CamClient(host, port) as client:
+                assert (await client.insert(stored)).ok
+            before = service.stats.dispatches
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(protocol.encode_frame(
+                Opcode.DELETE, 1,
+                protocol.encode_mutation(b"k" * protocol.TOKEN_SIZE, keys),
+            ))
+            decoder = protocol.FrameDecoder()
+            frames = []
+            while not frames:
+                frames = decoder.feed(await reader.read(4096))
+            writer.close()
+            dispatches = service.stats.dispatches - before
+            assert frames[0].opcode is Opcode.RESULT
+            answers = protocol.decode_results(frames[0].payload)
+            return answers, service.cam.snapshot().content_hash(), dispatches
+        finally:
+            await server.stop()
+            await service.stop()
+
+    async def sequential():
+        service = CamService(make_cam(), max_delay_s=0.001, max_batch=64)
+        async with service:
+            assert (await service.insert(stored)).ok
+            before = service.stats.dispatches
+            answers = [await service.delete(key) for key in keys]
+            dispatches = service.stats.dispatches - before
+            return ([(a.status, a.result) for a in answers],
+                    service.cam.snapshot().content_hash(), dispatches)
+
+    framed_answers, framed_hash, framed_dispatches = asyncio.run(framed())
+    answers, content, dispatches = asyncio.run(sequential())
+    assert framed_answers == answers
+    assert framed_hash == content
+    assert framed_dispatches < 4 <= dispatches
+    gold = ReferenceCam(64)
+    gold.update([binary_entry(v, WIDTH) for v in stored])
+    assert [result for _, result in framed_answers] \
+        == [gold.delete(key) for key in keys]
+
+
 # ----------------------------------------------------------------------
 # coalesced writes: one socket write per loop turn, frames still counted
 # ----------------------------------------------------------------------
@@ -612,7 +698,7 @@ def test_insert_of_a_word_past_int64_is_an_error_not_a_shard_fault():
     config = unit_for_entries(64, block_size=16, data_width=WIDTH,
                               bus_width=128)
     cam = ShardedCam(config, shards=4, engine="batch", replicas=2)
-    shard = cam.shards_for_key(1 << 63)[0]
+    shard = cam.policy.shard_for_key(1 << 63)
 
     async def scenario():
         async with serving(cam) as server:
@@ -649,3 +735,32 @@ def test_rejected_insert_carries_the_service_error_message():
     local, remote = run(in_process()), run(over_the_wire())
     assert local.status == remote.status == "error"
     assert local.error and remote.error == local.error
+
+
+@pytest.mark.parametrize("wire", [False, True], ids=["service", "wire"])
+def test_a_key_past_int64_is_an_error_beside_a_good_key(wire):
+    """``lookup(2^63)`` gathered beside ``lookup(7)`` answers ``error``
+    while 7 still answers ``ok``, and ``delete(2^63)`` answers
+    ``error``: the key is turned away before it joins a shard run, so
+    no replica is fenced."""
+    config = unit_for_entries(64, block_size=16, data_width=WIDTH,
+                              bus_width=128)
+    cam = ShardedCam(config, shards=2, engine="batch", replicas=2)
+
+    async def scenario():
+        async with serving(cam) as server:
+            host, port = server.address
+            async with CamClient(host, port) as client:
+                api = client if wire else server.service
+                assert (await api.insert([7])).ok
+                good, bad = await api.lookup_many([7, 1 << 63])
+                deleted = await api.delete(1 << 63)
+                assert (await api.lookup(7)).ok
+            return good, bad, deleted, server.service.stats
+
+    good, bad, deleted, stats = run(scenario())
+    assert good.ok and good.result.hit and good.result.address == 0
+    assert (bad.status, bad.result.hit) == ("error", False)
+    assert deleted.status == "error" and not deleted.result.hit
+    assert cam.poisoned_shards == () == cam.degraded_shards
+    assert stats.shard_failures == 0 and stats.client_errors == 2

@@ -1,5 +1,7 @@
 """Tests for the sweep/vcd CLI extensions."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -32,6 +34,20 @@ def test_snapshot_restore_roundtrip(tmp_path, capsys):
     code, out = run(capsys, "restore", str(path), "--verify")
     assert code == 0
     assert "verify ok" in out
+
+
+@pytest.mark.parametrize("suffix", [".json", ".camsnap"])
+@pytest.mark.parametrize("engine", ["cycle", "batch", "audit"])
+def test_snapshot_restore_verifies_on_every_engine(tmp_path, capsys,
+                                                   engine, suffix):
+    """The geometry a snapshot records rebuilds a restorable CAM on
+    every engine, from either codec."""
+    path = tmp_path / f"demo{suffix}"
+    assert run(capsys, "snapshot", "--out", str(path), "--entries", "64",
+               "--engine", engine)[0] == 0
+    code, out = run(capsys, "restore", str(path), "--verify")
+    assert code == 0
+    assert f"restored into {engine}" in out and "verify ok" in out
 
 
 def test_restore_config_mismatch_exits_nonzero(tmp_path, capsys):
