@@ -2,17 +2,16 @@
 
 :class:`CamClient` multiplexes concurrent requests over a small pool
 of TCP connections: every request gets a connection-local request id,
-its frame joins the connection's write buffer (no lock-step
-request/response), and a reader task per connection resolves the
+its frame joins the connection's outbox (no lock-step
+request/response), and the connection's ``data_received`` resolves the
 matching future when the response arrives -- so hundreds of requests
 can be in flight at once over one socket, which is what buys the >= 5x
 throughput over a naive one-request-per-round-trip client
-(``benchmarks/bench_net_throughput.py``). The buffer is written once
-per event-loop turn, in the order the frames were encoded, so a burst
-of requests costs one socket write; a caller that finds more than
-64 KiB buffered writes it at once and awaits ``drain``, which keeps the
-transport's backpressure. Callers racing to use a pool slot that has
-no connection yet share one connect.
+(``benchmarks/bench_net_throughput.py``). Each connection is a
+:class:`~repro.net.channel.FrameChannel`, which writes its outbox once
+per loop turn, or at once past 64 KiB; a request that finds the
+transport paused waits until it is writable again. Callers racing to
+use a pool slot that has no connection yet share one connect.
 
 Failure handling:
 
@@ -54,7 +53,6 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.session import UpdateStats
 from repro.core.types import SearchResult
 from repro.errors import (
     ConfigError,
@@ -66,14 +64,11 @@ from repro.errors import (
     ServiceOverloadError,
 )
 from repro.net import protocol
-from repro.net.protocol import Frame, FrameDecoder, Opcode
+from repro.net.channel import FrameChannel
+from repro.net.protocol import Frame, Opcode
 from repro.service.scheduler import ServiceResponse
 from repro.service.snapshot import CamSnapshot
 
-_READ_CHUNK = 64 * 1024
-#: Buffered request bytes above which a caller flushes at once and
-#: awaits ``drain`` (asyncio's default transport high-water mark).
-_HIGH_WATER = 64 * 1024
 #: First retry delay; each further retry doubles it up to the cap.
 _BACKOFF_S = 0.02
 _BACKOFF_MAX_S = 0.5
@@ -83,41 +78,30 @@ _RETRYABLE = (ConnectionLostError, RequestTimeoutError,
               ServiceDrainingError, ServiceOverloadError)
 
 
-class _Connection:
-    """One pooled socket, its write buffer and its demultiplexing
-    reader task."""
+class _Connection(FrameChannel):
+    """One pooled socket; its answers resolve ``pending`` by request
+    id straight from ``data_received``."""
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.decoder = FrameDecoder()
+    def __init__(self) -> None:
+        super().__init__()
         self.pending: Dict[int, "asyncio.Future[Frame]"] = {}
         self.ids = itertools.count(1)
-        self.task: Optional[asyncio.Task] = None
-        self.closed = False
-        #: encoded request frames not yet handed to the transport.
-        self.outbox: List[bytes] = []
-        self.outbox_bytes = 0
 
-    def send(self, blob: bytes) -> None:
-        """Queue one frame; the first frame of a loop turn schedules
-        the flush that writes the turn's frames at once."""
-        if not self.outbox:
-            asyncio.get_running_loop().call_soon(self.flush)
-        self.outbox.append(blob)
-        self.outbox_bytes += len(blob)
+    def frames_received(self, frames: List[Frame]) -> None:
+        for frame in frames:
+            future = self.pending.pop(frame.request_id, None)
+            if future is not None and not future.done():
+                future.set_result(frame)
+            # Unmatched ids: a response for an attempt we already
+            # abandoned (timed out and retried) -- drop it.
 
-    def flush(self) -> None:
-        if self.closed or not self.outbox:
-            return
-        data = b"".join(self.outbox)
-        self.outbox.clear()
-        self.outbox_bytes = 0
-        try:
-            self.writer.write(data)
-        except (ConnectionError, OSError, RuntimeError):
-            self.close()
+    def decode_failed(self, exc: ProtocolError) -> None:
+        self.fail_all(exc)
+        self.transport.abort()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self.fail_all(ConnectionLostError("connection closed"))
 
     def expire(self, request_id: int, opcode: Opcode,
                timeout_s: float) -> None:
@@ -134,16 +118,6 @@ class _Connection:
             if not future.done():
                 future.set_exception(exc)
         self.pending.clear()
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        try:
-            self.writer.close()
-        except (ConnectionError, OSError, RuntimeError):
-            pass
-        self.fail_all(ConnectionLostError("connection closed"))
 
 
 class CamClient:
@@ -196,7 +170,6 @@ class CamClient:
         self._slot_locks = (None if pipelined
                             else [asyncio.Lock() for _ in range(pool_size)])
         self._closed = False
-        self._reader_tasks: set = set()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -209,17 +182,10 @@ class CamClient:
 
     async def close(self) -> None:
         self._closed = True
-        for conn in self._pool:
-            if conn is not None:
-                conn.close()
-        # Reap every reader task ever started, including those whose
-        # connection was killed and replaced mid-run.
-        for task in list(self._reader_tasks):
-            task.cancel()
-        if self._reader_tasks:
-            await asyncio.gather(*self._reader_tasks,
-                                 return_exceptions=True)
-        self._reader_tasks.clear()
+        pool = [conn for conn in self._pool if conn is not None]
+        for conn in pool:
+            conn.transport.abort()
+        await asyncio.gather(*(conn.lost for conn in pool))
         self._pool = [None] * self.pool_size
 
     async def __aenter__(self) -> "CamClient":
@@ -231,12 +197,13 @@ class CamClient:
 
     def kill_connections(self) -> None:
         """Abruptly sever every open connection (fault injection for
-        tests and the loadgen's ``--kill-after`` chaos knob); the next
-        request transparently reconnects and retries."""
+        tests and the loadgen's ``--kill-after`` chaos knob): frames
+        still in an outbox are dropped, never written. The next request
+        transparently reconnects and retries."""
         self.kills += 1
         for conn in self._pool:
             if conn is not None:
-                conn.close()
+                conn.transport.abort()
 
     # ------------------------------------------------------------------
     # public request API
@@ -326,7 +293,7 @@ class CamClient:
         """The slot's open connection; callers racing on a slot with
         none share one connect instead of opening a socket each."""
         conn = self._pool[index]
-        if conn is not None and not conn.closed:
+        if conn is not None and not conn.transport.is_closing():
             return conn
         connecting = self._connecting.get(index)
         if connecting is None:
@@ -337,44 +304,15 @@ class CamClient:
 
     async def _open(self, index: int) -> _Connection:
         try:
-            reader, writer = await asyncio.open_connection(self.host,
-                                                           self.port)
+            _, conn = await asyncio.get_running_loop().create_connection(
+                _Connection, self.host, self.port)
         finally:
             self._connecting.pop(index, None)
-        conn = _Connection(reader, writer)
         if self._closed:  # closed while the connect was in flight
-            conn.close()
+            conn.transport.abort()
             raise NetError("client is closed")
-        conn.task = asyncio.ensure_future(self._reader_loop(conn))
-        self._reader_tasks.add(conn.task)
-        conn.task.add_done_callback(self._reader_tasks.discard)
         self._pool[index] = conn
         return conn
-
-    async def _reader_loop(self, conn: _Connection) -> None:
-        while True:
-            try:
-                data = await conn.reader.read(_READ_CHUNK)
-            except (ConnectionError, OSError):
-                data = b""
-            if not data:
-                conn.fail_all(ConnectionLostError(
-                    f"server {self.host}:{self.port} closed the connection"
-                ))
-                conn.close()
-                return
-            try:
-                frames = conn.decoder.feed(data)
-            except ProtocolError as exc:
-                conn.fail_all(exc)
-                conn.close()
-                return
-            for frame in frames:
-                future = conn.pending.pop(frame.request_id, None)
-                if future is not None and not future.done():
-                    future.set_result(frame)
-                # Unmatched ids: a response for an attempt we already
-                # abandoned (timed out and retried) -- drop it.
 
     async def _request(self, opcode: Opcode, payload: bytes) -> Frame:
         """Send one request with retry-with-backoff; returns the
@@ -419,21 +357,17 @@ class CamClient:
                 f"cannot connect to {self.host}:{self.port}: {exc}"
             ) from exc
         request_id = next(conn.ids) & 0xFFFFFFFF
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Frame]" = loop.create_future()
+        future: "asyncio.Future[Frame]" = conn.loop.create_future()
         conn.pending[request_id] = future
         conn.send(protocol.encode_frame(opcode, request_id, payload))
-        timer = loop.call_later(self.request_timeout_s, conn.expire,
-                                request_id, opcode, self.request_timeout_s)
+        timer = conn.loop.call_later(self.request_timeout_s, conn.expire,
+                                     request_id, opcode,
+                                     self.request_timeout_s)
         try:
-            if conn.outbox_bytes > _HIGH_WATER:
-                conn.flush()
-                try:
-                    await conn.writer.drain()
-                except (ConnectionError, OSError) as exc:
-                    conn.pending.pop(request_id, None)
-                    conn.close()
-                    raise ConnectionLostError(str(exc)) from exc
+            if not conn.writable.done():
+                # shield: a cancelled caller must not cancel the
+                # future every writer of this connection waits on.
+                await asyncio.shield(conn.writable)
             frame = await future
         finally:
             timer.cancel()

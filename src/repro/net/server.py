@@ -4,11 +4,11 @@
 accepts connections, decodes :mod:`repro.net.protocol` frames
 incrementally, executes each request against the wrapped
 :class:`~repro.service.scheduler.CamService` (batch frames fan out to
-concurrent service calls) and streams responses back through a
-per-connection writer task -- requests from one connection are served
-*pipelined*, never lock-step. The writer hands every response queued
-on the connection to the transport in one write; the frame and byte
-counters still count frames.
+concurrent service calls) and streams the responses back -- requests
+from one connection are served *pipelined*, never lock-step. Each
+connection is a :class:`~repro.net.channel.FrameChannel` that runs one
+handler task per request frame and nothing else; a client that stops
+reading stops its connection's intake.
 
 Operational guarantees:
 
@@ -16,8 +16,9 @@ Operational guarantees:
   connections (excess ones receive an ``OVERLOADED`` error frame and
   are closed) and at most ``max_frame_size`` payload bytes per frame
   (violations answer ``FRAME_TOO_LARGE`` and close the connection);
-- **timeouts** -- a connection idle longer than ``idle_timeout_s`` is
-  closed; request deadlines belong to the wrapped service alone (an
+- **timeouts** -- a connection with nothing to read for
+  ``idle_timeout_s`` is closed (one timer, re-armed from the last
+  read); request deadlines belong to the wrapped service alone (an
   expired request comes back as status ``"timeout"`` inside its
   RESULT/UPDATED frame and is never applied);
 - **graceful drain** -- :meth:`stop` stops accepting, lets in-flight
@@ -39,15 +40,15 @@ import asyncio
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.errors import ConfigError, NetError, ProtocolError
 from repro.net import protocol
-from repro.net.protocol import ErrorCode, Frame, FrameDecoder, Opcode
+from repro.net.channel import FrameChannel
+from repro.net.protocol import ErrorCode, Frame, Opcode
 from repro.service.scheduler import CamService
 
-_READ_CHUNK = 64 * 1024
 #: Idempotency tokens remembered; the oldest is forgotten first.
 _DEDUPE_CAPACITY = 65536
 
@@ -76,25 +77,105 @@ class ServerStats:
         self.per_opcode[name] = self.per_opcode.get(name, 0) + 1
 
 
-class _Connection:
-    """Per-connection state: decoder, writer queue, in-flight tasks."""
+class _Connection(FrameChannel):
+    """One client connection: admission, the idle timer, flow control
+    and the frame counters. Each request frame runs in one handler task
+    (``tasks``); the connection itself runs none."""
 
-    __slots__ = ("reader", "writer", "decoder", "outgoing", "tasks",
-                 "handler", "peer", "closed")
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter,
-                 max_frame_size: int) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.decoder = FrameDecoder(max_frame_size=max_frame_size)
-        self.outgoing: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue()
+    def __init__(self, server: "CamServer") -> None:
+        super().__init__(server.max_frame_size)
+        self.server = server
+        self.stats = server.stats
         self.tasks: Set[asyncio.Task] = set()
-        #: the task running this connection's reader loop.
-        self.handler = asyncio.current_task()
-        peer = writer.get_extra_info("peername")
-        self.peer = f"{peer[0]}:{peer[1]}" if peer else "?"
-        self.closed = False
+        self.last_read = self.loop.time()
+        self.idle: Optional[asyncio.TimerHandle] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        server = self.server
+        if server.draining or (len(server._connections)
+                               >= server.max_connections):
+            code = (ErrorCode.RETRY_LATER if server.draining
+                    else ErrorCode.OVERLOADED)
+            reason = ("server is draining" if server.draining
+                      else f"server at its {server.max_connections}-"
+                           "connection limit")
+            self.stats.connections_rejected += 1
+            obs.inc("net_connections_total",
+                    help="connection lifecycle events by kind",
+                    event="rejected")
+            transport.write(protocol.encode_frame(
+                Opcode.ERROR, 0, protocol.encode_error(code, reason)
+            ))
+            transport.close()
+            return
+        server._connections.add(self)
+        self.stats.connections_opened += 1
+        obs.inc("net_connections_total", event="opened")
+        obs.set_gauge("net_connections_active", len(server._connections),
+                      help="currently open client connections")
+        if server.idle_timeout_s is not None:
+            self.idle = self.loop.call_at(
+                self.last_read + server.idle_timeout_s, self._idle_check)
+
+    def _idle_check(self) -> None:
+        """Close the connection if nothing was read for the idle
+        timeout; otherwise re-arm for the timeout after the last read."""
+        deadline = self.last_read + self.server.idle_timeout_s
+        if self.loop.time() < deadline:
+            self.idle = self.loop.call_at(deadline, self._idle_check)
+            return
+        self.stats.idle_closed += 1
+        obs.inc("net_connections_total", event="idle_closed")
+        self.close()
+
+    def data_received(self, data: bytes) -> None:
+        self.last_read = self.loop.time()
+        self.stats.bytes_in += len(data)
+        obs.inc("net_bytes_total", len(data),
+                help="wire bytes by direction", direction="in")
+        super().data_received(data)
+
+    def frames_received(self, frames: List[Frame]) -> None:
+        for frame in frames:
+            self.stats.frames_in += 1
+            obs.inc("net_frames_total",
+                    help="frames by direction", direction="in")
+            self.server._dispatch(self, frame)
+
+    def decode_failed(self, exc: ProtocolError) -> None:
+        # answer once, then hang up
+        self.stats.decode_errors += 1
+        obs.inc("net_decode_errors_total",
+                help="frames rejected by the decoder")
+        self.server._send_error(self, 0, exc)
+        self.close()
+
+    def sent(self, frames: int, size: int) -> None:
+        self.stats.frames_out += frames
+        self.stats.bytes_out += size
+        obs.inc("net_frames_total", frames, direction="out")
+        obs.inc("net_bytes_total", size, direction="out")
+
+    def pause_writing(self) -> None:
+        # A peer that stops reading stops this connection's intake.
+        super().pause_writing()
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        super().resume_writing()
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        if self.idle is not None:
+            self.idle.cancel()
+        connections = self.server._connections
+        if self in connections:
+            connections.discard(self)
+            self.stats.connections_closed += 1
+            obs.inc("net_connections_total", event="closed")
+            obs.set_gauge("net_connections_active", len(connections))
 
 
 class CamServer:
@@ -156,8 +237,8 @@ class CamServer:
         if self._server is not None:
             raise NetError("server already started")
         self._draining = False
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         socket = self._server.sockets[0]
         self.host, self.port = socket.getsockname()[:2]
@@ -194,16 +275,15 @@ class CamServer:
             await asyncio.gather(*pending, return_exceptions=True)
 
     async def stop(self) -> None:
-        """Graceful shutdown: drain, flush writers, close connections."""
+        """Graceful shutdown: drain, then flush and close every
+        connection."""
         if self._server is None and not self._connections:
             return
         await self.drain()
-        handlers = [conn.handler for conn in self._connections]
-        for conn in list(self._connections):
-            await conn.outgoing.put(None)  # writer flushes then exits
-        # Each writer pops the sentinel, flushes and closes its
-        # transport; the reader then sees EOF and its handler returns.
-        await asyncio.gather(*handlers, return_exceptions=True)
+        connections = list(self._connections)
+        for conn in connections:
+            conn.close()
+        await asyncio.gather(*(conn.lost for conn in connections))
         self._server = None
 
     async def __aenter__(self) -> "CamServer":
@@ -212,120 +292,6 @@ class CamServer:
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.stop()
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(reader, writer, self.max_frame_size)
-        if self._draining or len(self._connections) >= self.max_connections:
-            code = (ErrorCode.RETRY_LATER if self._draining
-                    else ErrorCode.OVERLOADED)
-            reason = ("server is draining" if self._draining
-                      else f"server at its {self.max_connections}-"
-                           "connection limit")
-            self.stats.connections_rejected += 1
-            obs.inc("net_connections_total",
-                    help="connection lifecycle events by kind",
-                    event="rejected")
-            frame = protocol.encode_frame(
-                Opcode.ERROR, 0, protocol.encode_error(code, reason)
-            )
-            try:
-                writer.write(frame)
-                await writer.drain()
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-            return
-        self._connections.add(conn)
-        self.stats.connections_opened += 1
-        obs.inc("net_connections_total", event="opened")
-        obs.set_gauge("net_connections_active", len(self._connections),
-                      help="currently open client connections")
-        writer_task = asyncio.ensure_future(self._writer_loop(conn))
-        try:
-            await self._reader_loop(conn)
-        finally:
-            await conn.outgoing.put(None)
-            await writer_task
-            self._close_connection(conn)
-
-    def _close_connection(self, conn: _Connection) -> None:
-        if conn.closed:
-            return
-        conn.closed = True
-        self._connections.discard(conn)
-        self.stats.connections_closed += 1
-        obs.inc("net_connections_total", event="closed")
-        obs.set_gauge("net_connections_active", len(self._connections))
-        try:
-            conn.writer.close()
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
-
-    async def _reader_loop(self, conn: _Connection) -> None:
-        while True:
-            try:
-                if self.idle_timeout_s is not None:
-                    data = await asyncio.wait_for(
-                        conn.reader.read(_READ_CHUNK), self.idle_timeout_s
-                    )
-                else:
-                    data = await conn.reader.read(_READ_CHUNK)
-            except asyncio.TimeoutError:
-                self.stats.idle_closed += 1
-                obs.inc("net_connections_total", event="idle_closed")
-                return
-            except (ConnectionError, OSError):
-                return
-            if not data:
-                return  # peer closed
-            self.stats.bytes_in += len(data)
-            obs.inc("net_bytes_total", len(data),
-                    help="wire bytes by direction", direction="in")
-            try:
-                frames = conn.decoder.feed(data)
-            except ProtocolError as exc:
-                # The stream offset is untrustworthy after a framing
-                # error: answer once, then hang up.
-                self.stats.decode_errors += 1
-                obs.inc("net_decode_errors_total",
-                        help="frames rejected by the decoder")
-                self._send_error(conn, 0, exc)
-                return
-            for frame in frames:
-                self.stats.frames_in += 1
-                obs.inc("net_frames_total",
-                        help="frames by direction", direction="in")
-                self._dispatch(conn, frame)
-
-    async def _writer_loop(self, conn: _Connection) -> None:
-        """Write every response queued on the connection in one
-        ``transport.write``; frames stay the unit the counters count."""
-        outgoing = conn.outgoing
-        stopping = False
-        while not stopping:
-            blobs = [await outgoing.get()]
-            while not outgoing.empty():
-                blobs.append(outgoing.get_nowait())
-            if None in blobs:  # the stop sentinel: flush what precedes it
-                blobs = blobs[:blobs.index(None)]
-                stopping = True
-            if not blobs:
-                continue
-            data = b"".join(blobs)
-            try:
-                conn.writer.write(data)
-                await conn.writer.drain()
-            except (ConnectionError, OSError):
-                break
-            self.stats.frames_out += len(blobs)
-            self.stats.bytes_out += len(data)
-            obs.inc("net_frames_total", len(blobs), direction="out")
-            obs.inc("net_bytes_total", len(data), direction="out")
-        self._close_connection(conn)
 
     # ------------------------------------------------------------------
     # request dispatch
@@ -413,9 +379,7 @@ class CamServer:
     # ------------------------------------------------------------------
     def _send(self, conn: _Connection, opcode: Opcode, request_id: int,
               payload: bytes) -> None:
-        conn.outgoing.put_nowait(
-            protocol.encode_frame(opcode, request_id, payload)
-        )
+        conn.send(protocol.encode_frame(opcode, request_id, payload))
 
     def _send_error(self, conn: _Connection, request_id: int,
                     exc: BaseException) -> None:

@@ -6,6 +6,7 @@ idiom as ``tests/service/test_async_service.py``).
 """
 
 import asyncio
+import socket
 
 import pytest
 
@@ -20,6 +21,8 @@ from repro.errors import (
     ServiceOverloadError,
 )
 from repro.net import CamClient, CamServer, protocol
+from repro.net import server as server_module
+from repro.net.channel import HIGH_WATER
 from repro.net.protocol import Opcode
 from repro.service import CamService, ShardedCam
 
@@ -204,6 +207,73 @@ def test_idle_timeout_closes_connection():
             assert await reader.read(4096) == b""  # closed on us
             writer.close()
             assert server.stats.idle_closed == 1
+    run(scenario())
+
+
+def test_idle_timeout_runs_from_the_last_read():
+    """A connection that PINGs four times per idle timeout stays open
+    for three timeouts; once it goes silent it is closed."""
+    timeout = 0.2
+
+    async def scenario():
+        async with serving(idle_timeout_s=timeout) as server:
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            decoder = protocol.FrameDecoder()
+            for request_id in range(12):
+                writer.write(protocol.encode_frame(Opcode.PING, request_id))
+                frames = []
+                while not frames:
+                    data = await reader.read(4096)
+                    assert data, "closed while the client was active"
+                    frames = decoder.feed(data)
+                assert frames[0].opcode is Opcode.PONG
+                await asyncio.sleep(timeout / 4)
+            assert server.stats.idle_closed == 0
+            assert await reader.read(4096) == b""  # silent: closed
+            writer.close()
+            assert server.stats.idle_closed == 1
+    run(scenario())
+
+
+def test_a_client_that_stops_reading_stops_the_servers_intake():
+    """A peer that reads nothing fills both socket buffers; the server
+    then stops reading its frames instead of queueing answers without
+    bound. Once the peer reads, every PONG arrives, in order."""
+    count, size = 64, 64 * 1024  # 4 MiB against ~0.6 MiB of buffers
+
+    async def scenario():
+        async with serving() as server:
+            # accepted sockets inherit the listener's send buffer
+            server._server.sockets[0].setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 64 * 1024)
+            raw = socket.socket()
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+            raw.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(
+                raw, server.address)
+            reader, writer = await asyncio.open_connection(sock=raw)
+            payloads = [bytes([i]) * size for i in range(count)]
+            try:
+                writer.write(b"".join(
+                    protocol.encode_frame(Opcode.PING, i, payload)
+                    for i, payload in enumerate(payloads)))
+                stalled = -1
+                while stalled != server.stats.frames_in:
+                    stalled = server.stats.frames_in
+                    await asyncio.sleep(0.05)
+                assert 0 < stalled < count
+                decoder = protocol.FrameDecoder()
+                answers = []
+                while len(answers) < count:
+                    data = await reader.read(1 << 20)
+                    assert data
+                    answers.extend(decoder.feed(data))
+            finally:
+                writer.transport.abort()  # close() would wait to drain
+            assert [(f.opcode, f.request_id, f.payload) for f in answers] \
+                == [(Opcode.PONG, i, p) for i, p in enumerate(payloads)]
+            assert server.stats.frames_in == count
     run(scenario())
 
 
@@ -555,13 +625,22 @@ def test_coalesced_responses_still_count_frames(monkeypatch):
     """Responses queued together leave in fewer writes than frames, and
     ``frames_out``/``bytes_out`` and ``net_frames_total`` count frames."""
     writes = []
-    original = asyncio.StreamWriter.write
 
-    def counting(writer, data):
-        writes.append(len(data))
-        return original(writer, data)
+    class CountingTransport:
+        def __init__(self, transport):
+            self.transport = transport
 
-    monkeypatch.setattr(asyncio.StreamWriter, "write", counting)
+        def write(self, data):
+            writes.append(len(data))
+            self.transport.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.transport, name)
+
+    made = server_module._Connection.connection_made
+    monkeypatch.setattr(
+        server_module._Connection, "connection_made",
+        lambda conn, transport: made(conn, CountingTransport(transport)))
     frames = 32
 
     async def scenario():
@@ -595,8 +674,59 @@ def test_coalesced_responses_still_count_frames(monkeypatch):
     finally:
         obs.disable()
         obs.reset()
-    server_writes = len(writes) - 1  # the one client write
+    server_writes = len(writes)
     assert 1 <= server_writes < frames
+
+
+def test_a_burst_past_64_kib_is_written_within_its_loop_turn():
+    """256 16-KiB PINGs, then twelve 64-key LOOKUP frames, all sent in
+    one loop turn: the outbox is written each time it passes the 64 KiB
+    high-water mark (every fourth PING), before the turn ends, and the
+    lookups wait for the paused transport. Every answer equals the
+    in-process service's."""
+    stored = list(range(1, 65, 2))
+    probes = [[(frame * 64 + i) % 128 for i in range(64)]
+              for frame in range(12)]
+
+    def signature(response):
+        return (response.status, response.result.hit,
+                response.result.address, response.result.match_vector)
+
+    async def over_the_wire():
+        async with serving() as server:
+            async with CamClient(*server.address, pool_size=1) as client:
+                await client.insert(stored)
+                conn = client._pool[0]
+                # a small send buffer: 4 MiB cannot all fit in the kernel
+                conn.transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 64 * 1024)
+                writes = []
+                write = conn.transport.write
+                conn.transport.write = lambda data: (writes.append(len(data)),
+                                                     write(data))
+                pings = [asyncio.ensure_future(client.ping(bytes(16 << 10)))
+                         for _ in range(256)]
+                lookups = [asyncio.ensure_future(client.lookup_many(keys))
+                           for keys in probes]
+                await asyncio.sleep(0)  # every request sends in this turn
+                assert len(writes) == 64
+                assert min(writes) > HIGH_WATER
+                assert not conn.writable.done()
+                # the LOOKUPs wait for the turn's own flush
+                assert len(conn.outbox) == len(probes)
+                await asyncio.gather(*pings)
+                responses = await asyncio.gather(*lookups)
+            return [[signature(r) for r in frame] for frame in responses]
+
+    async def in_process():
+        async with CamService(make_cam()) as service:
+            await service.insert(stored)
+            return [[signature(r) for r in await service.lookup_many(keys)]
+                    for keys in probes]
+
+    wire = run(over_the_wire())
+    assert wire == run(in_process())
+    assert any(hit for frame in wire for _, hit, _, _ in frame)
 
 
 def test_deep_pipelined_burst_answers_like_the_in_process_service():
