@@ -276,13 +276,15 @@ class CamServer:
 
     async def stop(self) -> None:
         """Graceful shutdown: drain, then flush and close every
-        connection."""
+        connection, aborting one whose peer has stopped reading."""
         if self._server is None and not self._connections:
             return
         await self.drain()
         connections = list(self._connections)
         for conn in connections:
             conn.close()
+            if not conn.writable.done():
+                conn.transport.abort()
         await asyncio.gather(*(conn.lost for conn in connections))
         self._server = None
 

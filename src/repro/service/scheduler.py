@@ -4,10 +4,10 @@
 into a concurrent service with the shape of the hardware arbiter it
 mirrors:
 
-- **bounded admission queue** -- requests enter one bounded
-  :class:`asyncio.Queue`; when it is full admission applies
-  backpressure (``await`` until a slot frees);
-- **one dispatcher** -- a single task reads the admission queue,
+- **bounded admission queue** -- a request is admitted on call, with
+  no task of its own, into a FIFO of at most ``queue_depth``; when it
+  is full the request waits for room behind every earlier caller;
+- **one dispatcher** -- a single task drains the admission queue,
   routes each request to the shards it touches (binding an insert's
   global addresses in admission order) and gathers a micro-batch until
   ``max_delay_s`` has passed since its first request or one shard
@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import asdict, dataclass
-from typing import (Awaitable, Callable, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core.session import RawWord, UpdateStats
@@ -53,14 +52,6 @@ from repro.errors import (
 )
 from repro.service.sharded import ShardedCam, merge_results
 
-#: Sentinel that flows through the admission queue to stop the dispatcher.
-_STOP = object()
-#: Loop turns the dispatcher gives up per request it routes inside a
-#: micro-batch window -- the turns the per-request ``wait_for`` task of
-#: the earlier dispatcher took. Routing faster holds back the answers
-#: and frames that share the loop: wire-churn lookup p50 rose 11% with
-#: no turn and 2% with one.
-_ROUTE_TURNS = 3
 #: Auto-repair retries a shard after this delay, doubling to the cap.
 _REPAIR_BACKOFF_S = 0.05
 _REPAIR_BACKOFF_MAX_S = 2.0
@@ -158,15 +149,6 @@ class _Request:
         self.error: Optional[str] = None
 
 
-async def _each(call: Callable[[int], Awaitable[ServiceResponse]],
-                keys: Sequence[int]) -> List[ServiceResponse]:
-    """``call(key)`` for every key, admitted in key order and awaited
-    together; no task for a single key."""
-    if len(keys) == 1:
-        return [await call(keys[0])]
-    return await asyncio.gather(*[call(key) for key in keys])
-
-
 class CamService:
     """Micro-batching async scheduler over a :class:`ShardedCam`.
 
@@ -182,7 +164,8 @@ class CamService:
     ``max_delay_s`` bounds how long a micro-batch waits after its first
     request; together they trade latency for batch-engine occupancy
     exactly like the hardware bus packs words per beat. ``queue_depth``
-    bounds admission (a full queue makes callers wait);
+    bounds the admission queue (a full queue makes callers wait, in call
+    order);
     ``request_timeout_s`` is the per-request deadline measured from
     admission, and the only one on the serving path --
     :class:`~repro.net.server.CamServer` adds none of its own.
@@ -215,14 +198,17 @@ class CamService:
         self.request_timeout_s = request_timeout_s
         self.auto_repair = auto_repair
         self.stats = ServiceStats()
-        self._queue: Optional[asyncio.Queue] = None
+        #: admitted requests in admission order, at most ``queue_depth``.
+        self._queue: Deque[_Request] = deque()
+        #: requests called while the queue was full, in call order.
+        self._backlog: Deque[_Request] = deque()
         self._tasks: List[asyncio.Task] = []
         self._running = False
         self._draining = False
         self._inflight = 0
         self._idle: Optional[asyncio.Event] = None
-        #: the dispatcher's wait for more work in an open micro-batch,
-        #: resolved by the next admission or the batch's deadline.
+        #: the dispatcher's wait for more work, resolved by the next
+        #: admission, an open micro-batch's deadline or stop.
         self._waiter: Optional[asyncio.Future] = None
         #: shard -> (next attempt time, current backoff delay).
         self._repair_schedule: Dict[int, Tuple[float, float]] = {}
@@ -233,7 +219,6 @@ class CamService:
     async def start(self) -> None:
         if self._running:
             raise ServiceError("service already started")
-        self._queue = asyncio.Queue(maxsize=self.queue_depth)
         self._tasks = [asyncio.ensure_future(self._dispatcher())]
         self._running = True
         self._draining = False
@@ -248,7 +233,6 @@ class CamService:
         if not self._running:
             return
         self._running = False
-        await self._queue.put(_STOP)
         self._wake()
         await asyncio.gather(*self._tasks)
         self._tasks = []
@@ -275,10 +259,6 @@ class CamService:
         """True between :meth:`drain` and the next :meth:`start`."""
         return self._draining
 
-    def _track_admit(self) -> None:
-        self._inflight += 1
-        self._idle.clear()
-
     def _track_done(self) -> None:
         self._inflight -= 1
         if self._inflight <= 0:
@@ -297,7 +277,7 @@ class CamService:
 
     def depth(self) -> int:
         """Current admission queue depth."""
-        return self._queue.qsize() if self._queue is not None else 0
+        return len(self._queue)
 
     def stats_doc(self) -> dict:
         """The ``service`` and ``cam`` sections of the stats document
@@ -392,14 +372,15 @@ class CamService:
     # ------------------------------------------------------------------
     # client API
     # ------------------------------------------------------------------
-    async def lookup(self, key: int) -> ServiceResponse:
-        """Search one key; the merged result respects global priority."""
-        return await self._admit(_Request("lookup", key=int(key)))
+    def lookup(self, key: int) -> "asyncio.Future[ServiceResponse]":
+        """Search one key, admitted on call; the future's merged result
+        respects global priority."""
+        return self._admit(_Request("lookup", key=int(key)))
 
     async def lookup_many(self, keys: Sequence[int]) -> List[ServiceResponse]:
-        """Search a batch of keys, one admitted :meth:`lookup` per key;
-        the answers come back in key order."""
-        return await _each(self.lookup, keys)
+        """Search a batch of keys, one :meth:`lookup` per key admitted
+        in key order; the answers come back in key order."""
+        return await asyncio.gather(*[self.lookup(key) for key in keys])
 
     async def insert(self, words: Sequence[RawWord]) -> ServiceResponse:
         """Store a batch of words (routed per shard by the dispatcher)."""
@@ -408,38 +389,61 @@ class CamService:
             raise ConfigError("insert needs at least one word")
         return await self._admit(_Request("insert", words=words))
 
-    async def delete(self, key: int) -> ServiceResponse:
-        """Delete-by-content wherever the key may live."""
-        return await self._admit(_Request("delete", key=int(key)))
+    def delete(self, key: int) -> "asyncio.Future[ServiceResponse]":
+        """Delete-by-content wherever the key may live; admitted on
+        call, like :meth:`lookup`."""
+        return self._admit(_Request("delete", key=int(key)))
 
     async def delete_many(self, keys: Sequence[int]) -> List[ServiceResponse]:
-        """Delete a batch of keys, one admitted :meth:`delete` per key
+        """Delete a batch of keys, one :meth:`delete` per key admitted
         in key order, so they can share a micro-batch; the answers are
         those of the same deletes made one after another."""
-        return await _each(self.delete, keys)
+        return await asyncio.gather(*[self.delete(key) for key in keys])
 
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    async def _admit(self, request: _Request) -> ServiceResponse:
+    def _admit(self, request: _Request) -> "asyncio.Future[ServiceResponse]":
+        """Queue ``request``, or hold it in the backlog behind every
+        caller still waiting for room; return its future."""
         if not self._running:
             raise ServiceError("service is not running (use 'async with')")
         if self._draining:
             raise ServiceDrainingError(
                 "service is draining for shutdown; retry later"
             )
-        loop = asyncio.get_running_loop()
-        request.admitted_t = loop.time()
+        request.admitted_t = asyncio.get_running_loop().time()
         request.deadline = request.admitted_t + self.request_timeout_s
-        await self._queue.put(request)
-        self._wake()
-        self._track_admit()
+        self._inflight += 1
+        self._idle.clear()
+        if self._backlog or len(self._queue) >= self.queue_depth:
+            self._backlog.append(request)
+        else:
+            self._enqueue(request)
+        return request.future
+
+    def _enqueue(self, request: _Request) -> None:
+        queue = self._queue
+        queue.append(request)
         self.stats.admitted += 1
-        depth = self._queue.qsize()
+        depth = len(queue)
         self.stats.max_queue_depth = max(self.stats.max_queue_depth, depth)
         obs.set_gauge("svc_queue_depth", depth,
                       help="admission queue occupancy")
-        return await request.future
+        self._wake()
+
+    def _next(self) -> _Request:
+        """Take the oldest queued request; the oldest backlog request
+        whose caller still waits takes the freed slot."""
+        request = self._queue.popleft()
+        backlog = self._backlog
+        while backlog:
+            held = backlog.popleft()
+            if not held.future.done():
+                self._enqueue(held)
+                break
+            self._track_done()  # cancelled while it waited for room
+        return request
 
     # ------------------------------------------------------------------
     # dispatch
@@ -451,56 +455,50 @@ class CamService:
         shard and closes when ``max_delay_s`` has passed since then or
         when one shard holds ``max_batch`` of its requests. The batch
         keeps one timer for its deadline; waiting for the next request
-        costs a future, not a task.
+        costs a future, not a task. After :meth:`stop` the dispatcher
+        empties the queue, then returns.
         """
         loop = asyncio.get_running_loop()
         queue = self._queue
-        while True:
-            first = await queue.get()
-            if first is _STOP:
-                return
+        while queue or self._running:
+            if not queue:
+                self._waiter = loop.create_future()
+                await self._waiter
+                continue
+            first = self._next()
             if not self._route(first):
                 continue
             batch = [first]
             load = Counter(first.targets)
             flush_at = loop.time() + self.max_delay_s
             deadline: Optional[asyncio.TimerHandle] = None
-            stopping = False
             while max(load.values()) < self.max_batch:
-                if loop.time() < flush_at:
-                    if not queue.empty():
-                        for _ in range(_ROUTE_TURNS):
-                            await asyncio.sleep(0)
-                    else:
-                        if deadline is None:
-                            deadline = loop.call_at(flush_at, self._wake)
-                        self._waiter = loop.create_future()
-                        await self._waiter
-                        self._waiter = None
-                if queue.empty():
-                    break
-                item = queue.get_nowait()
-                if item is _STOP:
-                    stopping = True
-                    break
-                if self._route(item):
-                    batch.append(item)
-                    load.update(item.targets)
+                if not queue:
+                    if not self._running or loop.time() >= flush_at:
+                        break
+                    if deadline is None:
+                        deadline = loop.call_at(flush_at, self._wake)
+                    self._waiter = loop.create_future()
+                    await self._waiter
+                    if not queue:
+                        break
+                request = self._next()
+                if self._route(request):
+                    batch.append(request)
+                    load.update(request.targets)
             if deadline is not None:
                 deadline.cancel()
             self._flush(batch)
-            if stopping:
-                return
 
     def _wake(self) -> None:
-        """Resume the dispatcher's wait in an open micro-batch."""
-        waiter = self._waiter
+        """Resume the dispatcher's wait for work."""
+        waiter, self._waiter = self._waiter, None
         if waiter is not None and not waiter.done():
             waiter.set_result(None)
 
     def _route(self, request: _Request) -> bool:
         """Bind the shards a request touches; False if it resolved here."""
-        obs.set_gauge("svc_queue_depth", self._queue.qsize())
+        obs.set_gauge("svc_queue_depth", len(self._queue))
         now = asyncio.get_running_loop().time()
         obs.observe("svc_queue_wait_seconds", now - request.admitted_t,
                     help="admission-to-routing wait",

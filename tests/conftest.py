@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import logging
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,18 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running test (deselect with -m 'not slow')"
     )
+
+
+@pytest.fixture(autouse=True)
+def _asyncio_errors_fail_in_dev_mode(caplog):
+    """Under ``python -X dev``, an error the asyncio loop logs (a future
+    or task exception that nobody retrieved) fails the test."""
+    yield
+    if sys.flags.dev_mode:
+        errors = [record.getMessage() for record in caplog.get_records("call")
+                  if record.name == "asyncio"
+                  and record.levelno >= logging.ERROR]
+        assert not errors, errors
 
 
 @pytest.fixture

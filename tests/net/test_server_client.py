@@ -277,6 +277,31 @@ def test_a_client_that_stops_reading_stops_the_servers_intake():
     run(scenario())
 
 
+def test_stop_aborts_a_peer_that_reads_nothing():
+    """A peer that never reads leaves its connection paused for writing
+    with answers the socket will not take; stop() aborts it instead of
+    waiting for a write buffer that never drains."""
+    count, size = 256, 64 * 1024
+
+    async def scenario():
+        async with serving() as server:
+            reader, writer = await asyncio.open_connection(*server.address)
+            try:
+                writer.write(b"".join(
+                    protocol.encode_frame(Opcode.PING, i, bytes(size))
+                    for i in range(count)))
+                stalled = -1
+                while stalled != server.stats.frames_in:
+                    stalled = server.stats.frames_in
+                    await asyncio.sleep(0.05)
+                assert 0 < stalled < count
+                await asyncio.wait_for(server.stop(), 5)
+            finally:
+                writer.transport.abort()
+            assert server.active_connections == 0
+    run(scenario())
+
+
 def test_response_opcode_from_client_is_rejected():
     async def scenario():
         async with serving() as server:

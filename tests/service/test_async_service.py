@@ -8,7 +8,7 @@ import asyncio
 
 import pytest
 
-from repro.core import Encoding, unit_for_entries
+from repro.core import Encoding, ReferenceCam, binary_entry, unit_for_entries
 from repro.core.batch import open_session
 from repro.errors import ConfigError, ServiceError
 from repro.net import CamClient, CamServer
@@ -172,6 +172,37 @@ def test_service_runs_one_dispatcher_task():
     assert run(scenario()) == (1, 2)
 
 
+def test_a_frames_keys_are_admitted_without_a_task_each():
+    """``lookup_many`` and ``delete_many`` admit one request per key on
+    call and gather the futures: the loop's task count grows by the
+    caller's own task, not by one per key."""
+    stored = [3, 9, 27, 40, 41, 9]
+    gold = ReferenceCam(32)
+    gold.update([binary_entry(v, WIDTH) for v in stored])
+
+    async def grown_by(call):
+        before = len(asyncio.all_tasks())
+        pending = asyncio.ensure_future(call)
+        await asyncio.sleep(0)  # the call has admitted every key
+        grown = len(asyncio.all_tasks()) - before
+        return grown, await pending
+
+    async def scenario():
+        async with CamService(make_cam(shards=4)) as service:
+            await service.insert(stored)
+            grown, found = await grown_by(service.lookup_many(range(64)))
+            assert grown <= 2
+            assert [(r.status, r.result) for r in found] \
+                == [("ok", gold.search(k)) for k in range(64)]
+            keys = [9, 1, 40, 9, 2, 3, 27, 5]
+            grown, deleted = await grown_by(service.delete_many(keys))
+            assert grown <= 2
+            assert [(r.status, r.result) for r in deleted] \
+                == [("ok", gold.delete(k)) for k in keys]
+
+    run(scenario())
+
+
 def test_insert_is_split_and_merged_across_shards():
     async def scenario():
         cam = make_cam(shards=4)
@@ -211,6 +242,63 @@ def test_block_mode_applies_backpressure_not_errors():
             )
             assert all(r.ok for r in responses)
             assert service.stats.max_queue_depth <= 2
+
+    run(scenario())
+
+
+def test_a_full_queue_admits_callers_in_call_order():
+    """At ``queue_depth=2`` most keys of concurrent lookup frames wait
+    for room; none overtakes an earlier caller, so the answers and the
+    inserts' global addresses are those of the calls made in order."""
+    words = [[10 + i, 20 + i, 30 + i] for i in range(4)]
+    frames = [[10, 20, 11, 21, 12, 22, 13, 23, 99] for _ in range(5)]
+    gold = ReferenceCam(32)
+    expected = []
+    for index, keys in enumerate(frames):
+        expected.append([gold.search(k) for k in keys])
+        if index < len(words):
+            gold.update([binary_entry(v, WIDTH) for v in words[index]])
+
+    async def scenario():
+        service = CamService(make_cam(shards=2), queue_depth=2,
+                             max_delay_s=0.001, request_timeout_s=5.0)
+        async with service:
+            calls = []
+            for index, keys in enumerate(frames):
+                calls.append(asyncio.ensure_future(
+                    service.lookup_many(keys)))
+                if index < len(words):
+                    calls.append(asyncio.ensure_future(
+                        service.insert(words[index])))
+            answers = await asyncio.gather(*calls)
+            lookups = answers[::2]
+            assert [[(r.status, r.result) for r in frame]
+                    for frame in lookups] \
+                == [[("ok", r) for r in frame] for frame in expected]
+            assert all(r.ok for r in answers[1::2])
+            assert service.stats.max_queue_depth <= 2
+            placed = await service.lookup_many(
+                [w for batch in words for w in batch])
+            assert [r.result.address for r in placed] == list(range(12))
+
+    run(scenario())
+
+
+def test_a_caller_cancelled_while_waiting_for_room_leaves_drain_free():
+    async def scenario():
+        service = CamService(make_cam(shards=2), queue_depth=2,
+                             max_delay_s=0.001)
+        async with service:
+            await service.insert([7])
+            waiting = asyncio.ensure_future(
+                service.delete_many([7, 7, 7, 7]))
+            await asyncio.sleep(0)  # two keys queued, two wait for room
+            assert service.depth() == 2
+            waiting.cancel()
+            await asyncio.wait_for(service.drain(), 5)
+            assert service.stats.admitted == 3
+            assert service.stats.completed == 3
+        assert waiting.cancelled()
 
     run(scenario())
 

@@ -153,7 +153,8 @@ class Stack:
     def insert(self, words, group=None, kill_after=None):
         if self.api is None:
             return "ok", self.cam.update(words, group=group).words
-        response = self.run(self._killed(self.api.insert(words), kill_after))
+        response = self.run(
+            self._killed(lambda: self.api.insert(words), kill_after))
         return response.status, response.stats and response.stats.words
 
     def lookup(self, keys, groups=None):
@@ -165,7 +166,8 @@ class Stack:
     def delete(self, key, kill_after=None):
         if self.api is None:
             return "ok", self.cam.delete(key)
-        response = self.run(self._killed(self.api.delete(key), kill_after))
+        response = self.run(
+            self._killed(lambda: self.api.delete(key), kill_after))
         return response.status, response.result
 
     def burst(self, keys):
@@ -175,11 +177,12 @@ class Stack:
         return [(r.status, r.result) for r in self.run(gather())]
 
     async def _killed(self, call, kill_after):
-        """``call``, with the client's connections severed after
-        ``kill_after`` loop turns: its retry must apply it exactly once."""
+        """``call()``, made in the loop, with the client's connections
+        severed after ``kill_after`` loop turns: its retry must apply it
+        exactly once."""
         if kill_after is None:
-            return await call
-        pending = asyncio.ensure_future(call)
+            return await call()
+        pending = asyncio.ensure_future(call())
         for _ in range(kill_after):
             await asyncio.sleep(0)
         self.api.kill_connections()
