@@ -12,10 +12,12 @@ behind a slow front end; see PAPERS.md, Nguyen et al.). Four modules:
 - :mod:`repro.net.channel` -- ``FrameChannel``, the one
   :class:`asyncio.Protocol` under both ends (no task per connection);
 - :mod:`repro.net.server` -- :class:`CamServer`, an asyncio TCP server
-  wrapping :class:`~repro.service.scheduler.CamService` with one
-  handler task per request frame, connection/frame-size limits, an
-  idle timer, graceful drain (in-flight requests complete, new ones get
-  ``RETRY_LATER``) and ``net_*`` telemetry;
+  wrapping :class:`~repro.service.scheduler.CamService` that admits
+  each request frame as it is decoded, in frame order, with no task
+  per frame (its reply leaves from the answer future's done callback),
+  connection/frame-size limits, an idle timer, graceful drain
+  (in-flight requests complete, new ones get ``RETRY_LATER``) and
+  ``net_*`` telemetry;
 - :mod:`repro.net.client` -- :class:`CamClient`, a pipelined client
   that multiplexes concurrent requests over a connection pool by
   request id and retries with backoff on connection loss (idempotency

@@ -218,8 +218,9 @@ class CamClient:
             Opcode.LOOKUP, protocol.encode_lookup([int(k) for k in keys])
         )
         return [
-            ServiceResponse("lookup", status, result)
-            for status, result in self._expect_results(frame, len(keys))
+            ServiceResponse("lookup", status, result, error=error)
+            for status, result, error in self._expect_results(frame,
+                                                              len(keys))
         ]
 
     async def insert(self, words: Sequence[int]) -> ServiceResponse:
@@ -242,8 +243,9 @@ class CamClient:
             os.urandom(protocol.TOKEN_SIZE), [int(key)]
         )
         frame = await self._request(Opcode.DELETE, payload)
-        status, result = self._expect_results(frame, 1)[0]
-        return ServiceResponse(kind="delete", status=status, result=result)
+        status, result, error = self._expect_results(frame, 1)[0]
+        return ServiceResponse(kind="delete", status=status, result=result,
+                               error=error)
 
     async def ping(self, payload: bytes = b"") -> float:
         """Round-trip a PING; returns the wall-clock RTT in seconds."""
@@ -277,7 +279,7 @@ class CamClient:
     # ------------------------------------------------------------------
     def _expect_results(
         self, frame: Frame, count: int
-    ) -> List[Tuple[str, SearchResult]]:
+    ) -> List[Tuple[str, SearchResult, Optional[str]]]:
         if frame.opcode is not Opcode.RESULT:
             raise ProtocolError(
                 f"expected RESULT, got {frame.opcode.name}"

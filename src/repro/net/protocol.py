@@ -4,7 +4,7 @@ Every message is one **frame**::
 
     offset  size  field
     0       4     magic  b"RCAM"
-    4       1     protocol version (2)
+    4       1     protocol version (3)
     5       1     opcode
     6       4     request id (LE u32, chosen by the sender of a request,
                   echoed by the matching response)
@@ -34,7 +34,9 @@ Response opcodes: ``RESULT`` (lookup and delete answers as columns:
 ``u32 n``, ``u8 encoding``, ``status u8[n]``, ``key u64[n]``,
 ``count u32[n]``, ``first i64[n]``, then the ``u32`` extra addresses of
 keys that matched more than once -- the client rebuilds each
-:class:`~repro.core.types.SearchResult` bit-identically from them),
+:class:`~repro.core.types.SearchResult` bit-identically from them --
+then a ``u32``-length-prefixed UTF-8 error message for each row whose
+status is not ``ok``),
 ``UPDATED`` (insert ack: status, :class:`~repro.core.session.UpdateStats`
 and the error message), ``SNAPSHOT_DATA`` (the binary snapshot blob),
 ``STATS_DATA`` (UTF-8 JSON), ``PONG`` (echo) and ``ERROR`` (``u16``
@@ -85,8 +87,9 @@ from repro.errors import (
 PROTOCOL_MAGIC = b"RCAM"
 
 #: Wire format version; bumped on any layout change (2: columnar
-#: RESULT, UPDATED with an error message).
-PROTOCOL_VERSION = 2
+#: RESULT, UPDATED with an error message; 3: RESULT rows that are not
+#: ``ok`` carry their error message).
+PROTOCOL_VERSION = 3
 
 #: Default cap on one frame's payload (4 MiB) -- a snapshot of a very
 #: large CAM is the only payload that approaches it.
@@ -425,16 +428,19 @@ _MAX_VECTOR_BITS = 8 * MAX_FRAME_SIZE
 
 
 def encode_results(
-    results: Sequence[Tuple[str, SearchResult]],
+    results: Sequence[Tuple[str, SearchResult, Optional[str]]],
 ) -> bytes:
-    """RESULT payload: ``u32 n``, ``u8 encoding``, then the columns
-    ``status u8[n]``, ``key u64[n]``, ``count u32[n]``, ``first i64[n]``
-    (``-1`` on a miss), then as ``u32`` the other addresses of every key
-    that matched more than once, in key order, each key's ascending.
-    Every result must share one encoding (they come from one CAM)."""
+    """RESULT payload of ``(status, result, error)`` rows: ``u32 n``,
+    ``u8 encoding``, then the columns ``status u8[n]``, ``key u64[n]``,
+    ``count u32[n]``, ``first i64[n]`` (``-1`` on a miss), then as ``u32``
+    the other addresses of every key that matched more than once, in key
+    order, each key's ascending, then for each row whose status is not
+    ``ok``, in row order, ``u32 length`` and its UTF-8 error message
+    (empty for none; an ``ok`` row's error is not sent). Every result
+    must share one encoding (they come from one CAM)."""
     statuses = bytes([_STATUS_CODES.get(status, Status.ERROR)
-                      for status, _ in results])
-    found = [result for _, result in results]
+                      for status, _, _ in results])
+    found = [result for _, result, _ in results]
     encoding = found[0].encoding if found else Encoding.PRIORITY
     for result in found:
         if result.encoding is not encoding:
@@ -450,6 +456,11 @@ def encode_results(
                 low = rest & -rest
                 extras.append(low.bit_length() - 1)
                 rest ^= low
+    messages: List[bytes] = []
+    for status, _, error in results:
+        if status != "ok":
+            text = (error or "").encode("utf-8")
+            messages += (_U32.pack(len(text)), text)
     return b"".join((
         _RESULT_HEAD.pack(len(found), _ENCODING_WIRE[encoding]),
         statuses,
@@ -457,15 +468,20 @@ def encode_results(
         np.array(counts, dtype="<u4").tobytes(),
         np.array(firsts, dtype="<i8").tobytes(),
         np.array(extras, dtype="<u4").tobytes() if extras else b"",
+        *messages,
     ))
 
 
-def decode_results(payload: bytes) -> List[Tuple[str, SearchResult]]:
-    """Each ``(status, SearchResult)`` of a RESULT payload, the result
-    bit-identical to the one encoded (``match_vector`` rebuilt from the
-    first and extra addresses). Any malformed payload -- truncated,
-    trailing bytes, unknown status or encoding, addresses out of order
-    or beyond ``_MAX_VECTOR_BITS`` -- raises :class:`ProtocolError`."""
+def decode_results(
+    payload: bytes,
+) -> List[Tuple[str, SearchResult, Optional[str]]]:
+    """Each ``(status, SearchResult, error)`` row of a RESULT payload,
+    the result bit-identical to the one encoded (``match_vector``
+    rebuilt from the first and extra addresses) and ``error`` ``None``
+    for an ``ok`` row or an empty message. Any malformed payload --
+    truncated, trailing bytes, unknown status or encoding, addresses
+    out of order or beyond ``_MAX_VECTOR_BITS``, a message that is not
+    UTF-8 -- raises :class:`ProtocolError`."""
     size = len(payload)
     if size < _RESULT_HEAD.size:
         raise ProtocolError("truncated RESULT payload")
@@ -495,21 +511,41 @@ def decode_results(payload: bytes) -> List[Tuple[str, SearchResult]]:
     firsts = np.frombuffer(payload, "<i8", count, offset).tolist()
     # Each key past its first match adds one extra address.
     extra = sum(counts) - count + counts.count(0)
-    if size != columns_end + 4 * extra:
+    offset = columns_end + 4 * extra
+    if size < offset:
         raise ProtocolError(
-            f"RESULT of {size} bytes, expected {columns_end + 4 * extra} "
+            f"RESULT of {size} bytes, expected at least {offset} "
             f"for {count} keys with {extra} extra addresses"
         )
     extras = (np.frombuffer(payload, "<u4", extra, columns_end).tolist()
               if extra else [])
-    results: List[Tuple[str, SearchResult]] = []
+    errors: List[Optional[str]] = [None] * count
+    try:
+        for row, status in enumerate(statuses):
+            if status != "ok":
+                (length,) = _U32.unpack_from(payload, offset)
+                offset += _U32.size + length
+                text = payload[offset - length:offset].decode("utf-8")
+                errors[row] = text or None
+    except struct.error:
+        raise ProtocolError("truncated RESULT error messages") from None
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"malformed RESULT error message: {exc}") from exc
+    if offset != size:  # a message overrunning the payload lands here too
+        raise ProtocolError(
+            f"RESULT of {size} bytes, expected {offset} "
+            f"for {count} keys with {extra} extra addresses"
+        )
+    results: List[Tuple[str, SearchResult, Optional[str]]] = []
     append = results.append
     bits = at = 0
-    for status, key, matched, first in zip(statuses, keys, counts, firsts):
+    for status, key, matched, first, error in zip(statuses, keys, counts,
+                                                  firsts, errors):
         if not matched:
             if first != -1:
                 raise ProtocolError(f"miss of key {key} has address {first}")
-            append((status, SearchResult(key, False, None, 0, 0, encoding)))
+            append((status, SearchResult(key, False, None, 0, 0, encoding),
+                    error))
             continue
         tail = extras[at:at + matched - 1]
         at += matched - 1
@@ -523,7 +559,7 @@ def decode_results(payload: bytes) -> List[Tuple[str, SearchResult]]:
         for address in tail:
             vector |= 1 << address
         append((status, SearchResult(key, True, first, vector, matched,
-                                     encoding)))
+                                     encoding), error))
     return results
 
 

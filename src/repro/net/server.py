@@ -2,13 +2,16 @@
 
 :class:`CamServer` is the socket front door of the reproduction: it
 accepts connections, decodes :mod:`repro.net.protocol` frames
-incrementally, executes each request against the wrapped
-:class:`~repro.service.scheduler.CamService` (batch frames fan out to
-concurrent service calls) and streams the responses back -- requests
-from one connection are served *pipelined*, never lock-step. Each
-connection is a :class:`~repro.net.channel.FrameChannel` that runs one
-handler task per request frame and nothing else; a client that stops
-reading stops its connection's intake.
+incrementally, admits each request into the wrapped
+:class:`~repro.service.scheduler.CamService` and streams the responses
+back -- requests from one connection are served *pipelined*, never
+lock-step. Each connection is a
+:class:`~repro.net.channel.FrameChannel` that runs no task: every
+request frame is admitted as it is decoded, in frame order (an INSERT
+framed before a LOOKUP of the same key is admitted first), and its
+reply is sent from the done callback of its answer future. PING,
+SNAPSHOT and STATS are answered at once. A client that stops reading
+stops its connection's intake.
 
 Operational guarantees:
 
@@ -25,9 +28,10 @@ Operational guarantees:
   requests complete and answers frames that arrive during the drain
   window with ``RETRY_LATER``, so a restarting client loses nothing;
 - **exactly-once mutations** -- INSERT/DELETE frames carry idempotency
-  tokens; the server keeps one bounded token -> response-future table
-  and answers a retried token from it (awaiting the first attempt if it
-  is still running) without re-applying the mutation.
+  tokens; the server keeps one bounded token -> answer-future table
+  and answers a retried token from it (a callback on the first
+  attempt's future if it is still running) without re-applying the
+  mutation.
 
 Telemetry is threaded through :mod:`repro.obs` under ``net_*`` names
 (frames and bytes per direction, decode errors, connection churn,
@@ -37,10 +41,11 @@ request latency) with an always-on :class:`ServerStats` mirror.
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.errors import ConfigError, NetError, ProtocolError
@@ -79,14 +84,15 @@ class ServerStats:
 
 class _Connection(FrameChannel):
     """One client connection: admission, the idle timer, flow control
-    and the frame counters. Each request frame runs in one handler task
-    (``tasks``); the connection itself runs none."""
+    and the frame counters. It runs no task: each request frame is
+    admitted as it is decoded, and ``owed`` holds the answer futures
+    whose replies are not yet sent."""
 
     def __init__(self, server: "CamServer") -> None:
         super().__init__(server.max_frame_size)
         self.server = server
         self.stats = server.stats
-        self.tasks: Set[asyncio.Task] = set()
+        self.owed: Set[asyncio.Future] = set()
         self.last_read = self.loop.time()
         self.idle: Optional[asyncio.TimerHandle] = None
 
@@ -225,8 +231,8 @@ class CamServer:
         self.stats = ServerStats()
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[_Connection] = set()
-        #: idempotency token -> future of its mutation's (opcode,
-        #: payload) answer; still pending while the first attempt runs.
+        #: idempotency token -> its mutation's answer future, still
+        #: pending while the first attempt runs.
         self._dedupe: "OrderedDict[bytes, asyncio.Future]" = OrderedDict()
         self._draining = False
 
@@ -261,18 +267,18 @@ class CamServer:
 
         Closes the listening socket first so no fresh connection can
         sneak work in, then drains the wrapped service (its admission
-        gate starts refusing instantly) and finally waits for every
-        per-frame handler task to flush its response.
+        gate starts refusing instantly) and finally waits until every
+        connection has sent each answer it owes: a gathered answer's
+        reply callback can run after the service has gone idle.
         """
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         await self.service.drain()
-        pending = [task for conn in self._connections
-                   for task in list(conn.tasks)]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        owed = [answer for conn in self._connections for answer in conn.owed]
+        if owed:
+            await asyncio.wait(owed)
 
     async def stop(self) -> None:
         """Graceful shutdown: drain, then flush and close every
@@ -299,86 +305,92 @@ class CamServer:
     # request dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, conn: _Connection, frame: Frame) -> None:
-        if not frame.opcode.is_request:
-            self._send_error(conn, frame.request_id, ProtocolError(
-                f"{frame.opcode.name} is a response opcode; clients send "
+        """Admit one request frame on the spot, in frame order: answer
+        PING, SNAPSHOT and STATS at once; the connection owes the answer
+        of a LOOKUP, INSERT or DELETE until :meth:`_reply` sends it
+        (``ensure_future`` also takes the coroutine of a service method
+        that a test or tracer replaced with a coroutine function)."""
+        opcode, request_id = frame.opcode, frame.request_id
+        if not opcode.is_request:
+            self._send_error(conn, request_id, ProtocolError(
+                f"{opcode.name} is a response opcode; clients send "
                 "requests only"
             ))
             return
-        conn.tasks.add(asyncio.ensure_future(self._handle(conn, frame)))
-
-    async def _handle(self, conn: _Connection, frame: Frame) -> None:
         self.stats.requests += 1
-        self.stats.count_opcode(frame.opcode)
+        self.stats.count_opcode(opcode)
         started = time.perf_counter()
-        status = "ok"
+        service = self.service
+        answer = None
         try:
-            await self._execute(conn, frame)
+            if opcode is Opcode.LOOKUP:
+                keys = protocol.decode_lookup(frame.payload)
+                answer = asyncio.ensure_future(service.lookup_many(keys))
+            elif opcode is Opcode.INSERT:
+                token, words = protocol.decode_mutation(frame.payload)
+                answer = self._mutate_once(token, service.insert, words)
+            elif opcode is Opcode.DELETE:
+                token, keys = protocol.decode_mutation(frame.payload)
+                answer = self._mutate_once(token, service.delete_many, keys)
+            elif opcode is Opcode.PING:
+                self._send(conn, Opcode.PONG, request_id, frame.payload)
+            elif opcode is Opcode.SNAPSHOT:
+                blob = service.cam.snapshot().to_binary()
+                if len(blob) > self.max_frame_size:
+                    raise ProtocolError(
+                        f"snapshot of {len(blob)} bytes exceeds the "
+                        f"{self.max_frame_size}-byte frame limit"
+                    )
+                self._send(conn, Opcode.SNAPSHOT_DATA, request_id, blob)
+            else:  # Opcode.STATS, the last request opcode
+                self._send(conn, Opcode.STATS_DATA, request_id,
+                           protocol.encode_stats(self._stats_doc()))
         except Exception as exc:  # typed ReproErrors map to their codes
-            status = "error"
+            self._send_error(conn, request_id, exc)
+            self._count(opcode, "error", started)
+            return
+        if answer is None:
+            self._count(opcode, "ok", started)
+            return
+        conn.owed.add(answer)
+        answer.add_done_callback(
+            functools.partial(self._reply, conn, frame, started))
+
+    def _reply(self, conn: _Connection, frame: Frame, started: float,
+               answer: asyncio.Future) -> None:
+        """Done callback of an admitted frame's answer future: send its
+        UPDATED or RESULT frame, or the error frame of what it raised."""
+        conn.owed.discard(answer)
+        try:
+            response = answer.result()
+            if frame.opcode is Opcode.INSERT:
+                self._send(conn, Opcode.UPDATED, frame.request_id,
+                           protocol.encode_update_ack(
+                               response.status, response.stats,
+                               response.error))
+            else:
+                self._send(conn, Opcode.RESULT, frame.request_id,
+                           protocol.encode_results([
+                               (r.status, r.result, r.error)
+                               for r in response]))
+        except (Exception, asyncio.CancelledError) as exc:
             self._send_error(conn, frame.request_id, exc)
-        finally:
-            conn.tasks.discard(asyncio.current_task())
-        opcode = frame.opcode.name.lower()
-        obs.inc("net_requests_total", help="requests by opcode and outcome",
-                opcode=opcode, status=status)
-        obs.observe("net_request_latency_seconds",
-                    time.perf_counter() - started,
-                    help="server-side request latency",
-                    buckets=obs.SECONDS_BUCKETS, opcode=opcode)
-
-    async def _execute(self, conn: _Connection, frame: Frame) -> None:
-        opcode = frame.opcode
-        if opcode is Opcode.PING:
-            self._send(conn, Opcode.PONG, frame.request_id, frame.payload)
-        elif opcode is Opcode.LOOKUP:
-            keys = protocol.decode_lookup(frame.payload)
-            responses = await self.service.lookup_many(keys)
-            payload = protocol.encode_results([
-                (response.status, response.result)
-                for response in responses
-            ])
-            self._send(conn, Opcode.RESULT, frame.request_id, payload)
-        elif opcode is Opcode.INSERT:
-            token, words = protocol.decode_mutation(frame.payload)
-
-            async def apply_insert() -> Tuple[int, bytes]:
-                response = await self.service.insert(words)
-                return int(Opcode.UPDATED), protocol.encode_update_ack(
-                    response.status, response.stats, response.error
-                )
-
-            out, payload = await self._mutate_once(token, apply_insert)
-            self._send(conn, Opcode(out), frame.request_id, payload)
-        elif opcode is Opcode.DELETE:
-            token, keys = protocol.decode_mutation(frame.payload)
-
-            async def apply_delete() -> Tuple[int, bytes]:
-                responses = await self.service.delete_many(keys)
-                return int(Opcode.RESULT), protocol.encode_results([
-                    (response.status, response.result)
-                    for response in responses
-                ])
-
-            out, payload = await self._mutate_once(token, apply_delete)
-            self._send(conn, Opcode(out), frame.request_id, payload)
-        elif opcode is Opcode.SNAPSHOT:
-            blob = self.service.cam.snapshot().to_binary()
-            if len(blob) > self.max_frame_size:
-                raise ProtocolError(
-                    f"snapshot of {len(blob)} bytes exceeds the "
-                    f"{self.max_frame_size}-byte frame limit"
-                )
-            self._send(conn, Opcode.SNAPSHOT_DATA, frame.request_id, blob)
-        elif opcode is Opcode.STATS:
-            self._send(conn, Opcode.STATS_DATA, frame.request_id,
-                       protocol.encode_stats(self._stats_doc()))
-        else:  # pragma: no cover - is_request filtered already
-            raise ProtocolError(f"unhandled opcode {opcode!r}")
+            self._count(frame.opcode, "error", started)
+        else:
+            self._count(frame.opcode, "ok", started)
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+    def _count(self, opcode: Opcode, status: str, started: float) -> None:
+        name = opcode.name.lower()
+        obs.inc("net_requests_total", help="requests by opcode and outcome",
+                opcode=name, status=status)
+        obs.observe("net_request_latency_seconds",
+                    time.perf_counter() - started,
+                    help="server-side request latency",
+                    buckets=obs.SECONDS_BUCKETS, opcode=name)
+
     def _send(self, conn: _Connection, opcode: Opcode, request_id: int,
               payload: bytes) -> None:
         conn.send(protocol.encode_frame(opcode, request_id, payload))
@@ -394,33 +406,25 @@ class CamServer:
         self._send(conn, Opcode.ERROR, request_id,
                    protocol.encode_error(code, str(exc)))
 
-    async def _mutate_once(
-        self, token: bytes, apply: Callable[[], Awaitable[Tuple[int, bytes]]]
-    ) -> Tuple[int, bytes]:
-        """Run ``apply`` exactly once per idempotency token.
-
-        A retried token awaits the future of its first attempt --
-        finished or, for a retry racing its original on another
-        connection, still running -- instead of re-applying the
-        mutation. An attempt that raised is forgotten, so its retry
-        applies afresh.
-        """
+    def _mutate_once(self, token: bytes, admit: Callable[[List[int]], Any],
+                     words: List[int]) -> asyncio.Future:
+        """The answer future of ``admit(words)``, called only the first
+        time ``token`` is seen: a retried token gets the first attempt's
+        future, finished or not. An attempt that raised is forgotten,
+        so its retry applies afresh."""
         key = bytes(token)
-        future = self._dedupe.get(key)
-        if future is None:
-            future = asyncio.ensure_future(apply())
-            self._dedupe[key] = future
-            future.add_done_callback(
-                lambda done: self._forget_failed(key, done))
-            while len(self._dedupe) > _DEDUPE_CAPACITY:
-                self._dedupe.popitem(last=False)
-        else:
+        answer = self._dedupe.get(key)
+        if answer is not None:
             self.stats.dedupe_hits += 1
             obs.inc("net_dedupe_hits_total",
                     help="mutations answered from the idempotency cache")
-        # shield: a handler cancelled mid-wait must not cancel the
-        # mutation its retries are waiting on.
-        return await asyncio.shield(future)
+            return answer
+        answer = asyncio.ensure_future(admit(words))
+        self._dedupe[key] = answer
+        answer.add_done_callback(lambda done: self._forget_failed(key, done))
+        while len(self._dedupe) > _DEDUPE_CAPACITY:
+            self._dedupe.popitem(last=False)
+        return answer
 
     def _forget_failed(self, key: bytes, future: asyncio.Future) -> None:
         if ((future.cancelled() or future.exception() is not None)

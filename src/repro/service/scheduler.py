@@ -4,9 +4,10 @@
 into a concurrent service with the shape of the hardware arbiter it
 mirrors:
 
-- **bounded admission queue** -- a request is admitted on call, with
-  no task of its own, into a FIFO of at most ``queue_depth``; when it
-  is full the request waits for room behind every earlier caller;
+- **bounded admission queue** -- every client method admits on call,
+  with no task, and returns the answer's future; the FIFO holds at
+  most ``queue_depth`` requests, and past that a request waits for
+  room behind every earlier caller;
 - **one dispatcher** -- a single task drains the admission queue,
   routes each request to the shards it touches (binding an insert's
   global addresses in admission order) and gathers a micro-batch until
@@ -158,17 +159,16 @@ class CamService:
         async with CamService(cam, max_batch=64, max_delay_s=0.002) as svc:
             response = await svc.lookup(42)
 
-    One dispatcher task feeds every shard from the admission queue, as
-    the paper's CAM unit feeds every group from one input port.
-    ``max_batch`` caps the requests one shard takes per micro-batch and
-    ``max_delay_s`` bounds how long a micro-batch waits after its first
-    request; together they trade latency for batch-engine occupancy
-    exactly like the hardware bus packs words per beat. ``queue_depth``
-    bounds the admission queue (a full queue makes callers wait, in call
-    order);
+    Every request is admitted in call order into one queue, and one
+    dispatcher task feeds every shard from it, as the paper's CAM unit
+    feeds every group from one input port. ``max_batch`` caps the
+    requests one shard takes per micro-batch and ``max_delay_s`` bounds
+    how long a micro-batch waits after its first request; together they
+    trade latency for batch-engine occupancy exactly like the hardware
+    bus packs words per beat. ``queue_depth`` bounds the admission queue
+    (a full queue makes callers wait, in call order);
     ``request_timeout_s`` is the per-request deadline measured from
-    admission, and the only one on the serving path --
-    :class:`~repro.net.server.CamServer` adds none of its own.
+    admission, and the only one on the serving path.
     """
 
     def __init__(
@@ -238,17 +238,11 @@ class CamService:
         self._tasks = []
 
     async def drain(self) -> None:
-        """Stop admitting new requests and wait for in-flight ones.
-
-        After this returns every previously admitted request has
-        resolved (ok, timeout, degraded or error) while the pipeline is
-        still running -- the graceful-shutdown hook the network server
-        uses: new work is refused with
-        :class:`~repro.errors.ServiceDrainingError` (mapped onto a
-        ``RETRY_LATER`` error frame by :mod:`repro.net.server`) the
-        moment drain begins, and :meth:`stop` can then tear the
-        pipeline down with nothing left in flight.
-        """
+        """Refuse new requests and wait until every admitted one has
+        resolved (ok, timeout, degraded or error), with the pipeline
+        still running. A refused call raises
+        :class:`~repro.errors.ServiceDrainingError`, which
+        :mod:`repro.net.server` answers with ``RETRY_LATER``."""
         if not self._running:
             return
         self._draining = True
@@ -377,28 +371,29 @@ class CamService:
         respects global priority."""
         return self._admit(_Request("lookup", key=int(key)))
 
-    async def lookup_many(self, keys: Sequence[int]) -> List[ServiceResponse]:
+    def lookup_many(self, keys: Sequence[int]) -> asyncio.Future:
         """Search a batch of keys, one :meth:`lookup` per key admitted
-        in key order; the answers come back in key order."""
-        return await asyncio.gather(*[self.lookup(key) for key in keys])
+        on call in key order; the answers come back in key order."""
+        return asyncio.gather(*[self.lookup(key) for key in keys])
 
-    async def insert(self, words: Sequence[RawWord]) -> ServiceResponse:
-        """Store a batch of words (routed per shard by the dispatcher)."""
+    def insert(self, words: Sequence[RawWord]) -> asyncio.Future:
+        """Store a batch of words as one request, admitted on call
+        (routed per shard by the dispatcher)."""
         words = list(words)
         if not words:
             raise ConfigError("insert needs at least one word")
-        return await self._admit(_Request("insert", words=words))
+        return self._admit(_Request("insert", words=words))
 
     def delete(self, key: int) -> "asyncio.Future[ServiceResponse]":
         """Delete-by-content wherever the key may live; admitted on
         call, like :meth:`lookup`."""
         return self._admit(_Request("delete", key=int(key)))
 
-    async def delete_many(self, keys: Sequence[int]) -> List[ServiceResponse]:
+    def delete_many(self, keys: Sequence[int]) -> asyncio.Future:
         """Delete a batch of keys, one :meth:`delete` per key admitted
-        in key order, so they can share a micro-batch; the answers are
-        those of the same deletes made one after another."""
-        return await asyncio.gather(*[self.delete(key) for key in keys])
+        on call in key order, so they can share a micro-batch; the
+        answers are those of the same deletes made one after another."""
+        return asyncio.gather(*[self.delete(key) for key in keys])
 
     # ------------------------------------------------------------------
     # admission

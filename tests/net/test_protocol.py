@@ -201,12 +201,17 @@ def test_truncated_key_batches_rejected(mutate):
         protocol.decode_lookup(bytes(blob))
 
 
+#: Error texts a RESULT row may carry: none, empty, or any Unicode.
+error_texts = st.one_of(st.none(), st.just(""), st.text(max_size=24))
+
+
 @given(
     entries=st.lists(
         st.tuples(
             st.sampled_from(["ok", "timeout", "shard_failed", "error"]),
             st.integers(min_value=0, max_value=(1 << 64) - 1),
             st.integers(min_value=0, max_value=(1 << 130) - 1),
+            error_texts,
         ),
         max_size=8,
     ),
@@ -214,15 +219,28 @@ def test_truncated_key_batches_rejected(mutate):
 @settings(max_examples=40, deadline=None)
 def test_results_round_trip_bit_identical(entries):
     results = [
-        (status, SearchResult.from_vector(key, vector, Encoding.BINARY))
-        for status, key, vector in entries
+        (status, SearchResult.from_vector(key, vector, Encoding.BINARY),
+         error)
+        for status, key, vector, error in entries
     ]
     decoded = protocol.decode_results(protocol.encode_results(results))
     assert len(decoded) == len(results)
-    for (status, want), (got_status, got) in zip(results, decoded):
+    for (status, want, error), (got_status, got, got_error) \
+            in zip(results, decoded):
         assert got_status == status
         assert (got.hit, got.address, got.match_vector, got.key) \
             == (want.hit, want.address, want.match_vector, want.key)
+        # An ok row sends no message; an empty one decodes as None.
+        assert got_error == (error or None if status != "ok" else None)
+
+
+def test_an_all_ok_frame_carries_no_message_bytes():
+    rows = [(status, SearchResult.from_vector(7, 0b101, Encoding.BINARY))
+            for status in ("ok", "error")]
+    ok = protocol.encode_results([rows[0] + ("ignored",)] * 3)
+    assert ok == protocol.encode_results([rows[0] + (None,)] * 3)
+    assert len(protocol.encode_results([rows[1] + ("ünï",)] * 3)) \
+        == len(ok) + 3 * (4 + len("ünï".encode("utf-8")))
 
 
 addresses = st.one_of(st.integers(min_value=0, max_value=4095),
@@ -239,11 +257,13 @@ def result_lists(draw):
         st.integers(min_value=0, max_value=(1 << 64) - 1),
         st.one_of(st.just([]), st.lists(addresses, min_size=1, max_size=1),
                   st.lists(addresses, min_size=2, max_size=12)),
+        error_texts,
     ), max_size=10))
     return [
         (status, SearchResult.from_vector(
-            key, sum(1 << a for a in set(hits)), encoding))
-        for status, key, hits in entries
+            key, sum(1 << a for a in set(hits)), encoding),
+         error or None if status != "ok" else None)
+        for status, key, hits, error in entries
     ]
 
 
@@ -251,9 +271,9 @@ def result_lists(draw):
 @settings(max_examples=1500 if _DEEP else 150, deadline=None)
 def test_columnar_results_round_trip_every_encoding(results, size):
     decoded = protocol.decode_results(protocol.encode_results(results))
-    assert [status for status, _ in decoded] \
-        == [status for status, _ in results]
-    for (_, want), (_, got) in zip(results, decoded):
+    assert [status for status, _, _ in decoded] \
+        == [status for status, _, _ in results]
+    for (_, want, _), (_, got, _) in zip(results, decoded):
         assert (got.key, got.hit, got.address, got.match_vector,
                 got.match_count, got.encoding) \
             == (want.key, want.hit, want.address, want.match_vector,
@@ -265,32 +285,37 @@ def test_columnar_results_round_trip_every_encoding(results, size):
 def test_results_of_two_encodings_are_not_one_frame():
     with pytest.raises(ConfigError, match="encoding"):
         protocol.encode_results([
-            ("ok", SearchResult.from_vector(1, 2, Encoding.PRIORITY)),
-            ("ok", SearchResult.from_vector(1, 2, Encoding.COUNT)),
+            ("ok", SearchResult.from_vector(1, 2, Encoding.PRIORITY), None),
+            ("ok", SearchResult.from_vector(1, 2, Encoding.COUNT), None),
         ])
 
 
 def _sample_results():
     return protocol.encode_results([
-        ("ok", SearchResult.from_vector(7, 0b1011, Encoding.BINARY)),
-        ("timeout", SearchResult.from_vector(8, 0, Encoding.BINARY)),
-        ("error", SearchResult.from_vector(9, 1 << 5000, Encoding.BINARY)),
-        ("ok", SearchResult.from_vector(10, 0b110, Encoding.BINARY)),
+        ("ok", SearchResult.from_vector(7, 0b1011, Encoding.BINARY), None),
+        ("timeout", SearchResult.from_vector(8, 0, Encoding.BINARY), None),
+        ("error", SearchResult.from_vector(9, 1 << 5000, Encoding.BINARY),
+         "key 9: ünïcode"),
+        ("ok", SearchResult.from_vector(10, 0b110, Encoding.BINARY), None),
+        ("shard_failed", SearchResult.from_vector(11, 0, Encoding.BINARY),
+         "shard 1 failed"),
     ])
 
 
-def _results_payload(statuses, keys, counts, firsts, extras, encoding=0):
+def _results_payload(statuses, keys, counts, firsts, extras, encoding=0,
+                     messages=b""):
     """A RESULT payload assembled column by column, valid or not."""
     return (struct.pack("<IB", len(keys), encoding) + bytes(statuses)
             + struct.pack(f"<{len(keys)}Q", *keys)
             + struct.pack(f"<{len(keys)}I", *counts)
             + struct.pack(f"<{len(keys)}q", *firsts)
-            + struct.pack(f"<{len(extras)}I", *extras))
+            + struct.pack(f"<{len(extras)}I", *extras) + messages)
 
 
 def test_every_truncated_prefix_and_trailing_bytes_are_rejected():
     blob = _sample_results()
-    assert protocol.decode_results(blob)
+    assert [error for _, _, error in protocol.decode_results(blob)] \
+        == [None, None, "key 9: ünïcode", None, "shard 1 failed"]
     for end in range(len(blob)):
         with pytest.raises(ProtocolError):
             protocol.decode_results(blob[:end])
@@ -320,19 +345,44 @@ def test_every_truncated_prefix_and_trailing_bytes_are_rejected():
     (_results_payload([0], [1], [2], [1], [0xFFFFFFFF]), "range"),
     (_results_payload([0] * 64, list(range(64)), [1] * 64,
                       [1 << 20] * 64, []), "range"),
+    # the error messages of rows that are not ok
+    (_results_payload([3], [1], [0], [-1], []), "truncated"),
+    (_results_payload([3], [1], [0], [-1], [], messages=b"\0\0"),
+     "truncated"),
+    (_results_payload([3], [1], [0], [-1], [],
+                      messages=struct.pack("<I", 0xFFFFFFFF) + b"x"),
+     "expected"),
+    (_results_payload([3, 3], [1, 2], [0, 0], [-1, -1], [],
+                      messages=struct.pack("<I", 0xFFFFFFFF) + b"x"),
+     "truncated"),
+    (_results_payload([3], [1], [0], [-1], [],
+                      messages=struct.pack("<I", 2) + b"\xff\xfe"),
+     "malformed"),
+    (_results_payload([0], [1], [0], [-1], [],
+                      messages=struct.pack("<I", 0)), "expected"),
 ])
 def test_hostile_results_raise_protocol_errors(payload, match):
     with pytest.raises(ProtocolError, match=match):
         protocol.decode_results(payload)
 
 
-def test_version_1_frame_is_rejected():
-    head = struct.Struct("<4sBBII").pack(PROTOCOL_MAGIC, 1,
+def _result_frame_of_version(version):
+    head = struct.Struct("<4sBBII").pack(PROTOCOL_MAGIC, version,
                                          int(Opcode.RESULT), 1, 0)
-    blob = head + struct.pack("<I", zlib.crc32(head) & 0xFFFFFFFF)
-    assert PROTOCOL_VERSION == 2
+    return head + struct.pack("<I", zlib.crc32(head) & 0xFFFFFFFF)
+
+
+def test_version_1_frame_is_rejected():
+    assert PROTOCOL_VERSION == 3
     with pytest.raises(ProtocolError, match="unsupported protocol version 1"):
-        FrameDecoder().feed(blob)
+        FrameDecoder().feed(_result_frame_of_version(1))
+
+
+def test_version_2_frame_is_rejected():
+    """Version 2 RESULT frames had no error messages; a version-3 peer
+    turns them away rather than misread them."""
+    with pytest.raises(ProtocolError, match="unsupported protocol version 2"):
+        FrameDecoder().feed(_result_frame_of_version(2))
 
 
 def test_update_ack_carries_the_error_message():

@@ -24,7 +24,8 @@ from repro.net import CamClient, CamServer, protocol
 from repro.net import server as server_module
 from repro.net.channel import HIGH_WATER
 from repro.net.protocol import Opcode
-from repro.service import CamService, ShardedCam
+from repro.core.batch import open_session
+from repro.service import CamService, FaultyBackend, ShardedCam
 
 WIDTH = 16
 
@@ -597,7 +598,7 @@ def test_multi_key_delete_frame_equals_sequential_deletes():
             before = service.stats.dispatches
             answers = [await service.delete(key) for key in keys]
             dispatches = service.stats.dispatches - before
-            return ([(a.status, a.result) for a in answers],
+            return ([(a.status, a.result, a.error) for a in answers],
                     service.cam.snapshot().content_hash(), dispatches)
 
     framed_answers, framed_hash, framed_dispatches = asyncio.run(framed())
@@ -607,8 +608,161 @@ def test_multi_key_delete_frame_equals_sequential_deletes():
     assert framed_dispatches < 4 <= dispatches
     gold = ReferenceCam(64)
     gold.update([binary_entry(v, WIDTH) for v in stored])
-    assert [result for _, result in framed_answers] \
+    assert [result for _, result, _ in framed_answers] \
         == [gold.delete(key) for key in keys]
+
+
+# ----------------------------------------------------------------------
+# admission: each request frame is admitted as it is decoded, in order
+# ----------------------------------------------------------------------
+def _request_frame(index, opcode, keys):
+    """Request frame ``index``; a mutation gets its own token."""
+    if opcode is Opcode.LOOKUP:
+        return protocol.encode_frame(opcode, index, protocol.encode_lookup(keys))
+    token = index.to_bytes(protocol.TOKEN_SIZE, "little")
+    return protocol.encode_frame(opcode, index,
+                                 protocol.encode_mutation(token, keys))
+
+
+async def _answers(reader, count):
+    """The next ``count`` frames on ``reader``, by request id."""
+    decoder = protocol.FrameDecoder()
+    frames = []
+    while len(frames) < count:
+        data = await reader.read(65536)
+        assert data, "connection closed with answers still owed"
+        frames.extend(decoder.feed(data))
+    return {frame.request_id: frame for frame in frames}
+
+
+@pytest.mark.parametrize("first, hit", [(Opcode.INSERT, True),
+                                        (Opcode.DELETE, False)],
+                         ids=["insert", "delete"])
+def test_a_mutation_frame_is_admitted_before_a_lookup_framed_after_it(
+        first, hit):
+    """INSERT (or DELETE) then LOOKUP of the same key in one write: the
+    lookup sees the mutation, as the same calls made in order do."""
+
+    async def scenario():
+        async with serving(service_kwargs={"max_delay_s": 0.001}) as server:
+            if first is Opcode.DELETE:
+                assert (await server.service.insert([7])).ok
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(_request_frame(1, first, [7])
+                         + _request_frame(2, Opcode.LOOKUP, [7]))
+            answers = await _answers(reader, 2)
+            writer.close()
+            [(status, result, _)] = protocol.decode_results(
+                answers[2].payload)
+            assert status == "ok" and result.hit is hit
+    run(scenario())
+
+
+def test_client_mutation_gathered_before_a_lookup_is_seen_by_it():
+    async def scenario():
+        async with serving(service_kwargs={"max_delay_s": 0.001}) as server:
+            async with CamClient(*server.address) as client:
+                inserted, found = await asyncio.gather(client.insert([7]),
+                                                       client.lookup(7))
+                assert inserted.ok and found.ok and found.result.hit
+                deleted, gone = await asyncio.gather(client.delete(7),
+                                                     client.lookup(7))
+                assert deleted.result.hit and not gone.result.hit
+    run(scenario())
+
+
+def test_request_frames_in_flight_run_no_task():
+    """32 LOOKUP, INSERT and DELETE frames held in one micro-batch
+    window on one connection add no task to the loop."""
+    opcodes = (Opcode.LOOKUP, Opcode.INSERT, Opcode.DELETE)
+
+    async def scenario():
+        async with serving(service_kwargs={"max_delay_s": 0.5,
+                                           "max_batch": 1024}) as server:
+            service = server.service
+            reader, writer = await asyncio.open_connection(*server.address)
+            before = len(asyncio.all_tasks())
+            writer.write(b"".join(
+                _request_frame(i, opcodes[i % 3], [i, i + 1])
+                for i in range(1, 33)))
+            while server.stats.requests < 32:
+                await asyncio.sleep(0.001)
+            assert service.stats.completed == 0  # all still in flight
+            assert len(asyncio.all_tasks()) - before == 0
+            answers = await _answers(reader, 32)
+            writer.close()
+            assert sorted(answers) == list(range(1, 33))
+            assert all(frame.opcode is not Opcode.ERROR
+                       for frame in answers.values())
+    run(scenario())
+
+
+def test_stop_sends_every_owed_reply_before_closing():
+    """``stop()`` called as soon as INSERT, DELETE and multi-key LOOKUP
+    frames are read still writes each of their answers before the
+    connection closes: every decoded frame is already admitted, and
+    drain waits for the replies of gathered answers, whose callbacks
+    can run after the service has gone idle."""
+
+    async def scenario():
+        async with serving(service_kwargs={"max_delay_s": 0.02}) as server:
+            assert (await server.service.insert([5, 6])).ok
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(_request_frame(1, Opcode.INSERT, [7, 8])
+                         + _request_frame(2, Opcode.DELETE, [5, 6])
+                         + _request_frame(3, Opcode.LOOKUP, [7, 8, 9]))
+            while server.stats.frames_in < 3:
+                await asyncio.sleep(0)
+            await server.stop()
+            answers = await _answers(reader, 3)
+            assert await reader.read() == b""  # then the server hangs up
+            writer.close()
+            assert [answers[i].opcode for i in (1, 2, 3)] \
+                == [Opcode.UPDATED, Opcode.RESULT, Opcode.RESULT]
+            status, stats, _ = protocol.decode_update_ack(answers[1].payload)
+            assert status == "ok" and stats.words == 2
+            for request_id, hits in ((2, [True, True]),
+                                     (3, [True, True, False])):
+                rows = protocol.decode_results(answers[request_id].payload)
+                assert [(s, r.hit) for s, r, _ in rows] \
+                    == [("ok", hit) for hit in hits]
+    run(scenario())
+
+
+def test_a_failed_shard_answers_the_same_error_text_over_the_wire():
+    """Lookups and a delete that touch a failed shard carry the error
+    text the in-process service gives; ok rows carry none."""
+    config = unit_for_entries(64, block_size=16, data_width=WIDTH,
+                              bus_width=128)
+
+    def faulty(index, replica, cfg):
+        session = open_session(cfg, engine="batch", name=f"f.shard{index}")
+        return FaultyBackend(session, 0) if index == 0 else session
+
+    keys = list(range(8)) + [1 << 63]
+
+    async def answer(api):
+        looked = await api.lookup_many(keys)
+        deleted = [await api.delete(key) for key in (0, 1, 1 << 63)]
+        return [(r.status, r.result, r.error) for r in looked + deleted]
+
+    async def in_process():
+        cam = ShardedCam(config, shards=2, session_factory=faulty)
+        async with CamService(cam) as service:
+            return await answer(service)
+
+    async def over_the_wire():
+        cam = ShardedCam(config, shards=2, session_factory=faulty)
+        async with serving(cam) as server:
+            async with CamClient(*server.address) as client:
+                return await answer(client)
+
+    local, remote = run(in_process()), run(over_the_wire())
+    assert remote == local
+    assert {status for status, _, _ in local} \
+        == {"ok", "shard_failed", "error"}
+    assert all((error is None) == (status == "ok")
+               for status, _, error in local)
 
 
 # ----------------------------------------------------------------------

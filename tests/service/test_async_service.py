@@ -284,6 +284,25 @@ def test_a_full_queue_admits_callers_in_call_order():
     run(scenario())
 
 
+def test_an_insert_is_admitted_before_a_lookup_called_after_it():
+    """Every method admits on call: a lookup gathered after an insert
+    (or a delete) of its key sees it, as the calls made in order do."""
+    async def scenario():
+        async with CamService(make_cam(shards=2),
+                              max_delay_s=0.001) as service:
+            inserted, found = await asyncio.gather(service.insert([7]),
+                                                   service.lookup(7))
+            assert inserted.ok and found.ok and found.result.hit
+            [deleted], gone = await asyncio.gather(
+                service.delete_many([7]), service.lookup(7))
+            assert deleted.result.hit and not gone.result.hit
+            many = service.lookup_many([7])
+            assert service.depth() == 1  # admitted before any await
+            assert not (await many)[0].result.hit
+
+    run(scenario())
+
+
 def test_a_caller_cancelled_while_waiting_for_room_leaves_drain_free():
     async def scenario():
         service = CamService(make_cam(shards=2), queue_depth=2,
@@ -292,13 +311,14 @@ def test_a_caller_cancelled_while_waiting_for_room_leaves_drain_free():
             await service.insert([7])
             waiting = asyncio.ensure_future(
                 service.delete_many([7, 7, 7, 7]))
-            await asyncio.sleep(0)  # two keys queued, two wait for room
-            assert service.depth() == 2
+            assert service.depth() == 2  # two keys queued, two wait
             waiting.cancel()
             await asyncio.wait_for(service.drain(), 5)
             assert service.stats.admitted == 3
             assert service.stats.completed == 3
-        assert waiting.cancelled()
+        # A cancelled gather holds CancelledError but is not cancelled().
+        with pytest.raises(asyncio.CancelledError):
+            waiting.result()
 
     run(scenario())
 

@@ -160,8 +160,8 @@ class Stack:
     def lookup(self, keys, groups=None):
         if self.api is None:
             return [("ok", r) for r in self.cam.search(keys, groups=groups)]
-        return [(r.status, r.result)
-                for r in self.run(self.api.lookup_many(keys))]
+        return [(r.status, r.result) for r in self.run(
+            self._killed(lambda: self.api.lookup_many(keys), None))]
 
     def delete(self, key, kill_after=None):
         if self.api is None:
