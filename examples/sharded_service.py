@@ -6,7 +6,7 @@ shards=N)`` puts N identically-configured units side by side behind a
 shard policy while preserving single-CAM semantics -- the priority
 encoder's lowest-address-wins contract holds *across* shard
 boundaries. :class:`repro.service.CamService` then fronts the shards
-with an asyncio scheduler: bounded admission, per-shard
+with an asyncio scheduler: one admission FIFO, per-shard
 micro-batching, per-request deadlines, failed-shard isolation. Every
 shard is a replica set of one or more sessions; a shard fails only
 when no replica of it is healthy.

@@ -113,8 +113,6 @@ def _add_service_flags(parser: argparse.ArgumentParser,
                         help="micro-batch size cap per shard")
     parser.add_argument("--max-delay-ms", type=float, default=max_delay_ms,
                         help="max wait to fill a micro-batch")
-    parser.add_argument("--queue-depth", type=int, default=1024,
-                        help="bounded admission queue size")
     parser.add_argument("--timeout-ms", type=float, default=5000.0,
                         help="per-request deadline from admission")
 
@@ -526,7 +524,6 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
             cam,
             max_batch=args.max_batch,
             max_delay_s=args.max_delay_ms / 1e3,
-            queue_depth=args.queue_depth,
             request_timeout_s=args.timeout_ms / 1e3,
             auto_repair=args.auto_repair,
         ) as service:
@@ -559,7 +556,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
             cam,
             max_batch=args.max_batch,
             max_delay_s=args.max_delay_ms / 1e3,
-            queue_depth=args.queue_depth,
             request_timeout_s=args.timeout_ms / 1e3,
         )
         await service.start()

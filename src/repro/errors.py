@@ -96,8 +96,8 @@ class ServiceOverloadError(ServiceError):
 
     Client-side only: :class:`repro.net.client.CamClient` raises it for
     that frame (a server at its connection limit sends one). The
-    service itself never rejects on load -- a full admission queue
-    makes callers wait.
+    service itself never rejects on load: it admits every request on
+    call.
     """
 
 

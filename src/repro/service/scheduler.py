@@ -4,10 +4,9 @@
 into a concurrent service with the shape of the hardware arbiter it
 mirrors:
 
-- **bounded admission queue** -- every client method admits on call,
-  with no task, and returns the answer's future; the FIFO holds at
-  most ``queue_depth`` requests, and past that a request waits for
-  room behind every earlier caller;
+- **one admission FIFO** -- every client method admits on call, with
+  no task, and returns the answer's future; an admitted request always
+  runs, and cancelling its future only drops the answer;
 - **one dispatcher** -- a single task drains the admission queue,
   routes each request to the shards it touches (binding an insert's
   global addresses in admission order) and gathers a micro-batch until
@@ -165,10 +164,9 @@ class CamService:
     requests one shard takes per micro-batch and ``max_delay_s`` bounds
     how long a micro-batch waits after its first request; together they
     trade latency for batch-engine occupancy exactly like the hardware
-    bus packs words per beat. ``queue_depth`` bounds the admission queue
-    (a full queue makes callers wait, in call order);
-    ``request_timeout_s`` is the per-request deadline measured from
-    admission, and the only one on the serving path.
+    bus packs words per beat. ``request_timeout_s`` is the per-request
+    deadline measured from admission, and the only one on the serving
+    path.
     """
 
     def __init__(
@@ -177,7 +175,6 @@ class CamService:
         *,
         max_batch: int = 64,
         max_delay_s: float = 0.002,
-        queue_depth: int = 1024,
         request_timeout_s: float = 1.0,
         auto_repair: bool = False,
     ) -> None:
@@ -185,8 +182,6 @@ class CamService:
             raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
         if max_delay_s < 0:
             raise ConfigError(f"max_delay_s must be >= 0, got {max_delay_s}")
-        if queue_depth < 1:
-            raise ConfigError(f"queue_depth must be >= 1, got {queue_depth}")
         if request_timeout_s <= 0:
             raise ConfigError(
                 f"request_timeout_s must be > 0, got {request_timeout_s}"
@@ -194,18 +189,14 @@ class CamService:
         self.cam = cam
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
-        self.queue_depth = queue_depth
         self.request_timeout_s = request_timeout_s
         self.auto_repair = auto_repair
         self.stats = ServiceStats()
-        #: admitted requests in admission order, at most ``queue_depth``.
+        #: admitted requests not yet routed, in admission order.
         self._queue: Deque[_Request] = deque()
-        #: requests called while the queue was full, in call order.
-        self._backlog: Deque[_Request] = deque()
         self._tasks: List[asyncio.Task] = []
         self._running = False
         self._draining = False
-        self._inflight = 0
         self._idle: Optional[asyncio.Event] = None
         #: the dispatcher's wait for more work, resolved by the next
         #: admission, an open micro-batch's deadline or stop.
@@ -222,7 +213,6 @@ class CamService:
         self._tasks = [asyncio.ensure_future(self._dispatcher())]
         self._running = True
         self._draining = False
-        self._inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
         if self.auto_repair:
@@ -252,11 +242,6 @@ class CamService:
     def draining(self) -> bool:
         """True between :meth:`drain` and the next :meth:`start`."""
         return self._draining
-
-    def _track_done(self) -> None:
-        self._inflight -= 1
-        if self._inflight <= 0:
-            self._idle.set()
 
     async def __aenter__(self) -> "CamService":
         await self.start()
@@ -399,8 +384,7 @@ class CamService:
     # admission
     # ------------------------------------------------------------------
     def _admit(self, request: _Request) -> "asyncio.Future[ServiceResponse]":
-        """Queue ``request``, or hold it in the backlog behind every
-        caller still waiting for room; return its future."""
+        """Queue ``request`` behind every earlier one; return its future."""
         if not self._running:
             raise ServiceError("service is not running (use 'async with')")
         if self._draining:
@@ -409,15 +393,7 @@ class CamService:
             )
         request.admitted_t = asyncio.get_running_loop().time()
         request.deadline = request.admitted_t + self.request_timeout_s
-        self._inflight += 1
         self._idle.clear()
-        if self._backlog or len(self._queue) >= self.queue_depth:
-            self._backlog.append(request)
-        else:
-            self._enqueue(request)
-        return request.future
-
-    def _enqueue(self, request: _Request) -> None:
         queue = self._queue
         queue.append(request)
         self.stats.admitted += 1
@@ -426,19 +402,7 @@ class CamService:
         obs.set_gauge("svc_queue_depth", depth,
                       help="admission queue occupancy")
         self._wake()
-
-    def _next(self) -> _Request:
-        """Take the oldest queued request; the oldest backlog request
-        whose caller still waits takes the freed slot."""
-        request = self._queue.popleft()
-        backlog = self._backlog
-        while backlog:
-            held = backlog.popleft()
-            if not held.future.done():
-                self._enqueue(held)
-                break
-            self._track_done()  # cancelled while it waited for room
-        return request
+        return request.future
 
     # ------------------------------------------------------------------
     # dispatch
@@ -460,7 +424,7 @@ class CamService:
                 self._waiter = loop.create_future()
                 await self._waiter
                 continue
-            first = self._next()
+            first = queue.popleft()
             if not self._route(first):
                 continue
             batch = [first]
@@ -477,7 +441,7 @@ class CamService:
                     await self._waiter
                     if not queue:
                         break
-                request = self._next()
+                request = queue.popleft()
                 if self._route(request):
                     batch.append(request)
                     load.update(request.targets)
@@ -641,4 +605,5 @@ class CamService:
                 latency_s=latency,
                 error=error,
             ))
-        self._track_done()
+        if self.stats.completed == self.stats.admitted:
+            self._idle.set()

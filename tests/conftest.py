@@ -5,6 +5,8 @@ from __future__ import annotations
 import logging
 import sys
 
+# A late first import from hypothesis' summary hook crashes 3.11.7's AST.
+import hypothesis  # noqa: F401
 import numpy as np
 import pytest
 

@@ -1,4 +1,4 @@
-"""CamService: micro-batching, backpressure, timeouts, degradation.
+"""CamService: micro-batching, admission, timeouts, degradation.
 
 No pytest-asyncio in the toolchain: every scenario is a coroutine run
 to completion with ``asyncio.run`` inside a plain sync test.
@@ -42,7 +42,6 @@ def run(coro):
 @pytest.mark.parametrize("kwargs", [
     {"max_batch": 0},
     {"max_delay_s": -1},
-    {"queue_depth": 0},
     {"request_timeout_s": 0},
 ])
 def test_rejects_bad_parameters(kwargs):
@@ -230,25 +229,25 @@ def test_broadcast_policy_merges_cross_shard_tie():
 
 
 # ----------------------------------------------------------------------
-# backpressure
+# admission
 # ----------------------------------------------------------------------
-def test_block_mode_applies_backpressure_not_errors():
+def test_concurrent_lookups_are_all_admitted_on_call():
+    """No caller waits for room: every call is queued before the first
+    await, and every one answers."""
     async def scenario():
-        service = CamService(make_cam(shards=1), queue_depth=2,
-                             max_delay_s=0.0)
+        service = CamService(make_cam(shards=1), max_delay_s=0.0)
         async with service:
-            responses = await asyncio.gather(
-                *[service.lookup(k) for k in range(40)]
-            )
+            calls = [service.lookup(k) for k in range(40)]
+            assert service.depth() == 40
+            responses = await asyncio.gather(*calls)
             assert all(r.ok for r in responses)
-            assert service.stats.max_queue_depth <= 2
 
     run(scenario())
 
 
 def test_a_full_queue_admits_callers_in_call_order():
-    """At ``queue_depth=2`` most keys of concurrent lookup frames wait
-    for room; none overtakes an earlier caller, so the answers and the
+    """Concurrent lookup frames and inserts fill the one admission
+    queue; none overtakes an earlier caller, so the answers and the
     inserts' global addresses are those of the calls made in order."""
     words = [[10 + i, 20 + i, 30 + i] for i in range(4)]
     frames = [[10, 20, 11, 21, 12, 22, 13, 23, 99] for _ in range(5)]
@@ -260,8 +259,8 @@ def test_a_full_queue_admits_callers_in_call_order():
             gold.update([binary_entry(v, WIDTH) for v in words[index]])
 
     async def scenario():
-        service = CamService(make_cam(shards=2), queue_depth=2,
-                             max_delay_s=0.001, request_timeout_s=5.0)
+        service = CamService(make_cam(shards=2), max_delay_s=0.001,
+                             request_timeout_s=5.0)
         async with service:
             calls = []
             for index, keys in enumerate(frames):
@@ -276,7 +275,6 @@ def test_a_full_queue_admits_callers_in_call_order():
                     for frame in lookups] \
                 == [[("ok", r) for r in frame] for frame in expected]
             assert all(r.ok for r in answers[1::2])
-            assert service.stats.max_queue_depth <= 2
             placed = await service.lookup_many(
                 [w for batch in words for w in batch])
             assert [r.result.address for r in placed] == list(range(12))
@@ -303,22 +301,22 @@ def test_an_insert_is_admitted_before_a_lookup_called_after_it():
     run(scenario())
 
 
-def test_a_caller_cancelled_while_waiting_for_room_leaves_drain_free():
+def test_a_cancelled_request_still_runs_and_leaves_drain_free():
+    """An admitted request always runs: cancelling the caller's future
+    only drops its answer, so a cancelled delete still deletes."""
     async def scenario():
-        service = CamService(make_cam(shards=2), queue_depth=2,
-                             max_delay_s=0.001)
+        service = CamService(make_cam(shards=2), max_delay_s=0.001)
         async with service:
-            await service.insert([7])
-            waiting = asyncio.ensure_future(
-                service.delete_many([7, 7, 7, 7]))
-            assert service.depth() == 2  # two keys queued, two wait
-            waiting.cancel()
+            await service.insert([7, 8])
+            cancelled = service.delete_many([7, 8])
+            assert service.depth() == 2
+            cancelled.cancel()
             await asyncio.wait_for(service.drain(), 5)
-            assert service.stats.admitted == 3
-            assert service.stats.completed == 3
+            assert service.stats.admitted == service.stats.completed == 3
+            assert not any(r.hit for r in service.cam.search([7, 8]))
         # A cancelled gather holds CancelledError but is not cancelled().
         with pytest.raises(asyncio.CancelledError):
-            waiting.result()
+            cancelled.result()
 
     run(scenario())
 

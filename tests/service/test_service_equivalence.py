@@ -2,9 +2,9 @@
 reference.
 
 A small run of the differential harness (``tests/test_differential.py``)
-on ``CamService -> ShardedCam`` at ``queue_depth=2``, so concurrent
-lookup bursts meet backpressure; the harness's ``service`` stack draws
-the round-robin, hash and range policies.
+on ``CamService -> ShardedCam``, so concurrent lookup bursts share
+micro-batches; the harness's ``service`` stack draws the round-robin,
+hash and range policies.
 """
 
 import pytest

@@ -20,9 +20,9 @@ The stacks, each its own ``TestCase`` so a failure names it:
   group;
 - :class:`~repro.service.ShardedCam` under the ``hash``, ``range`` and
   ``round_robin`` policies, and at R=2;
-- :class:`~repro.service.CamService` (``queue_depth=2``,
-  ``max_batch=8``) over a drawn ``round_robin``, ``hash`` or ``range``
-  policy, and ``CamClient -> CamServer -> CamService``.
+- :class:`~repro.service.CamService` (``max_batch=8``) over a drawn
+  ``round_robin``, ``hash`` or ``range`` policy, and
+  ``CamClient -> CamServer -> CamService``.
 
 Tests elsewhere that check one property of one stack run this machine
 through :func:`run_differential` at a small budget, narrowed to a
@@ -138,8 +138,7 @@ class Stack:
 
     async def _open(self, wire):
         self.service = self.api = CamService(
-            self.cam, max_batch=8, max_delay_s=0.0, queue_depth=2,
-            request_timeout_s=60.0)
+            self.cam, max_batch=8, max_delay_s=0.0, request_timeout_s=60.0)
         await self.service.start()
         if wire:
             self.server = CamServer(self.service, port=0)
